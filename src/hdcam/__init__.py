@@ -3,14 +3,12 @@
 from .cam import (
     AnalogParams,
     BankLayout,
-    MLReading,
     VoltageProfile,
     calibrate_profile,
     load_rows,
     max_line_deviation,
     search_analog,
     search_ideal,
-    solve_ml,
     transfer_curve,
 )
 from .config import ExperimentConfig, load_cost_table, load_experiment_config, load_profile, save_profile
@@ -38,7 +36,6 @@ from .errors import (
     HdcError,
     ParseError,
     SaturationError,
-    SolverError,
     TooManyLevelsError,
 )
 from .hvcore import (

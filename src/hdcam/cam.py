@@ -10,22 +10,30 @@ bank sits next to the sensing node (held at reference potential) and column
 127 is farthest; one segment resistance r_segment separates adjacent taps.
 A mismatching cell at column j behaves as a square-law injector
 
-    i_j = g_cell * max(0, gamma * V_search(j) - v_ml(j) - v_th)^2
+    i_j = g_cell * max(0, a_j - c_j * i_j)^2,   a_j = max(0, gamma * V_search(j) - v_th)
 
-where v_ml(j) = r_segment * (j + 1) * i_j is the local ladder potential the
+where c_j = r_segment * (j + 1) and c_j * i_j is the ladder potential the
 cell's own current builds over its path to the sensing node. Cross-cell
 loading of the shared line is deliberately not modeled: with it, the curve's
 bend tracks the total line current, which no static search-voltage profile
 can compensate; the per-path form keeps the IR drop a positional quantity,
 matching the observed near-linear drop gradient along the line and making
-the drop correctable. Far cells lose gate overdrive and contribute less,
-bending the current-vs-distance curve. Search-voltage scaling counteracts
-this: the 128 columns split into four 32-column segments, each driven at its
-own level, higher levels farther from the sensing node.
+the drop correctable. Each cell is thus its own scalar quadratic, whose
+physical (smaller) root is taken in the cancellation-free form
+
+    i_j = 2 g a_j^2 / (1 + 2 g c_j a_j + sqrt(1 + 4 g c_j a_j)),
+
+exact at r_segment = 0. The current depends only on the column and the
+search levels, so a row's sensed current is its mismatch mask dotted with
+one 128-entry weight vector per bank: a column-weighted Hamming distance.
+Far cells lose gate overdrive and weigh less, bending the current-vs-distance
+curve. Search-voltage scaling counteracts this: the 128 columns split into
+four 32-column segments, each driven at its own level, higher levels farther
+from the sensing node.
 
 MTJ resistances (parallel 1.25 MOhm, anti-parallel 3.44 MOhm) are recorded
 here because they justify treating per-cell search energy as negligible;
-they play no role in the ladder solve.
+they play no role in the ladder model.
 """
 
 import warnings
@@ -33,14 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    CalibrationWarning,
-    CapacityError,
-    DimensionError,
-    SolverError,
-)
-from .hvcore import BANK_COLS, MAX_BANKS, BipolarHV
+from .errors import AlignmentError, CalibrationWarning, CapacityError, DimensionError
+from .hvcore import BANK_COLS, MAX_BANKS
 
 MTJ_R_PARALLEL_OHM = 1.25e6
 MTJ_R_ANTIPARALLEL_OHM = 3.44e6
@@ -52,10 +54,6 @@ SEGMENT_COLS = BANK_COLS // N_SEGMENTS
 DEFAULT_PLACEMENT_SEED = 12021
 
 PLACEMENT_RULES = ("nearest-first", "farthest-first", "random-seeded")
-
-SOLVER_TOL = 1e-9
-SOLVER_DAMPING = 0.5
-SOLVER_MAX_ITER = 10000
 
 
 @dataclass
@@ -118,15 +116,6 @@ class VoltageProfile:
 
 
 @dataclass
-class MLReading:
-    """Sensed match-line current of one row, with the per-bank contributions."""
-
-    row: int
-    current: float
-    bank_currents: np.ndarray
-
-
-@dataclass
 class BankLayout:
     """Deployed class rows placed across the CAM banks.
 
@@ -177,110 +166,60 @@ def search_ideal(layout, query):
 _K1 = np.arange(1, BANK_COLS + 1, dtype=np.float64)
 
 
-def _ladder_potentials(cell_currents, r_segment):
-    # v[j] = r * (j+1) * i[j]: the drop each injector's own current builds
-    # over its path to the sensing node (no cross-cell loading).
-    return r_segment * _K1 * cell_currents
+def column_currents(v_cols, params):
+    """Current one mismatching cell sources at each column: the physical root of
+    g_cell * (a - c * i)^2 = i with c = r_segment * (col + 1)."""
+    a = np.clip(params.gamma * np.asarray(v_cols, dtype=np.float64) - params.v_th, 0.0, None)
+    gca = params.g_cell * params.r_segment * _K1 * a
+    return 2.0 * params.g_cell * a**2 / (1.0 + 2.0 * gca + np.sqrt(1.0 + 4.0 * gca))
 
 
-def solve_bank_currents(mismatch, v_cols, params, return_cells=False):
-    """Damped fixed-point solve of the per-bank ladder system.
+def solve_bank_currents(mismatch, v_cols, params):
+    """Per-bank sensed currents, shape mismatch.shape[:-1].
 
     mismatch: (..., 128) boolean injector mask, one row per bank instance.
     v_cols:   search level per column, (128,) or broadcastable to mismatch.
-    Returns the per-bank sensed currents (mismatch.shape[:-1]); with
-    return_cells=True also the converged per-cell currents.
     """
-    mask = np.atleast_2d(np.asarray(mismatch, dtype=bool)).astype(np.float64)
-    drive = params.gamma * np.asarray(v_cols, dtype=np.float64) - params.v_th
-    cur = params.g_cell * np.clip(drive, 0.0, None) ** 2 * mask
-    residuals = []
-    for _ in range(SOLVER_MAX_ITER):
-        v = _ladder_potentials(cur, params.r_segment)
-        cur_next = params.g_cell * np.clip(drive - v, 0.0, None) ** 2 * mask
-        scale = max(cur_next.max(), cur.max())
-        resid = float(np.abs(cur_next - cur).max() / scale) if scale > 0 else 0.0
-        cur = SOLVER_DAMPING * cur_next + (1.0 - SOLVER_DAMPING) * cur
-        residuals.append(resid)
-        if resid <= SOLVER_TOL:
-            break
-    else:
-        raise SolverError(
-            f"match-line solve did not reach {SOLVER_TOL} in {SOLVER_MAX_ITER} iterations",
-            residuals=residuals[-20:],
-        )
-    totals = cur.sum(axis=-1)
-    shape = np.shape(mismatch)[:-1]
-    totals = totals.reshape(shape) if shape else totals[0]
-    if return_cells:
-        return totals, cur.reshape(np.shape(mismatch))
-    return totals
+    return np.sum(np.asarray(mismatch, dtype=bool) * column_currents(v_cols, params), axis=-1)
 
 
-def _as_bits(x):
-    if isinstance(x, BipolarHV):
-        return x.bits
-    return np.asarray(x, dtype=np.uint8)
+def _sensed(totals, params):
+    """Line totals as the sensing block reads them: anything under the floor is zero."""
+    return np.where(totals < params.i_floor, 0.0, totals)
 
 
-def solve_ml(row_bits, query_bits, profile, params, row=-1):
-    """Sensed current of one stored row against a query, summed over banks."""
-    rb = _as_bits(row_bits)
-    qb = _as_bits(query_bits)
-    if rb.shape != qb.shape:
-        raise DimensionError("row and query lengths differ")
-    if rb.size % BANK_COLS != 0 or rb.size == 0:
+def _row_currents(mismatch, profile, params):
+    """Sensed current per row of a (..., width) mismatch mask; banks are weighted
+    independently and summed."""
+    width = mismatch.shape[-1]
+    if width == 0 or width % BANK_COLS:
         raise AlignmentError("bit length must be a positive multiple of 128")
-    n_banks = rb.size // BANK_COLS
-    mism = (rb ^ qb).reshape(n_banks, BANK_COLS).astype(bool)
-    bank_currents = np.atleast_1d(solve_bank_currents(mism, profile.column_voltages(), params))
-    total = float(bank_currents.sum())
-    if total < params.i_floor:
-        total = 0.0
-        bank_currents = np.zeros_like(bank_currents)
-    return MLReading(row=row, current=total, bank_currents=bank_currents)
+    banks = mismatch.reshape(*mismatch.shape[:-1], width // BANK_COLS, BANK_COLS)
+    bank_totals = solve_bank_currents(banks, profile.column_voltages(), params)
+    return _sensed(bank_totals.sum(axis=-1), params)
 
 
 def analog_currents(rows_bits, queries_bits, profile, params):
     """Sensed currents of every (query, row) pair; shape (n_queries, n_rows).
 
-    rows_bits and queries_bits are (n, dim) uint8 matrices. Banks are solved
-    independently and summed; totals below the sensing floor read as zero.
+    rows_bits and queries_bits are (n, dim) uint8 matrices.
     """
     rows = np.atleast_2d(rows_bits)
     queries = np.atleast_2d(queries_bits)
     if rows.shape[1] != queries.shape[1]:
         raise DimensionError("row and query widths differ")
-    n_banks = rows.shape[1] // BANK_COLS
-    nq, nr = queries.shape[0], rows.shape[0]
-    mism = (queries[:, None, :] != rows[None, :, :]).reshape(nq, nr, n_banks, BANK_COLS)
-    totals = solve_bank_currents(
-        mism.reshape(-1, BANK_COLS), profile.column_voltages(), params
-    ).reshape(nq, nr, n_banks)
-    out = totals.sum(axis=2)
-    out[out < params.i_floor] = 0.0
-    return out
+    return _row_currents(queries[:, None, :] != rows[None, :, :], profile, params)
 
 
 def search_analog(layout, query, profile, params):
-    """Match-line readings of the query against every occupied row."""
+    """Sensed match-line current of the query against every occupied row, (n_rows,)."""
     if query.dim != layout.dim:
         raise DimensionError(f"query dim {query.dim} does not match layout dim {layout.dim}")
     active = layout.active_banks
     qb = query.bits.reshape(active, BANK_COLS)
     stored = layout.banks[:active, : layout.n_rows, :]
-    mism = np.moveaxis(stored != qb[:, None, :], 0, 1)
-    bank_totals = solve_bank_currents(
-        mism.reshape(-1, BANK_COLS), profile.column_voltages(), params
-    ).reshape(layout.n_rows, active)
-    readings = []
-    for row in range(layout.n_rows):
-        total = float(bank_totals[row].sum())
-        bc = bank_totals[row]
-        if total < params.i_floor:
-            total, bc = 0.0, np.zeros_like(bc)
-        readings.append(MLReading(row=row, current=total, bank_currents=bc))
-    return readings
+    mism = np.moveaxis(stored != qb[:, None, :], 0, 1).reshape(layout.n_rows, layout.dim)
+    return _row_currents(mism, profile, params)
 
 
 def _placement_order(rule, seed):
@@ -300,20 +239,17 @@ def transfer_curve(profile, params, placement_rule="random-seeded", placement_se
     so successive points share a placement prefix.
     """
     order = _placement_order(placement_rule, placement_seed)
-    mism = np.zeros((BANK_COLS + 1, BANK_COLS), dtype=bool)
-    for h in range(1, BANK_COLS + 1):
-        mism[h, order[:h]] = True
-    totals = solve_bank_currents(mism, profile.column_voltages(), params)
-    totals = np.where(totals < params.i_floor, 0.0, totals)
-    return [(h, float(totals[h])) for h in range(BANK_COLS + 1)]
+    weights = column_currents(profile.column_voltages(), params)[order]
+    totals = _sensed(np.concatenate(([0.0], np.cumsum(weights))), params)
+    return list(enumerate(totals.tolist()))
 
 
 def max_line_deviation(curve):
     """Largest absolute deviation of a transfer curve from its least-squares line."""
-    h = np.asarray([p[0] for p in curve], dtype=np.float64)
-    c = np.asarray([p[1] for p in curve], dtype=np.float64)
-    slope, intercept = np.polyfit(h, c, 1)
-    return float(np.abs(c - (slope * h + intercept)).max())
+    h, c = np.asarray(curve, dtype=np.float64).T
+    hc, cc = h - h.mean(), c - c.mean()
+    slope = (hc @ cc) / (hc @ hc)
+    return float(np.abs(cc - slope * hc).max())
 
 
 def calibrate_profile(

@@ -33,14 +33,6 @@ class GenerationError(HdcError, RuntimeError):
     """Random memory generation failed a build-time invariant twice."""
 
 
-class SolverError(HdcError, RuntimeError):
-    """Match-line solve failed to converge; carries the residual trace."""
-
-    def __init__(self, message, residuals=()):
-        super().__init__(message)
-        self.residuals = list(residuals)
-
-
 class ParseError(HdcError, ValueError):
     """Input file could not be parsed; carries the offending line number."""
 

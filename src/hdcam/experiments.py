@@ -28,18 +28,11 @@ def child_seeds(master):
     return {name: derive_seed(master, name) for name in SEED_STREAMS}
 
 
-_PROFILE_CACHE = {}
-
-
 def resolve_profile(cfg):
-    """Uniform 1 V profile, or the calibrated one (memoized per params)."""
+    """Uniform 1 V profile, or the one calibrated for the analog params."""
     if cfg.profile == "uniform":
         return cam.VoltageProfile.uniform(1.0)
-    p = cfg.analog
-    key = (p.r_segment, p.g_cell, p.v_th, p.gamma, p.i_floor, p.i_cell_nominal)
-    if key not in _PROFILE_CACHE:
-        _PROFILE_CACHE[key] = cam.calibrate_profile(p)
-    return _PROFILE_CACHE[key]
+    return cam.calibrate_profile(cfg.analog)
 
 
 def synthesize_dataset(cfg):

@@ -146,8 +146,7 @@ def predict(query, cm, backend, ledger=None, return_decision=False):
         label = labels[int(np.argmax(scores))]
         return (label, None) if return_decision else label
     layout = backend.layout if backend.layout is not None else cam.load_rows(cm)
-    readings = cam.search_analog(layout, _query_bits(query), backend.profile, backend.params)
-    currents = np.array([r.current for r in readings])
+    currents = cam.search_analog(layout, _query_bits(query), backend.profile, backend.params)
     decision = argmin_serial(currents, backend.sensing, backend.rng)
     label = layout.labels[decision.winner]
     return (label, decision) if return_decision else label

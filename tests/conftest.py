@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from hdcam.hvcore import BipolarHV, Rng
+from hdcam.hvcore import Rng
 
 settings.register_profile(
     "default",
@@ -16,12 +15,3 @@ settings.load_profile("default")
 @pytest.fixture
 def rng():
     return Rng(42)
-
-
-def hv_from_hex(dim, hexstring):
-    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexstring), dtype=np.uint8))
-    return BipolarHV(dim, bits[:dim])
-
-
-def hv_to_hex(hv):
-    return np.packbits(hv.bits).tobytes().hex()

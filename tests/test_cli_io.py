@@ -311,6 +311,13 @@ class TestCli:
         prof = load_profile(tmp_path / "profile.ini")
         assert len(prof.levels) == 4
 
+    def test_calibrate_verb_high_resistance(self, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[analog]\nr_segment = 100000\n")
+        rc = main(["calibrate", "--config", str(cfgfile), "--out", str(tmp_path)])
+        assert rc == 0, capsys.readouterr().err
+        assert load_profile(tmp_path / "profile.ini").levels == (1.2, 1.2, 1.2, 0.8)
+
     def test_cost_report_verb(self, tmp_path, capsys):
         rc = main(["cost-report", "--out", str(tmp_path)])
         assert rc == 0

@@ -26,7 +26,14 @@ from hdcam.hvcore import (
     random_hv,
 )
 
-from conftest import hv_from_hex, hv_to_hex
+
+def hv_from_hex(dim, hexstring):
+    bits = np.unpackbits(np.frombuffer(bytes.fromhex(hexstring), dtype=np.uint8))
+    return BipolarHV(dim, bits[:dim])
+
+
+def hv_to_hex(hv):
+    return np.packbits(hv.bits).tobytes().hex()
 
 # Frozen output of the pcg64 stream for seed 7 at dim 128.
 GOLDEN_HV_128_SEED7 = "b99f531a0e2b70a92d0e568c90f641db"

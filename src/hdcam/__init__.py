@@ -12,7 +12,7 @@ from .cam import (
     transfer_curve,
 )
 from .config import ExperimentConfig, load_cost_table, load_experiment_config, load_profile, save_profile
-from .cost import CostLedger, CostReport, CostTable, OpCost, ratios_vs_cmos, report, tally
+from .cost import CostLedger, CostReport, CostTable, OpCost, ratios_vs_cmos, report
 from .datasets import Dataset, SyntheticSpec, ingest, make_hv_blobs, make_language_corpus, make_record_blobs, purity
 from .encoder import (
     EncodingConfig,
@@ -54,6 +54,7 @@ from .hvcore import (
 )
 from .learner import (
     ClassMemory,
+    ClusterSpec,
     ClusterState,
     EncodedSample,
     SimilarityBackend,
@@ -62,6 +63,6 @@ from .learner import (
     retrain,
     train,
 )
-from .lta import BatchComparison, LtaDecision, SensingSpec, argmin_serial, compare_batch
+from .lta import BatchComparison, LtaDecision, SensingSpec, argmin_serial
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CalibrationWarning, CapacityError, DimensionError
+from .errors import AlignmentError, CalibrationWarning, CapacityError, ConfigError, DimensionError
 from .hvcore import BANK_COLS, MAX_BANKS
 
 MTJ_R_PARALLEL_OHM = 1.25e6
@@ -53,39 +53,41 @@ SEGMENT_COLS = BANK_COLS // N_SEGMENTS
 # Fixed shuffle seed of the "random-seeded" mismatch placement rule.
 DEFAULT_PLACEMENT_SEED = 12021
 
+# Calibration search: levels move on a CAL_GRID_STEP grid inside [CAL_V_LO,
+# CAL_V_HI] for at most CAL_MAX_SWEEPS coordinate sweeps.
+CAL_GRID_STEP = 0.01
+CAL_V_LO = 0.8
+CAL_V_HI = 1.2
+CAL_MAX_SWEEPS = 25
+
 PLACEMENT_RULES = ("nearest-first", "farthest-first", "random-seeded")
 
 
 @dataclass
 class AnalogParams:
-    """Electrical constants of the match-line model.
-
-    i_cell_nominal is the per-mismatch current at zero IR drop under a 1 V
-    search level; when omitted it is derived from g_cell, gamma and v_th.
-    """
+    """Electrical constants of the match-line model."""
 
     r_segment: float = 1000.0
     g_cell: float = 6.25e-6
     v_th: float = 0.2
     gamma: float = 0.6
     i_floor: float = 1e-9
-    i_cell_nominal: float = None
 
     def __post_init__(self):
         for name in ("g_cell", "v_th", "gamma", "i_floor"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.r_segment < 0:
-            raise ValueError("r_segment must be non-negative")
-        overdrive = self.gamma * 1.0 - self.v_th
-        if overdrive <= 0:
-            raise ValueError("v_th leaves no overdrive at a 1 V search level")
-        if self.i_cell_nominal is None:
-            self.i_cell_nominal = self.g_cell * overdrive**2
-        if self.i_cell_nominal <= 0:
-            raise ValueError("i_cell_nominal must be positive")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
+        if not self.r_segment >= 0:
+            raise ConfigError("r_segment must be non-negative")
+        if self.gamma * 1.0 - self.v_th <= 0:
+            raise ConfigError("v_th leaves no overdrive at a 1 V search level")
         if self.i_floor * 100 > self.i_cell_nominal:
-            raise ValueError("i_floor must be well below i_cell_nominal")
+            raise ConfigError("i_floor must be well below i_cell_nominal")
+
+    @property
+    def i_cell_nominal(self):
+        """Per-mismatch current at zero IR drop under a 1 V search level."""
+        return self.g_cell * (self.gamma * 1.0 - self.v_th) ** 2
 
 
 @dataclass
@@ -93,22 +95,21 @@ class VoltageProfile:
     """Per-segment search levels, listed from the far segment toward the sensing node."""
 
     levels: tuple
-    base_voltage: float = 1.0
 
     def __post_init__(self):
         self.levels = tuple(float(v) for v in self.levels)
         if len(self.levels) != N_SEGMENTS:
-            raise ValueError(f"profile needs {N_SEGMENTS} levels")
-        for v in self.levels + (self.base_voltage,):
+            raise ConfigError(f"profile needs {N_SEGMENTS} levels")
+        for v in self.levels:
             if not 0 < v <= 1.2:
-                raise ValueError("levels must lie in (0, 1.2] V")
+                raise ConfigError("levels must lie in (0, 1.2] V")
         for far, near in zip(self.levels, self.levels[1:]):
             if far < near - 1e-12:
-                raise ValueError("levels must be non-increasing toward the sensing node")
+                raise ConfigError("levels must be non-increasing toward the sensing node")
 
     @classmethod
     def uniform(cls, v=1.0):
-        return cls((v,) * N_SEGMENTS, base_voltage=v)
+        return cls((v,) * N_SEGMENTS)
 
     def column_voltages(self):
         """Per-column level, indexed by distance from the sensing node (col 0 nearest)."""
@@ -252,41 +253,29 @@ def max_line_deviation(curve):
     return float(np.abs(cc - slope * hc).max())
 
 
-def calibrate_profile(
-    params,
-    metric="max_abs_deviation",
-    grid_step=0.01,
-    v_lo=0.8,
-    v_hi=1.2,
-    placement_rule="random-seeded",
-    placement_seed=DEFAULT_PLACEMENT_SEED,
-    max_sweeps=25,
-):
+def calibrate_profile(params):
     """Coordinate search for the 4-level profile with the straightest transfer curve.
 
-    Levels move on a grid of grid_step volts inside [v_lo, v_hi], constrained
-    non-increasing toward the sensing node, minimizing the maximum deviation
-    from the best-fit line of the h = 0..128 curve under the given placement
-    rule. Deterministic for fixed params. Warns if nothing beats the uniform
-    1 V profile.
+    Levels move on the calibration grid, constrained non-increasing toward
+    the sensing node, minimizing the maximum deviation from the best-fit line
+    of the h = 0..128 curve under the random-seeded placement rule.
+    Deterministic for fixed params. Warns if nothing beats the uniform 1 V
+    profile.
     """
-    if metric != "max_abs_deviation":
-        raise ValueError(f"unsupported linearity metric: {metric!r}")
-    n_grid = int(round((v_hi - v_lo) / grid_step)) + 1
-    grid = [round(v_lo + i * grid_step, 10) for i in range(n_grid)]
+    n_grid = int(round((CAL_V_HI - CAL_V_LO) / CAL_GRID_STEP)) + 1
+    grid = [round(CAL_V_LO + i * CAL_GRID_STEP, 10) for i in range(n_grid)]
 
     def objective(levels):
-        prof = VoltageProfile(tuple(levels))
-        return max_line_deviation(transfer_curve(prof, params, placement_rule, placement_seed))
+        return max_line_deviation(transfer_curve(VoltageProfile(tuple(levels)), params))
 
     levels = [1.0] * N_SEGMENTS
     uniform_obj = objective(levels)
     best_obj = uniform_obj
-    for _ in range(max_sweeps):
+    for _ in range(CAL_MAX_SWEEPS):
         improved = False
         for idx in range(N_SEGMENTS):
-            hi = levels[idx - 1] if idx > 0 else v_hi
-            lo = levels[idx + 1] if idx < N_SEGMENTS - 1 else v_lo
+            hi = levels[idx - 1] if idx > 0 else CAL_V_HI
+            lo = levels[idx + 1] if idx < N_SEGMENTS - 1 else CAL_V_LO
             best_cand, best_cand_obj = levels[idx], best_obj
             for cand in grid:
                 if cand < lo or cand > hi or cand == levels[idx]:

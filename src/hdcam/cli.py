@@ -8,11 +8,12 @@ generators configured in the [synthetic] section.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, load_experiment_config, save_profile
-from .datasets import SyntheticSpec, ingest
-from .errors import HdcError
+from .datasets import ingest
+from .errors import ConfigError, HdcError
 from .experiments import (
     resolve_profile,
     run_classify,
@@ -77,20 +78,18 @@ def main(argv=None):
         elif args.verb == "cluster":
             if not args.data and cfg.synthetic.kind == "records":
                 # default the synthetic source to planted blobs for clustering
-                cfg = cfg.with_overrides(
-                    synthetic=SyntheticSpec(
-                        kind="hv_blobs",
-                        classes=cfg.cluster_k,
-                        blob_points=cfg.synthetic.blob_points,
-                    )
-                )
+                blobs = replace(cfg.synthetic, kind="hv_blobs", classes=cfg.cluster.k)
+                cfg = cfg.with_overrides(synthetic=blobs)
             dataset = _load_dataset(args, cfg)
             res = run_cluster(cfg, dataset, out / "cluster.csv")
             print(f"epochs = {res.state.epoch}, converged = {res.converged}, "
                   f"purity = {res.purity:.4f}")
             print(f"wrote {out / 'cluster.csv'}")
         elif args.verb == "dim-sweep":
-            dims = [int(d) for d in args.dims.split(",")]
+            try:
+                dims = [int(d) for d in args.dims.split(",")]
+            except ValueError:
+                raise ConfigError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
             dataset = _load_dataset(args, cfg)
             rows, _ = run_dim_sweep(cfg, dataset, dims, out / "dim_sweep.csv")
             for row in rows:

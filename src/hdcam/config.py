@@ -1,21 +1,27 @@
 """Experiment configuration: INI-backed dataclasses and (de)serialization.
 
-The config file is standard INI (configparser) with the sections
-[experiment], [encoding], [analog], [sensing], [cluster], [synthetic]; every
-key is optional and falls back to the dataclass default. Voltage profiles
-and cost-table overrides use the same format ([profile] / per-op sections).
+The config file is standard INI (configparser). The scalar fields of
+ExperimentConfig form the [experiment] section and each dataclass-typed field
+is the section of its own name ([encoding], [cluster], [analog], [sensing],
+[synthetic]), so the accepted keys, their types and the CSV header are all
+read off the dataclasses. Every key is optional and falls back to the
+dataclass default; an unknown section or key, or a value that does not cast,
+is an error. Voltage profiles and cost-table overrides use the same format
+([profile] / per-op sections).
 """
 
 import configparser
+import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .cam import AnalogParams, VoltageProfile
-from .cost import OP_KINDS, CostTable, OpCost
+from .cost import CostTable
 from .datasets import SyntheticSpec
 from .encoder import EncodingConfig
 from .errors import ConfigError
 from .hvcore import check_alignment
+from .learner import ClusterSpec
 from .lta import SensingSpec
 
 MODES = ("binary", "multibit")
@@ -23,25 +29,40 @@ BACKENDS = ("ideal", "analog")
 PROFILES = ("uniform", "calibrated")
 
 
+def _finite_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
+
+
+# How an INI string becomes a value, by field annotation.
+CASTS = {
+    int: int,
+    float: _finite_float,
+    str: str,
+    str | None: lambda raw: raw or None,
+    tuple: lambda raw: tuple(_finite_float(v) for v in raw.split(",")),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs: encoding, width, backend, profile, seeds."""
 
-    encoding: EncodingConfig = field(default_factory=EncodingConfig)
+    seed: int = 0
     dim: int = 2048
     mode: str = "binary"
     backend: str = "ideal"
     profile: str = "calibrated"
     retrain_epochs: int = 0
     test_fraction: float = 0.2
-    cluster_k: int = 2
-    cluster_threshold: int = 16
-    cluster_max_epochs: int = 20
-    seed: int = 0
+    cost_table_path: str | None = None
+    encoding: EncodingConfig = field(default_factory=EncodingConfig)
+    cluster: ClusterSpec = field(default_factory=ClusterSpec)
     analog: AnalogParams = field(default_factory=AnalogParams)
     sensing: SensingSpec = field(default_factory=SensingSpec)
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
-    cost_table_path: str = None
 
     def __post_init__(self):
         check_alignment(self.dim)
@@ -55,22 +76,16 @@ class ExperimentConfig:
             raise ConfigError("the CAM stores binary vectors; analog backend needs binary mode")
         if self.retrain_epochs < 0:
             raise ConfigError("retrain_epochs must be non-negative")
+        if not 0 < self.test_fraction < 1:
+            raise ConfigError("test_fraction must be in (0, 1)")
         if self.encoding.dim != self.dim:
-            self.encoding = EncodingConfig(
-                scheme=self.encoding.scheme,
-                n=self.encoding.n,
-                levels=self.encoding.levels,
-                permute_mode=self.encoding.permute_mode,
-                drop_width=self.encoding.drop_width,
-                dim=self.dim,
-            )
+            self.encoding = replace(self.encoding, dim=self.dim)
         if self.cost_table_path is not None and not os.path.exists(self.cost_table_path):
             raise ConfigError(f"cost table file not found: {self.cost_table_path}")
 
     def with_overrides(self, **kwargs):
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update({k: v for k, v in kwargs.items() if v is not None})
-        return ExperimentConfig(**values)
+        """Copy with the given fields replaced; a None value leaves its field as is."""
+        return replace(self, **{k: v for k, v in kwargs.items() if v is not None})
 
     def cost_table(self):
         if self.cost_table_path is None:
@@ -78,150 +93,86 @@ class ExperimentConfig:
         return load_cost_table(self.cost_table_path)
 
     def meta(self):
-        """Flat key/value view for CSV header blocks."""
-        out = {
-            "experiment.seed": self.seed,
-            "experiment.dim": self.dim,
-            "experiment.mode": self.mode,
-            "experiment.backend": self.backend,
-            "experiment.profile": self.profile,
-            "experiment.retrain_epochs": self.retrain_epochs,
-            "experiment.test_fraction": self.test_fraction,
-            "encoding.scheme": self.encoding.scheme,
-            "encoding.n": self.encoding.n,
-            "encoding.levels": self.encoding.levels,
-            "encoding.permute_mode": self.encoding.permute_mode,
-            "encoding.drop_width": self.encoding.drop_width,
-            "cluster.k": self.cluster_k,
-            "cluster.threshold": self.cluster_threshold,
-            "cluster.max_epochs": self.cluster_max_epochs,
-            "analog.r_segment": self.analog.r_segment,
-            "analog.g_cell": self.analog.g_cell,
-            "analog.v_th": self.analog.v_th,
-            "analog.gamma": self.analog.gamma,
-            "analog.i_floor": self.analog.i_floor,
-            "analog.i_cell_nominal": self.analog.i_cell_nominal,
-            "sensing.resolution": self.sensing.resolution,
-            "sensing.floor": self.sensing.floor,
-            "sensing.batch": self.sensing.batch,
-            "synthetic.kind": self.synthetic.kind,
-            "synthetic.samples": self.synthetic.samples,
-            "synthetic.classes": self.synthetic.classes,
-            "synthetic.features": self.synthetic.features,
-            "synthetic.noise": self.synthetic.noise,
-            "synthetic.languages": self.synthetic.languages,
-            "synthetic.text_length": self.synthetic.text_length,
-            "cost_table_path": self.cost_table_path or "",
+        """Flat `section.key` view of every loadable key, for CSV header blocks."""
+        return {
+            f"{section}.{f.name}": "" if getattr(obj, f.name) is None else getattr(obj, f.name)
+            for section, obj in _sections(self).items()
+            for f in _keys(obj)
         }
-        return out
 
 
-def _get(parser, section, key, cast, default):
-    if not parser.has_section(section) or not parser.has_option(section, key):
-        return default
-    raw = parser.get(section, key)
-    if cast is bool:
-        return parser.getboolean(section, key)
-    return cast(raw)
+def _keys(obj):
+    """Fields of a config dataclass that are INI keys: castable, not set elsewhere."""
+    return [f for f in fields(obj) if f.type in CASTS and "set_by" not in f.metadata]
+
+
+def _sections(cfg):
+    """Section name -> object: [experiment] is cfg's own scalars, each nested
+    dataclass field is the section of its own name."""
+    nested = {f.name: getattr(cfg, f.name) for f in fields(cfg) if is_dataclass(f.type)}
+    return {"experiment": cfg, **nested}
+
+
+def _parse(path, sections):
+    """INI parser for path, rejecting sections outside the given names."""
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"cannot read config file: {path}")
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: " + " ".join(str(exc).split())) from None
+    for name in parser.sections() + ([parser.default_section] if parser.defaults() else []):
+        if name not in sections:
+            raise ConfigError(f"{path}: unknown section [{name}]")
+    return parser
+
+
+def _read(parser, section, obj):
+    """obj with the keys present in [section], each cast by its field annotation."""
+    types = {f.name: f.type for f in _keys(obj)}
+    values = {}
+    for key, raw in parser.items(section) if parser.has_section(section) else ():
+        if key not in types:
+            raise ConfigError(f"[{section}] {key}: unknown key")
+        try:
+            values[key] = CASTS[types[key]](raw)
+        except ValueError:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: expected {types[key].__name__}") from None
+    try:
+        return replace(obj, **values)
+    except ConfigError as exc:
+        raise ConfigError(f"[{section}] {exc}") from None
 
 
 def load_experiment_config(path):
     """ExperimentConfig from an INI file; missing keys keep their defaults."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file: {path}")
-    defaults = ExperimentConfig()
-    enc = defaults.encoding
-    dim = _get(parser, "experiment", "dim", int, defaults.dim)
-    encoding = EncodingConfig(
-        scheme=_get(parser, "encoding", "scheme", str, enc.scheme),
-        n=_get(parser, "encoding", "n", int, enc.n),
-        levels=_get(parser, "encoding", "levels", int, enc.levels),
-        permute_mode=_get(parser, "encoding", "permute_mode", str, enc.permute_mode),
-        drop_width=_get(parser, "encoding", "drop_width", int, enc.drop_width),
-        dim=dim,
-    )
-    analog = AnalogParams(
-        r_segment=_get(parser, "analog", "r_segment", float, defaults.analog.r_segment),
-        g_cell=_get(parser, "analog", "g_cell", float, defaults.analog.g_cell),
-        v_th=_get(parser, "analog", "v_th", float, defaults.analog.v_th),
-        gamma=_get(parser, "analog", "gamma", float, defaults.analog.gamma),
-        i_floor=_get(parser, "analog", "i_floor", float, defaults.analog.i_floor),
-        i_cell_nominal=_get(parser, "analog", "i_cell_nominal", float, None),
-    )
-    sensing = SensingSpec(
-        resolution=_get(parser, "sensing", "resolution", float, defaults.sensing.resolution),
-        floor=_get(parser, "sensing", "floor", float, defaults.sensing.floor),
-        batch=_get(parser, "sensing", "batch", int, defaults.sensing.batch),
-    )
-    synthetic = SyntheticSpec(
-        kind=_get(parser, "synthetic", "kind", str, defaults.synthetic.kind),
-        samples=_get(parser, "synthetic", "samples", int, defaults.synthetic.samples),
-        classes=_get(parser, "synthetic", "classes", int, defaults.synthetic.classes),
-        features=_get(parser, "synthetic", "features", int, defaults.synthetic.features),
-        noise=_get(parser, "synthetic", "noise", float, defaults.synthetic.noise),
-        languages=_get(parser, "synthetic", "languages", int, defaults.synthetic.languages),
-        text_length=_get(parser, "synthetic", "text_length", int, defaults.synthetic.text_length),
-    )
-    cost_path = _get(parser, "experiment", "cost_table_path", str, None)
-    return ExperimentConfig(
-        encoding=encoding,
-        dim=dim,
-        mode=_get(parser, "experiment", "mode", str, defaults.mode),
-        backend=_get(parser, "experiment", "backend", str, defaults.backend),
-        profile=_get(parser, "experiment", "profile", str, defaults.profile),
-        retrain_epochs=_get(parser, "experiment", "retrain_epochs", int, defaults.retrain_epochs),
-        test_fraction=_get(parser, "experiment", "test_fraction", float, defaults.test_fraction),
-        cluster_k=_get(parser, "cluster", "k", int, defaults.cluster_k),
-        cluster_threshold=_get(parser, "cluster", "threshold", int, defaults.cluster_threshold),
-        cluster_max_epochs=_get(parser, "cluster", "max_epochs", int, defaults.cluster_max_epochs),
-        seed=_get(parser, "experiment", "seed", int, defaults.seed),
-        analog=analog,
-        sensing=sensing,
-        synthetic=synthetic,
-        cost_table_path=cost_path,
-    )
+    sections = _sections(ExperimentConfig())
+    parser = _parse(path, sections)
+    cfg = sections.pop("experiment")
+    nested = {name: _read(parser, name, obj) for name, obj in sections.items()}
+    return _read(parser, "experiment", replace(cfg, **nested))
 
 
 def save_profile(profile, path):
     parser = configparser.ConfigParser()
-    parser["profile"] = {
-        "levels": ", ".join(f"{v:.2f}" for v in profile.levels),
-        "base_voltage": f"{profile.base_voltage:.2f}",
-    }
+    parser["profile"] = {"levels": ", ".join(f"{v:.2f}" for v in profile.levels)}
     with open(path, "w") as f:
         parser.write(f)
 
 
 def load_profile(path):
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path) or not parser.has_section("profile"):
-        raise ConfigError(f"no [profile] section in {path}")
-    levels = tuple(float(v) for v in parser.get("profile", "levels").split(","))
-    base = float(parser.get("profile", "base_voltage", fallback="1.0"))
-    return VoltageProfile(levels, base_voltage=base)
+    """VoltageProfile from the [profile] levels of an INI file."""
+    parser = _parse(path, ("profile",))
+    if not parser.has_option("profile", "levels"):
+        raise ConfigError(f"no [profile] levels in {path}")
+    # Files written by older versions also carry base_voltage, which nothing read.
+    parser.remove_option("profile", "base_voltage")
+    return _read(parser, "profile", VoltageProfile.uniform())
 
 
 def load_cost_table(path):
     """Cost table from an INI file with one section per op plus [table]."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    if not parser.read(path):
-        raise ConfigError(f"cannot read cost table file: {path}")
     base = CostTable()
-    ops = {}
-    for op in OP_KINDS:
-        d = base.ops[op]
-        ops[op] = OpCost(
-            hydra_latency_ns=_get(parser, op, "hydra_latency_ns", float, d.hydra_latency_ns),
-            hydra_energy_pj=_get(parser, op, "hydra_energy_pj", float, d.hydra_energy_pj),
-            cmos_cycles=_get(parser, op, "cmos_cycles", int, d.cmos_cycles),
-            cmos_energy_pj=_get(parser, op, "cmos_energy_pj", float, d.cmos_energy_pj),
-            cmos_net_energy_pj=_get(parser, op, "cmos_net_energy_pj", float, d.cmos_net_energy_pj),
-        )
-    return CostTable(
-        ops=ops,
-        mem_read_energy_nj=_get(parser, "table", "mem_read_energy_nj", float, base.mem_read_energy_nj),
-        cmos_cycle_ns=_get(parser, "table", "cmos_cycle_ns", float, base.cmos_cycle_ns),
-        reference_dim=_get(parser, "table", "reference_dim", int, base.reference_dim),
-    )
+    parser = _parse(path, (*base.ops, "table"))
+    ops = {op: _read(parser, op, cost) for op, cost in base.ops.items()}
+    return _read(parser, "table", replace(base, ops=ops))

@@ -30,8 +30,8 @@ class OpCost:
 
     def __post_init__(self):
         for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive")
 
 
 def _default_ops():
@@ -56,8 +56,8 @@ class CostTable:
         missing = [op for op in OP_KINDS if op not in self.ops]
         if missing:
             raise ConfigError(f"cost table is missing ops: {missing}")
-        if self.mem_read_energy_nj <= 0 or self.cmos_cycle_ns <= 0 or self.reference_dim <= 0:
-            raise ValueError("table scaling constants must be positive")
+        if not min(self.mem_read_energy_nj, self.cmos_cycle_ns, self.reference_dim) > 0:
+            raise ConfigError("table scaling constants must be positive")
 
 
 def ratios_vs_cmos(table=None):
@@ -136,17 +136,10 @@ class CostLedger:
         )
 
 
-def tally(ledger, op_kind, count, dim=None):
-    """Charged copy of the ledger; dim, when given, must match the ledger's."""
-    if dim is not None:
-        check_alignment(dim)
-        if dim != ledger.active_dim:
-            raise ConfigError(
-                f"ledger is bound to dim {ledger.active_dim}, cannot tally at dim {dim}"
-            )
-    out = CostLedger(ledger.active_dim, ledger.table, dict(ledger.counts))
-    out.charge(op_kind, count)
-    return out
+def charge_to(ledger, op_kind, count=1):
+    """Charge count operations to the ledger, when there is one."""
+    if ledger is not None and count:
+        ledger.charge(op_kind, count)
 
 
 @dataclass

@@ -6,12 +6,13 @@ synthetic generators provide desk-scale stand-ins: Gaussian feature blobs, a
 letter-Markov language corpus, and planted hypervector blobs for clustering.
 """
 
+import math
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyDatasetError, ParseError
+from .errors import ConfigError, EmptyDatasetError, ParseError
 from .hvcore import BipolarHV, random_hv
 
 DATASET_KINDS = ("feature_csv", "text_corpus", "synthetic_blobs")
@@ -47,7 +48,13 @@ class SyntheticSpec:
 
     def __post_init__(self):
         if self.kind not in ("records", "languages", "hv_blobs"):
-            raise ValueError(f"unknown synthetic kind: {self.kind!r}")
+            raise ConfigError(f"unknown synthetic kind: {self.kind!r}")
+        counts = (self.samples, self.classes, self.features, self.languages,
+                  self.text_length, self.blob_points)
+        if min(counts) < 1:
+            raise ConfigError("synthetic counts and lengths must be positive")
+        if not (self.noise >= 0 and 0 <= self.blob_max_flip_fraction <= 1):
+            raise ConfigError("noise must be non-negative and blob_max_flip_fraction in [0, 1]")
 
 
 def _feature_metadata(rows):
@@ -58,48 +65,61 @@ def _feature_metadata(rows):
     }
 
 
+def _numbered_lines(path):
+    try:
+        with open(path) as f:
+            yield from enumerate(f, 1)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from None
+
+
 def ingest(path, kind):
     """Parse a dataset file; errors carry the offending line number."""
     if kind == "feature_csv":
         samples, labels = [], []
         arity = None
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) < 2:
-                    raise ParseError(f"line {lineno}: need features and a label", line=lineno)
-                if arity is None:
-                    arity = len(parts)
-                elif len(parts) != arity:
-                    raise ParseError(
-                        f"line {lineno}: expected {arity} fields, got {len(parts)}",
-                        line=lineno,
-                    )
-                try:
-                    samples.append([float(v) for v in parts[:-1]])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: non-numeric feature", line=lineno)
-                labels.append(parts[-1].strip())
+        for lineno, raw in _numbered_lines(path):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) < 2:
+                raise ParseError(f"line {lineno}: need features and a label", line=lineno)
+            if arity is None:
+                arity = len(parts)
+            elif len(parts) != arity:
+                raise ParseError(
+                    f"line {lineno}: expected {arity} fields, got {len(parts)}",
+                    line=lineno,
+                )
+            try:
+                row = [float(v) for v in parts[:-1]]
+            except ValueError:
+                raise ParseError(f"line {lineno}: non-numeric feature", line=lineno)
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"line {lineno}: non-finite feature", line=lineno)
+            samples.append(row)
+            labels.append(parts[-1].strip())
         if not samples:
             raise EmptyDatasetError(f"no samples in {path}")
-        return Dataset("feature_csv", samples, labels, _feature_metadata(samples))
+        metadata = _feature_metadata(samples)
+        spans = (hi - lo for hi, lo in zip(metadata["feature_max"], metadata["feature_min"]))
+        if not all(map(math.isfinite, spans)):
+            raise ParseError("feature range exceeds the float range")
+        return Dataset("feature_csv", samples, labels, metadata)
     if kind == "text_corpus":
         samples, labels = [], []
-        with open(path) as f:
-            for lineno, raw in enumerate(f, 1):
-                line = raw.rstrip("\n")
-                if not line.strip():
-                    continue
-                if "\t" not in line:
-                    raise ParseError(f"line {lineno}: expected label<TAB>text", line=lineno)
-                label, text = line.split("\t", 1)
-                if not label.strip() or not text:
-                    raise ParseError(f"line {lineno}: empty label or text", line=lineno)
-                samples.append(text)
-                labels.append(label.strip())
+        for lineno, raw in _numbered_lines(path):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            if "\t" not in line:
+                raise ParseError(f"line {lineno}: expected label<TAB>text", line=lineno)
+            label, text = line.split("\t", 1)
+            if not label.strip() or not text:
+                raise ParseError(f"line {lineno}: empty label or text", line=lineno)
+            samples.append(text)
+            labels.append(label.strip())
         if not samples:
             raise EmptyDatasetError(f"no samples in {path}")
         return Dataset("text_corpus", samples, labels, {})
@@ -175,7 +195,9 @@ def purity(assignments, labels):
 def train_test_indices(n, test_fraction, seed):
     """Deterministic shuffled split; a pure function of (n, test_fraction, seed)."""
     if not 0 < test_fraction < 1:
-        raise ValueError("test_fraction must be in (0, 1)")
-    perm = np.random.default_rng(seed).permutation(n)
+        raise ConfigError("test_fraction must be in (0, 1)")
     n_test = max(1, int(round(n * test_fraction)))
+    if n_test >= n:
+        raise ConfigError(f"test_fraction {test_fraction} of {n} samples leaves no training sample")
+    perm = np.random.default_rng(seed).permutation(n)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])

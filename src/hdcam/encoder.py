@@ -7,10 +7,11 @@ older symbols more, and bundles all windows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cost import charge_to
 from .errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
 from .hvcore import (
     AccumulatorHV,
@@ -67,7 +68,8 @@ class EncodingConfig:
     levels: int = 8
     permute_mode: str = "shift"
     drop_width: int = 8
-    dim: int = 2048
+    # Set from ExperimentConfig.dim; not a key of the [encoding] section.
+    dim: int = field(default=2048, metadata={"set_by": "experiment.dim"})
 
     def __post_init__(self):
         if self.scheme not in ("record", "ngram"):
@@ -139,11 +141,6 @@ def quantize(x, lm):
     return min(max(idx, 0), lm.L - 1)
 
 
-def _charge(ledger, op, count=1):
-    if ledger is not None and count:
-        ledger.charge(op, count)
-
-
 def encode_record(features, im, lm, ledger=None):
     """Spatial encoding: bundle bind(basis_f, level of feature f) over features."""
     if len(features) != len(im.symbols):
@@ -154,8 +151,8 @@ def encode_record(features, im, lm, ledger=None):
     for pos, x in enumerate(features):
         bound = bind(im.symbols[pos], lm.levels[quantize(x, lm)])
         acc = bundle_add(acc, bound)
-        _charge(ledger, "multiplication")
-        _charge(ledger, "addition")
+        charge_to(ledger, "multiplication")
+        charge_to(ledger, "addition")
     return acc
 
 
@@ -169,14 +166,14 @@ def _permute_k(hv, k, cfg, rng, ledger):
     if k == 0:
         return hv
     if cfg.permute_mode == "shift":
-        _charge(ledger, "permutation")
+        charge_to(ledger, "permutation")
         return permute_shift(hv, k)
     if rng is None:
         raise ConfigError("drop-mode permutation needs an rng for the random tail")
     out = hv
     for _ in range(k):
         out = permute_drop(out, cfg.drop_width, rng)
-        _charge(ledger, "permutation")
+        charge_to(ledger, "permutation")
     return out
 
 
@@ -190,14 +187,14 @@ def encode_ngram(sequence, n, im, cfg, rng=None, ledger=None):
     if n < 1:
         raise ValueError("n-gram width must be at least 1")
     if len(sequence) < n:
-        raise ValueError(f"sequence of length {len(sequence)} is shorter than n={n}")
+        raise ConfigError(f"sequence of length {len(sequence)} is shorter than n={n}")
     acc = AccumulatorHV.zeros(im.dim)
     for t in range(len(sequence) - n + 1):
         gram = im.symbols[sequence[t + n - 1]]
         for k in range(1, n):
             part = _permute_k(im.symbols[sequence[t + n - 1 - k]], k, cfg, rng, ledger)
             gram = bind(gram, part)
-            _charge(ledger, "multiplication")
+            charge_to(ledger, "multiplication")
         acc = bundle_add(acc, gram)
-        _charge(ledger, "addition")
+        charge_to(ledger, "addition")
     return acc

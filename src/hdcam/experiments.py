@@ -230,28 +230,18 @@ def run_cluster(cfg, dataset, out_path=None):
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
         )
         points = [s.bits for s in encoded]
-    if cfg.backend == "ideal":
-        backend = SimilarityBackend(kind="ideal_hamming")
-        profile = None
-    else:
-        profile = resolve_profile(cfg)
-        backend = SimilarityBackend(
-            kind="analog_cam",
-            profile=profile,
-            params=cfg.analog,
-            sensing=cfg.sensing,
-            rng=Rng(seeds["lta"]),
-        )
+    backend, profile = inference_backend(cfg)
+    spec = cfg.cluster
     state = cluster(
         points,
-        cfg.cluster_k,
-        cfg.cluster_threshold,
-        cfg.cluster_max_epochs,
+        spec.k,
+        spec.threshold,
+        spec.max_epochs,
         Rng(seeds["cluster"]),
         backend,
         ledger=ledgers["cluster"],
     )
-    converged = state.epoch < cfg.cluster_max_epochs
+    converged = state.epoch < spec.max_epochs
     score = purity(state.assignments, dataset.labels) if dataset.labels is not None else float("nan")
     reports = {name: report(ledger) for name, ledger in ledgers.items()}
     reports["total"] = report(ledgers["encode"].merge(ledgers["cluster"]))

@@ -56,11 +56,8 @@ class Rng:
     """Seeded random bit source (PCG64). Same seed, same stream."""
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ConfigError(f"unsupported rng algorithm: {self.algorithm!r}")
         self._generator = np.random.Generator(np.random.PCG64(self.seed))
 
     @property

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cam
+from .cost import charge_to
 from .errors import CapacityError, ConfigError
 from .hvcore import (
     DEFAULT_TIE_BREAK_SEED,
@@ -95,11 +96,6 @@ class SimilarityBackend:
                 raise ConfigError(f"analog backend needs {missing}")
 
 
-def _charge(ledger, op, count=1):
-    if ledger is not None and count:
-        ledger.charge(op, count)
-
-
 def train(samples, mode="binary", tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=None):
     """Bundle each class's sample vectors and deploy their binarizations."""
     if not samples:
@@ -112,7 +108,7 @@ def train(samples, mode="binary", tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=
                 raise CapacityError(f"more than {MAX_CLASSES} classes")
             accumulators[s.label] = AccumulatorHV.zeros(dim)
         accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
-        _charge(ledger, "addition")
+        charge_to(ledger, "addition")
     cm = ClassMemory(dim, mode, accumulators)
     cm.deployed = {label: binarize(acc, tie_break_seed) for label, acc in accumulators.items()}
     return cm
@@ -132,7 +128,7 @@ def predict(query, cm, backend, ledger=None, return_decision=False):
     """
     if not cm.deployed:
         raise ValueError("class memory has no deployed vectors")
-    _charge(ledger, "search")
+    charge_to(ledger, "search")
     labels = cm.labels
     if backend.kind == "ideal_hamming":
         q = _query_bits(query)
@@ -172,11 +168,24 @@ def retrain(cm, samples, epochs, backend, tie_break_seed=DEFAULT_TIE_BREAK_SEED,
             if predicted != s.label:
                 accumulators[predicted] = bundle_sub(accumulators[predicted], s.bits)
                 accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
-                _charge(ledger, "addition", 2)
+                charge_to(ledger, "addition", 2)
         out.deployed = {
             label: binarize(acc, tie_break_seed) for label, acc in accumulators.items()
         }
     return out
+
+
+@dataclass
+class ClusterSpec:
+    """Cluster count, center-movement stopping threshold (bits) and epoch cap."""
+
+    k: int = 2
+    threshold: int = 16
+    max_epochs: int = 20
+
+    def __post_init__(self):
+        if self.k < 2 or self.threshold < 0 or self.max_epochs < 1:
+            raise ConfigError("need k >= 2, threshold >= 0 and max_epochs >= 1")
 
 
 @dataclass
@@ -242,7 +251,7 @@ def cluster(
     if K > MAX_CLASSES:
         raise CapacityError(f"{K} clusters exceed the {MAX_CLASSES}-row capacity")
     if len(points) < K:
-        raise ValueError("need at least K points")
+        raise ConfigError(f"need at least K = {K} points, got {len(points)}")
     dim = points[0].dim
     if duplicate_margin is None:
         duplicate_margin = dim // 4
@@ -256,7 +265,7 @@ def cluster(
             assignments, objective = _assign_analog(points_mat, centers, backend)
         else:
             assignments, objective = _assign_ideal(points_mat, centers)
-        _charge(ledger, "search", len(points))
+        charge_to(ledger, "search", len(points))
         objective_history.append(objective)
         updated = []
         degenerate = []
@@ -269,7 +278,7 @@ def cluster(
             acc = AccumulatorHV.zeros(dim)
             for i in members:
                 acc = bundle_add(acc, points[i])
-            _charge(ledger, "addition", len(members))
+            charge_to(ledger, "addition", len(members))
             new_center = binarize(acc, tie_break_seed)
             for earlier in updated:
                 if earlier is not None and hamming(earlier, new_center) < duplicate_margin:

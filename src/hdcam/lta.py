@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass
 class SensingSpec:
@@ -23,9 +25,9 @@ class SensingSpec:
 
     def __post_init__(self):
         if not self.resolution > self.floor > 0:
-            raise ValueError("need resolution > floor > 0")
+            raise ConfigError("need resolution > floor > 0")
         if self.batch < 2:
-            raise ValueError("batch width must be at least 2")
+            raise ConfigError("batch width must be at least 2")
 
 
 @dataclass
@@ -54,15 +56,6 @@ def _resolve(currents, spec, rng):
     if len(candidates) > 1:
         return int(rng.generator.choice(candidates)), True
     return int(candidates[0]), False
-
-
-def compare_batch(currents, spec, rng):
-    """Index of the lowest current in one batch of 2..batch values."""
-    n = len(currents)
-    if not 2 <= n <= spec.batch:
-        raise ValueError(f"batch must hold 2..{spec.batch} currents, got {n}")
-    idx, _ = _resolve(currents, spec, rng)
-    return idx
 
 
 def argmin_serial(currents, spec, rng):

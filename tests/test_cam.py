@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,10 @@ class TestAnalogParams:
     def test_nominal_current_derived(self):
         p = AnalogParams(g_cell=6.25e-6, gamma=0.6, v_th=0.2)
         assert p.i_cell_nominal == pytest.approx(6.25e-6 * 0.4**2)
+
+    def test_nominal_current_follows_replace(self):
+        p = replace(AnalogParams(), g_cell=1e-5)
+        assert p.i_cell_nominal == pytest.approx(1e-5 * 0.4**2)
 
     def test_floor_must_be_small(self):
         with pytest.raises(ValueError):
@@ -359,10 +364,6 @@ class TestCalibration:
         iu = np.triu_indices(129, 1)
         slopes = (currents[None, :] - currents[:, None])[iu] / (h[None, :] - h[:, None])[iu]
         assert slopes.min() >= 0.5 * params.i_cell_nominal
-
-    def test_unknown_metric(self):
-        with pytest.raises(ValueError):
-            calibrate_profile(AnalogParams(), metric="rmse")
 
     def test_degenerate_params_warn(self):
         # drop real but far below what one grid step swings: nothing helps

@@ -30,6 +30,7 @@ from hdcam.experiments import (
 )
 from hdcam.hvcore import Rng
 from hdcam.cam import VoltageProfile
+from hdcam.learner import ClusterSpec
 
 
 class TestIngest:
@@ -232,8 +233,7 @@ class TestRunners:
         cfg = ExperimentConfig(
             dim=1024,
             seed=2,
-            cluster_k=2,
-            cluster_threshold=8,
+            cluster=ClusterSpec(k=2, threshold=8),
             synthetic=SyntheticSpec(kind="hv_blobs", classes=2, blob_points=15),
         )
         ds = synthesize_dataset(cfg)

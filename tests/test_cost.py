@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hdcam.cost import OP_KINDS, CostLedger, CostTable, OpCost, ratios_vs_cmos, report, tally
+from hdcam.cost import OP_KINDS, CostLedger, CostTable, OpCost, charge_to, ratios_vs_cmos, report
 from hdcam.errors import ConfigError
 
 
@@ -43,39 +43,47 @@ class TestRatios:
 
 
 class TestTally:
+    """Charges accumulated on a ledger with CostLedger.charge."""
+
     def test_one_addition_at_reference_dim(self):
-        ledger = tally(CostLedger(2048), "addition", 1, dim=2048)
+        ledger = CostLedger(2048).charge("addition")
         assert ledger.hydra_energy_pj == pytest.approx(41.08)
 
     def test_half_width_half_energy(self):
-        ledger = tally(CostLedger(1024), "addition", 1)
+        ledger = CostLedger(1024).charge("addition", 1)
         assert ledger.hydra_energy_pj == pytest.approx(20.54)
 
     def test_latency_does_not_scale_with_width(self):
-        ledger = tally(CostLedger(1024), "addition", 1)
+        ledger = CostLedger(1024).charge("addition", 1)
         assert ledger.hydra_latency_ns == pytest.approx(0.462)
 
     def test_zero_count_is_identity(self):
-        base = CostLedger(2048)
-        out = tally(base, "search", 0)
-        assert out.counts == base.counts
+        ledger = CostLedger(2048).charge("search", 0)
+        assert ledger.counts == {}
 
     def test_original_ledger_untouched(self):
         base = CostLedger(2048)
-        tally(base, "search", 3)
+        base.merge(CostLedger(2048).charge("search", 3))
         assert base.count("search") == 0
 
     def test_unknown_op(self):
         with pytest.raises(ConfigError):
-            tally(CostLedger(2048), "division", 1)
+            CostLedger(2048).charge("division", 1)
 
     def test_dim_mismatch(self):
         with pytest.raises(ConfigError):
-            tally(CostLedger(2048), "search", 1, dim=1024)
+            CostLedger(2048).merge(CostLedger(1024).charge("search"))
 
     def test_unaligned_dim(self):
         with pytest.raises(Exception):
             CostLedger(1000)
+
+    def test_charge_to_skips_missing_ledger(self):
+        charge_to(None, "search", 3)
+        ledger = CostLedger(2048)
+        charge_to(ledger, "search", 3)
+        charge_to(ledger, "search", 0)
+        assert ledger.counts == {"search": 3}
 
 
 class TestScalingInvariant:

@@ -293,7 +293,3 @@ class TestTypes:
     def test_negative_n_bundled(self):
         with pytest.raises(ValueError):
             AccumulatorHV(128, np.zeros(128, dtype=np.int16), -1)
-
-    def test_rng_unknown_algorithm(self):
-        with pytest.raises(ConfigError):
-            Rng(1, algorithm="mt19937")

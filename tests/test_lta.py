@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hdcam.hvcore import Rng
-from hdcam.lta import LtaDecision, SensingSpec, argmin_serial, compare_batch
+from hdcam.lta import LtaDecision, SensingSpec, argmin_serial
 
 UA = 1e-6
 
@@ -36,29 +36,26 @@ class TestSensingSpec:
 
 
 class TestCompareBatch:
+    """A single comparator batch: argmin_serial over 2..8 currents."""
+
     def test_picks_minimum(self, rng):
-        assert compare_batch([5 * UA, 3 * UA, 9 * UA], _spec(), rng) == 1
+        assert argmin_serial([5 * UA, 3 * UA, 9 * UA], _spec(), rng).winner == 1
 
     def test_sub_resolution_pair_both_outcomes(self):
         currents = [1.0 * UA, 1.1 * UA, 5 * UA]
-        winners = {compare_batch(currents, _spec(), Rng(s)) for s in range(40)}
+        winners = {argmin_serial(currents, _spec(), Rng(s)).winner for s in range(40)}
         assert winners == {0, 1}
 
     def test_exact_resolution_boundary_ambiguous(self):
         currents = [1.0 * UA, 1.2 * UA, 5 * UA]
-        winners = {compare_batch(currents, _spec(), Rng(s)) for s in range(60)}
-        assert winners == {0, 1}
+        decisions = [argmin_serial(currents, _spec(), Rng(s)) for s in range(60)]
+        assert {d.winner for d in decisions} == {0, 1}
+        assert all(d.ambiguous_flags == 1 for d in decisions)
 
     def test_all_below_floor_uniform_choice(self):
         currents = [0.5e-9, 0.2e-9, 0.8e-9]
-        winners = {compare_batch(currents, _spec(), Rng(s)) for s in range(60)}
+        winners = {argmin_serial(currents, _spec(), Rng(s)).winner for s in range(60)}
         assert winners == {0, 1, 2}
-
-    def test_rejects_singleton_and_oversize(self, rng):
-        with pytest.raises(ValueError):
-            compare_batch([1 * UA], _spec(), rng)
-        with pytest.raises(ValueError):
-            compare_batch([1 * UA] * 9, _spec(), rng)
 
 
 class TestArgminSerial:

@@ -2,13 +2,10 @@
 
 from .cam import (
     AnalogParams,
-    BankLayout,
     VoltageProfile,
     calibrate_profile,
-    load_rows,
     max_line_deviation,
     search_analog,
-    search_ideal,
     transfer_curve,
 )
 from .config import ExperimentConfig, load_cost_table, load_experiment_config, load_profile, save_profile
@@ -48,6 +45,7 @@ from .hvcore import (
     bundle_sub,
     dot_bipolar,
     hamming,
+    hamming_matrix,
     permute_drop,
     permute_shift,
     random_hv,

@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CalibrationWarning, CapacityError, ConfigError, DimensionError
-from .hvcore import BANK_COLS, MAX_BANKS
+from .errors import AlignmentError, CalibrationWarning, ConfigError, DimensionError
+from .hvcore import BANK_COLS
 
 MTJ_R_PARALLEL_OHM = 1.25e6
 MTJ_R_ANTIPARALLEL_OHM = 3.44e6
@@ -71,18 +71,15 @@ class AnalogParams:
     g_cell: float = 6.25e-6
     v_th: float = 0.2
     gamma: float = 0.6
-    i_floor: float = 1e-9
 
     def __post_init__(self):
-        for name in ("g_cell", "v_th", "gamma", "i_floor"):
+        for name in ("g_cell", "v_th", "gamma"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if not self.r_segment >= 0:
             raise ConfigError("r_segment must be non-negative")
         if self.gamma * 1.0 - self.v_th <= 0:
             raise ConfigError("v_th leaves no overdrive at a 1 V search level")
-        if self.i_floor * 100 > self.i_cell_nominal:
-            raise ConfigError("i_floor must be well below i_cell_nominal")
 
     @property
     def i_cell_nominal(self):
@@ -116,54 +113,6 @@ class VoltageProfile:
         return np.repeat(np.asarray(self.levels[::-1], dtype=np.float64), SEGMENT_COLS)
 
 
-@dataclass
-class BankLayout:
-    """Deployed class rows placed across the CAM banks.
-
-    Bank k, row r, column c stores bit 128*k + c of the class vector in row r.
-    """
-
-    banks: np.ndarray
-    active_banks: int
-    row_map: dict
-    labels: list
-
-    @property
-    def n_rows(self):
-        return len(self.labels)
-
-    @property
-    def dim(self):
-        return self.active_banks * BANK_COLS
-
-
-def load_rows(cm):
-    """Place the deployed class vectors of a ClassMemory into bank storage."""
-    if not cm.deployed:
-        raise ValueError("class memory has no deployed binary vectors")
-    if len(cm.deployed) > BANK_COLS:
-        raise CapacityError(f"{len(cm.deployed)} classes exceed the {BANK_COLS} rows per bank")
-    active = cm.dim // BANK_COLS
-    banks = np.zeros((MAX_BANKS, BANK_COLS, BANK_COLS), dtype=np.uint8)
-    labels = []
-    row_map = {}
-    for row, (label, hv) in enumerate(cm.deployed.items()):
-        banks[:active, row, :] = hv.bits.reshape(active, BANK_COLS)
-        row_map[label] = row
-        labels.append(label)
-    return BankLayout(banks, active, row_map, labels)
-
-
-def search_ideal(layout, query):
-    """Exact Hamming distance of the query against every occupied row."""
-    if query.dim != layout.dim:
-        raise DimensionError(f"query dim {query.dim} does not match layout dim {layout.dim}")
-    qb = query.bits.reshape(layout.active_banks, BANK_COLS)
-    stored = layout.banks[: layout.active_banks, : layout.n_rows, :]
-    mism = stored != qb[:, None, :]
-    return mism.sum(axis=(0, 2)).astype(np.int64)
-
-
 _K1 = np.arange(1, BANK_COLS + 1, dtype=np.float64)
 
 
@@ -184,43 +133,39 @@ def solve_bank_currents(mismatch, v_cols, params):
     return np.sum(np.asarray(mismatch, dtype=bool) * column_currents(v_cols, params), axis=-1)
 
 
-def _sensed(totals, params):
-    """Line totals as the sensing block reads them: anything under the floor is zero."""
-    return np.where(totals < params.i_floor, 0.0, totals)
-
-
-def _row_currents(mismatch, profile, params):
-    """Sensed current per row of a (..., width) mismatch mask; banks are weighted
-    independently and summed."""
-    width = mismatch.shape[-1]
-    if width == 0 or width % BANK_COLS:
-        raise AlignmentError("bit length must be a positive multiple of 128")
-    banks = mismatch.reshape(*mismatch.shape[:-1], width // BANK_COLS, BANK_COLS)
-    bank_totals = solve_bank_currents(banks, profile.column_voltages(), params)
-    return _sensed(bank_totals.sum(axis=-1), params)
+# Upper bound on (query, row, column) cells scored at once by analog_currents;
+# bounds the weighted mask it builds to 512 KiB whatever the batch size.
+BLOCK_CELLS = 2**16
 
 
 def analog_currents(rows_bits, queries_bits, profile, params):
-    """Sensed currents of every (query, row) pair; shape (n_queries, n_rows).
+    """Match-line currents of every (query, row) pair, shape (n_queries, n_rows).
 
-    rows_bits and queries_bits are (n, dim) uint8 matrices.
+    rows_bits and queries_bits are (n, dim) uint8 matrices. A row's current is
+    its mismatch mask, split into 128-column banks, weighted by
+    column_currents and summed. Queries are scored in blocks of at most
+    BLOCK_CELLS cells; every current is the same as scoring alone.
     """
     rows = np.atleast_2d(rows_bits)
     queries = np.atleast_2d(queries_bits)
-    if rows.shape[1] != queries.shape[1]:
+    width = rows.shape[1]
+    if queries.shape[1] != width:
         raise DimensionError("row and query widths differ")
-    return _row_currents(queries[:, None, :] != rows[None, :, :], profile, params)
+    if width == 0 or width % BANK_COLS:
+        raise AlignmentError("bit length must be a positive multiple of 128")
+    v_cols = profile.column_voltages()
+    step = max(1, BLOCK_CELLS // (len(rows) * width))
+    out = np.empty((len(queries), len(rows)))
+    for start in range(0, len(queries), step):
+        mismatch = queries[start : start + step, None, :] != rows[None, :, :]
+        banks = mismatch.reshape(*mismatch.shape[:-1], width // BANK_COLS, BANK_COLS)
+        out[start : start + step] = solve_bank_currents(banks, v_cols, params).sum(axis=-1)
+    return out
 
 
-def search_analog(layout, query, profile, params):
-    """Sensed match-line current of the query against every occupied row, (n_rows,)."""
-    if query.dim != layout.dim:
-        raise DimensionError(f"query dim {query.dim} does not match layout dim {layout.dim}")
-    active = layout.active_banks
-    qb = query.bits.reshape(active, BANK_COLS)
-    stored = layout.banks[:active, : layout.n_rows, :]
-    mism = np.moveaxis(stored != qb[:, None, :], 0, 1).reshape(layout.n_rows, layout.dim)
-    return _row_currents(mism, profile, params)
+def search_analog(rows_bits, query_bits, profile, params):
+    """Match-line current of one query against every row, (n_rows,)."""
+    return analog_currents(rows_bits, query_bits, profile, params)[0]
 
 
 def _placement_order(rule, seed):
@@ -241,7 +186,7 @@ def transfer_curve(profile, params, placement_rule="random-seeded", placement_se
     """
     order = _placement_order(placement_rule, placement_seed)
     weights = column_currents(profile.column_voltages(), params)[order]
-    totals = _sensed(np.concatenate(([0.0], np.cumsum(weights))), params)
+    totals = np.concatenate(([0.0], np.cumsum(weights)))
     return list(enumerate(totals.tolist()))
 
 

@@ -115,7 +115,8 @@ def main(argv=None):
                 print(f"{row[0]:>14}: {row[2]:8.3f} pJ in-array vs {row[5]:9.3f} pJ CMOS net "
                       f"({row[7]:.2f}x)")
             print(f"wrote {out / 'cost_report.csv'}")
-    except HdcError as exc:
+    except (HdcError, OSError) as exc:
+        # OSError: an output could not be written, e.g. --out names a file.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

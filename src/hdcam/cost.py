@@ -156,36 +156,6 @@ class CostReport:
     hydra_queries_per_s: float
     per_op: dict
 
-    def as_dict(self):
-        flat = {
-            "active_dim": self.active_dim,
-            "hydra_energy_pj": self.hydra_energy_pj,
-            "hydra_latency_ns": self.hydra_latency_ns,
-            "cmos_energy_pj": self.cmos_energy_pj,
-            "cmos_net_energy_pj": self.cmos_net_energy_pj,
-            "cmos_latency_ns": self.cmos_latency_ns,
-            "hydra_queries_per_s": self.hydra_queries_per_s,
-        }
-        for op in OP_KINDS:
-            flat[f"count_{op}"] = self.counts.get(op, 0)
-        return flat
-
-    def to_text(self):
-        lines = [
-            f"active dim: {self.active_dim}",
-            f"in-array energy: {self.hydra_energy_pj:.3f} pJ, latency: {self.hydra_latency_ns:.3f} ns",
-            f"all-CMOS energy: {self.cmos_energy_pj:.3f} pJ (net {self.cmos_net_energy_pj:.3f} pJ), "
-            f"latency: {self.cmos_latency_ns:.3f} ns",
-            f"implied queries/s: {self.hydra_queries_per_s:.0f}",
-        ]
-        for op in OP_KINDS:
-            d = self.per_op[op]
-            lines.append(
-                f"  {op}: x{d['count']} -> {d['hydra_energy_pj']:.3f} pJ in-array, "
-                f"{d['cmos_net_energy_pj']:.3f} pJ CMOS net"
-            )
-        return "\n".join(lines)
-
 
 def report(ledger):
     """Structured cost summary of a ledger."""

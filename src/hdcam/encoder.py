@@ -19,6 +19,7 @@ from .hvcore import (
     bind,
     bundle_add,
     check_alignment,
+    hamming_matrix,
     permute_drop,
     permute_shift,
     random_hv,
@@ -91,7 +92,7 @@ def _pairwise_quasi_orthogonal(hvs, dim):
     if len(hvs) < 2:
         return True
     mat = np.stack([hv.bits for hv in hvs])
-    dists = np.count_nonzero(mat[:, None, :] != mat[None, :, :], axis=2)
+    dists = hamming_matrix(mat, mat)
     lo = dim / 2 - 4 * math.sqrt(dim)
     hi = dim / 2 + 4 * math.sqrt(dim)
     off = ~np.eye(len(hvs), dtype=bool)
@@ -149,14 +150,13 @@ def encode_record(features, im, lm, ledger=None):
         )
     acc = AccumulatorHV.zeros(im.dim)
     for pos, x in enumerate(features):
-        bound = bind(im.symbols[pos], lm.levels[quantize(x, lm)])
-        acc = bundle_add(acc, bound)
-        charge_to(ledger, "multiplication")
-        charge_to(ledger, "addition")
+        acc = bundle_add(acc, bind(im.symbols[pos], lm.levels[quantize(x, lm)]))
+    charge_to(ledger, "multiplication", len(features))
+    charge_to(ledger, "addition", len(features))
     return acc
 
 
-def _permute_k(hv, k, cfg, rng, ledger):
+def _permute_k(hv, k, cfg, rng):
     """k-step permutation of a window symbol.
 
     Shift mode rotates by k in one pass. Drop mode applies the batch-read
@@ -166,14 +166,12 @@ def _permute_k(hv, k, cfg, rng, ledger):
     if k == 0:
         return hv
     if cfg.permute_mode == "shift":
-        charge_to(ledger, "permutation")
         return permute_shift(hv, k)
     if rng is None:
         raise ConfigError("drop-mode permutation needs an rng for the random tail")
     out = hv
     for _ in range(k):
         out = permute_drop(out, cfg.drop_width, rng)
-        charge_to(ledger, "permutation")
     return out
 
 
@@ -182,19 +180,23 @@ def encode_ngram(sequence, n, im, cfg, rng=None, ledger=None):
 
     Window (s_t, ..., s_{t+n-1}) contributes bind over k of the k-step
     permutation of the basis vector of s_{t+n-1-k}: the most recent symbol is
-    unpermuted, older symbols are permuted more.
+    unpermuted, older symbols are permuted more. Each window costs n - 1
+    multiplications, one addition and n - 1 permutations in shift mode, or
+    n(n-1)/2 in drop mode (one per drop pass).
     """
     if n < 1:
         raise ValueError("n-gram width must be at least 1")
     if len(sequence) < n:
         raise ConfigError(f"sequence of length {len(sequence)} is shorter than n={n}")
+    windows = len(sequence) - n + 1
     acc = AccumulatorHV.zeros(im.dim)
-    for t in range(len(sequence) - n + 1):
+    for t in range(windows):
         gram = im.symbols[sequence[t + n - 1]]
         for k in range(1, n):
-            part = _permute_k(im.symbols[sequence[t + n - 1 - k]], k, cfg, rng, ledger)
-            gram = bind(gram, part)
-            charge_to(ledger, "multiplication")
+            gram = bind(gram, _permute_k(im.symbols[sequence[t + n - 1 - k]], k, cfg, rng))
         acc = bundle_add(acc, gram)
-        charge_to(ledger, "addition")
+    passes = n - 1 if cfg.permute_mode == "shift" else n * (n - 1) // 2
+    charge_to(ledger, "permutation", windows * passes)
+    charge_to(ledger, "multiplication", windows * (n - 1))
+    charge_to(ledger, "addition", windows)
     return acc

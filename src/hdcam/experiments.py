@@ -59,24 +59,28 @@ class EncodingContext:
     feature_range: np.ndarray = None
 
 
+# Dataset kind each encoding scheme reads.
+SCHEME_KINDS = {"ngram": "text_corpus", "record": "feature_csv"}
+
+
 def build_encoding_context(dataset, cfg, seed):
-    rng = Rng(seed)
     enc = cfg.encoding
-    if dataset.kind == "text_corpus":
+    if dataset.kind != SCHEME_KINDS[enc.scheme]:
+        raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
+    rng = Rng(seed)
+    if enc.scheme == "ngram":
         chars = sorted({c for text in dataset.samples for c in text})
         im = build_item_memory(len(chars), cfg.dim, rng)
         return EncodingContext(item_memory=im, vocab={c: i for i, c in enumerate(chars)})
-    if dataset.kind == "feature_csv":
-        n_features = len(dataset.samples[0])
-        im = build_item_memory(n_features, cfg.dim, rng)
-        lm = build_level_memory(enc.levels, cfg.dim, rng, 0.0, 1.0)
-        fmin = np.asarray(dataset.metadata["feature_min"], dtype=np.float64)
-        fmax = np.asarray(dataset.metadata["feature_max"], dtype=np.float64)
-        frange = np.where(fmax > fmin, fmax - fmin, 1.0)
-        return EncodingContext(
-            item_memory=im, level_memory=lm, feature_min=fmin, feature_range=frange
-        )
-    raise ConfigError(f"cannot encode dataset kind {dataset.kind!r}")
+    n_features = len(dataset.samples[0])
+    im = build_item_memory(n_features, cfg.dim, rng)
+    lm = build_level_memory(enc.levels, cfg.dim, rng, 0.0, 1.0)
+    fmin = np.asarray(dataset.metadata["feature_min"], dtype=np.float64)
+    fmax = np.asarray(dataset.metadata["feature_max"], dtype=np.float64)
+    frange = np.where(fmax > fmin, fmax - fmin, 1.0)
+    return EncodingContext(
+        item_memory=im, level_memory=lm, feature_min=fmin, feature_range=frange
+    )
 
 
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None,
@@ -85,7 +89,7 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None,
     enc = cfg.encoding
     out = []
     for i in indices:
-        if dataset.kind == "text_corpus":
+        if enc.scheme == "ngram":
             seq = [ctx.vocab[c] for c in dataset.samples[i]]
             acc = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng=rng_encode, ledger=ledger)
         else:
@@ -100,7 +104,7 @@ def _ideal_backend(mode):
     return SimilarityBackend(kind="ideal_dot" if mode == "multibit" else "ideal_hamming")
 
 
-def inference_backend(cfg, cm=None):
+def inference_backend(cfg):
     """Backend selected by the config; analog variants get profile, sensing, rng."""
     if cfg.backend == "ideal":
         return _ideal_backend(cfg.mode), None
@@ -111,7 +115,6 @@ def inference_backend(cfg, cm=None):
         params=cfg.analog,
         sensing=cfg.sensing,
         rng=Rng(child_seeds(cfg.seed)["lta"]),
-        layout=cam.load_rows(cm) if cm is not None else None,
     )
     return backend, profile
 
@@ -160,19 +163,14 @@ def run_classify(cfg, dataset, out_path=None):
         cm = retrain(cm, train_samples, cfg.retrain_epochs, _ideal_backend(cfg.mode),
                      ledger=ledgers["train"])
 
-    backend, profile = inference_backend(cfg, cm)
-    predictions = []
-    correct = 0
-    for idx, sample in zip(test_idx, test_samples):
-        query = sample.acc if backend.kind == "ideal_dot" else sample.bits
-        predicted, decision = predict(
-            query, cm, backend, ledger=ledgers["infer_search"], return_decision=True
-        )
-        ok = predicted == sample.label
-        correct += int(ok)
-        flags = decision.ambiguous_flags if decision is not None else 0
-        predictions.append((int(idx), sample.label, predicted, flags))
-    accuracy = correct / len(test_samples)
+    backend, profile = inference_backend(cfg)
+    queries = [s.acc if backend.kind == "ideal_dot" else s.bits for s in test_samples]
+    labels, decisions = predict(queries, cm, backend, ledger=ledgers["infer_search"])
+    predictions = [
+        (int(idx), sample.label, predicted, decision.ambiguous_flags if decision is not None else 0)
+        for idx, sample, predicted, decision in zip(test_idx, test_samples, labels, decisions)
+    ]
+    accuracy = sum(true == predicted for _, true, predicted, _ in predictions) / len(test_samples)
 
     reports = {name: report(ledger) for name, ledger in ledgers.items()}
     reports["total"] = report(

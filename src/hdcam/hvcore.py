@@ -217,10 +217,32 @@ def permute_drop(hv, s, rng):
     return BipolarHV(hv.dim, np.concatenate([hv.bits[s:], tail]))
 
 
+def _packed_words(bits):
+    """(n, dim) bit matrix packed into uint64 words, zero-padded to whole words."""
+    packed = np.packbits(np.atleast_2d(bits), axis=1)
+    pad = -packed.shape[1] % 8
+    if pad:
+        packed = np.pad(packed, ((0, 0), (0, pad)))
+    return packed.view(np.uint64)
+
+
+def hamming_matrix(a, b):
+    """Hamming distances between the rows of two (n, dim) bit matrices, (n_a, n_b) int64.
+
+    Rows are packed into 64-bit words first, so the pairwise XOR holds
+    dim / 64 words per pair rather than dim bytes.
+    """
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    if a.shape[1] != b.shape[1]:
+        raise DimensionError(f"operand widths differ: {a.shape[1]} vs {b.shape[1]}")
+    words = _packed_words(a)[:, None, :] ^ _packed_words(b)[None, :, :]
+    return np.bitwise_count(words).sum(axis=2, dtype=np.int64)
+
+
 def hamming(a, b):
     """Number of mismatching bit positions."""
     _check_same_dim(a, b)
-    return int(np.count_nonzero(a.bits != b.bits))
+    return int(hamming_matrix(a.bits, b.bits)[0, 0])
 
 
 def _bipolar_values(x):

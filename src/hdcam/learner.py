@@ -2,9 +2,10 @@
 
 Class vectors are bundled from binarized sample encodings and deployed as
 binary vectors; multibit similarity instead scores the raw accumulators with
-the centered dot product. Prediction runs against one of three backends: an
-ideal Hamming argmin, an ideal dot-product argmax, or the modeled CAM fabric
-(match-line currents plus serial LTA sensing).
+the centered dot product. Search is one scoring step, a batch of queries
+against every stored row, then one decision step: an ideal Hamming argmin, an
+ideal dot-product argmax, or the modeled CAM fabric (match-line currents plus
+serial LTA sensing). Prediction, retraining and cluster assignment share both.
 """
 
 from dataclasses import dataclass, field
@@ -21,13 +22,17 @@ from .hvcore import (
     binarize,
     bundle_add,
     bundle_sub,
-    dot_bipolar,
     hamming,
+    hamming_matrix,
     random_hv,
 )
 from .lta import SensingSpec, argmin_serial
 
 MAX_CLASSES = 128
+
+# Queries predict converts and scores at once; bounds the query matrix and the
+# pairwise arrays of one scoring step whatever the batch size.
+QUERY_BLOCK = 16
 
 BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
 
@@ -64,7 +69,7 @@ class ClassMemory:
 
     @classmethod
     def from_deployed(cls, deployed, mode="binary"):
-        """Wrap already-binary vectors (e.g. cluster centers) for CAM loading."""
+        """Wrap already-binary vectors (e.g. cluster centers) as a class memory."""
         dim = next(iter(deployed.values())).dim
         accs = {label: AccumulatorHV.zeros(dim) for label in deployed}
         cm = cls(dim, mode, accs)
@@ -81,7 +86,6 @@ class SimilarityBackend:
     params: cam.AnalogParams = None
     sensing: SensingSpec = None
     rng: object = None
-    layout: cam.BankLayout = None
 
     def __post_init__(self):
         if self.kind not in BACKEND_KINDS:
@@ -114,38 +118,62 @@ def train(samples, mode="binary", tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=
     return cm
 
 
-def _query_bits(query):
-    if isinstance(query, BipolarHV):
-        return query
-    raise TypeError("this backend expects a binary (BipolarHV) query")
+def _matrix(vectors, backend):
+    """Vectors as the rows the backend scores: centred counts of accumulators for
+    ideal_dot, bits of binary vectors otherwise."""
+    if backend.kind == "ideal_dot":
+        if not all(isinstance(v, AccumulatorHV) for v in vectors):
+            raise TypeError("ideal_dot scores raw accumulators; pass the encoded accumulators")
+        counts = np.stack([v.counts for v in vectors]).astype(np.float64)
+        return counts - np.array([v.n_bundled for v in vectors])[:, None] / 2.0
+    if not all(isinstance(v, BipolarHV) for v in vectors):
+        raise TypeError("this backend expects binary (BipolarHV) queries")
+    return np.stack([v.bits for v in vectors])
 
 
-def predict(query, cm, backend, ledger=None, return_decision=False):
-    """Most similar class for one query under the chosen backend.
+def _score(queries, rows, backend):
+    """(n_queries, n_rows) scores: Hamming distances (ideal_hamming), centred dot
+    products (ideal_dot) or match-line currents (analog_cam)."""
+    if backend.kind == "ideal_hamming":
+        return hamming_matrix(queries, rows)
+    if backend.kind == "ideal_dot":
+        return queries @ rows.T
+    return cam.analog_currents(rows, queries, backend.profile, backend.params)
 
-    With return_decision=True, returns (label, LtaDecision-or-None) so
-    analog runs can export their comparison traces.
+
+def _decide(scores, backend):
+    """Winning row per query and the LTA decision per query (None when ideal).
+
+    The analog LTA senses one query at a time, in query order, so its seeded
+    tie-break stream does not depend on how queries were batched.
+    """
+    if backend.kind == "ideal_hamming":
+        return scores.argmin(axis=1), [None] * len(scores)
+    if backend.kind == "ideal_dot":
+        return scores.argmax(axis=1), [None] * len(scores)
+    decisions = [argmin_serial(s, backend.sensing, backend.rng) for s in scores]
+    return np.array([d.winner for d in decisions], dtype=np.int64), decisions
+
+
+def predict(queries, cm, backend, ledger=None):
+    """(labels, decisions): the most similar class of each query under the backend.
+
+    queries are BipolarHVs, or AccumulatorHVs for ideal_dot. decisions holds
+    each query's LtaDecision (analog_cam) or None, so analog runs can export
+    their comparison traces.
     """
     if not cm.deployed:
         raise ValueError("class memory has no deployed vectors")
-    charge_to(ledger, "search")
+    charge_to(ledger, "search", len(queries))
     labels = cm.labels
-    if backend.kind == "ideal_hamming":
-        q = _query_bits(query)
-        dists = [hamming(q, cm.deployed[label]) for label in labels]
-        label = labels[int(np.argmin(dists))]
-        return (label, None) if return_decision else label
-    if backend.kind == "ideal_dot":
-        if not isinstance(query, AccumulatorHV):
-            raise TypeError("ideal_dot scores raw accumulators; pass the encoded accumulator")
-        scores = [dot_bipolar(query, cm.accumulators[label]) for label in labels]
-        label = labels[int(np.argmax(scores))]
-        return (label, None) if return_decision else label
-    layout = backend.layout if backend.layout is not None else cam.load_rows(cm)
-    currents = cam.search_analog(layout, _query_bits(query), backend.profile, backend.params)
-    decision = argmin_serial(currents, backend.sensing, backend.rng)
-    label = layout.labels[decision.winner]
-    return (label, decision) if return_decision else label
+    stored = cm.accumulators if backend.kind == "ideal_dot" else cm.deployed
+    rows = _matrix([stored[label] for label in labels], backend)
+    scores = np.concatenate([
+        _score(_matrix(queries[start : start + QUERY_BLOCK], backend), rows, backend)
+        for start in range(0, len(queries), QUERY_BLOCK)
+    ])
+    winners, decisions = _decide(scores, backend)
+    return [labels[i] for i in winners], decisions
 
 
 def retrain(cm, samples, epochs, backend, tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=None):
@@ -153,18 +181,21 @@ def retrain(cm, samples, epochs, backend, tie_break_seed=DEFAULT_TIE_BREAK_SEED,
 
     Each misclassified sample is subtracted from the predicted class and
     added to its true class. Deployed binary vectors are re-binarized at
-    epoch end, not per update.
+    epoch end, not per update, so binary backends predict a whole epoch in
+    one batch. ideal_dot scores the accumulators themselves, which every
+    update changes, so it predicts online, one sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     accumulators = dict(cm.accumulators)
-    deployed = dict(cm.deployed)
     out = ClassMemory(cm.dim, cm.mode, accumulators)
-    out.deployed = deployed
+    out.deployed = dict(cm.deployed)
+    online = backend.kind == "ideal_dot"
     for _ in range(epochs):
-        for s in samples:
-            query = s.acc if backend.kind == "ideal_dot" else s.bits
-            predicted = predict(query, out, backend, ledger)
+        if samples and not online:
+            batch, _ = predict([s.bits for s in samples], out, backend, ledger)
+        for i, s in enumerate(samples):
+            predicted = predict([s.acc], out, backend, ledger)[0][0] if online else batch[i]
             if predicted != s.label:
                 accumulators[predicted] = bundle_sub(accumulators[predicted], s.bits)
                 accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
@@ -199,31 +230,6 @@ class ClusterState:
     objective_history: list
 
 
-def _assign_ideal(points_mat, centers):
-    centers_mat = np.stack([c.bits for c in centers])
-    dists = np.count_nonzero(points_mat[:, None, :] != centers_mat[None, :, :], axis=2)
-    assignment = dists.argmin(axis=1)
-    objective = int(dists[np.arange(len(assignment)), assignment].sum())
-    return assignment, objective
-
-
-def _assign_analog(points_mat, centers, backend):
-    centers_mat = np.stack([c.bits for c in centers])
-    currents = cam.analog_currents(centers_mat, points_mat, backend.profile, backend.params)
-    assignment = np.array(
-        [argmin_serial(currents[i], backend.sensing, backend.rng).winner for i in range(len(points_mat))]
-    )
-    dists = np.count_nonzero(points_mat[:, None, :] != centers_mat[None, :, :], axis=2)
-    objective = int(dists[np.arange(len(assignment)), assignment].sum())
-    return assignment, objective
-
-
-def _farthest_point(points_mat, kept_centers):
-    kept = np.stack([c.bits for c in kept_centers])
-    dists = np.count_nonzero(points_mat[:, None, :] != kept[None, :, :], axis=2).min(axis=1)
-    return int(dists.argmax())
-
-
 def cluster(
     points,
     K,
@@ -245,7 +251,11 @@ def cluster(
     farthest from the surviving centers; random quasi-orthogonal clusters
     sit near dim/2 apart, so a pair inside dim/4 cannot represent two
     distinct clusters, and without re-seeding such pairs are absorbing.
+    Points and centers are binary, so any backend but analog_cam assigns by
+    exact Hamming distance.
     """
+    if backend.kind != "analog_cam":
+        backend = SimilarityBackend(kind="ideal_hamming")
     if K < 2:
         raise ValueError("need at least 2 clusters")
     if K > MAX_CLASSES:
@@ -261,12 +271,12 @@ def cluster(
     objective_history = []
     epoch = 0
     for epoch in range(1, max_epochs + 1):
-        if backend.kind == "analog_cam":
-            assignments, objective = _assign_analog(points_mat, centers, backend)
-        else:
-            assignments, objective = _assign_ideal(points_mat, centers)
+        centers_mat = np.stack([c.bits for c in centers])
+        scores = _score(points_mat, centers_mat, backend)
+        assignments, _ = _decide(scores, backend)
         charge_to(ledger, "search", len(points))
-        objective_history.append(objective)
+        dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points_mat, centers_mat)
+        objective_history.append(int(dists[np.arange(len(points)), assignments].sum()))
         updated = []
         degenerate = []
         for k in range(K):
@@ -287,8 +297,11 @@ def cluster(
                     break
             updated.append(new_center)
         for k in degenerate:
-            kept = [c for c in updated if c is not None]
-            idx = _farthest_point(points_mat, kept) if kept else int(rng.generator.integers(len(points)))
+            kept = [c.bits for c in updated if c is not None]
+            if kept:
+                idx = int(hamming_matrix(points_mat, np.stack(kept)).min(axis=1).argmax())
+            else:
+                idx = int(rng.generator.integers(len(points)))
             updated[k] = BipolarHV(dim, points_mat[idx].copy())
         delta = max(hamming(old, new) for old, new in zip(centers, updated))
         centers = updated

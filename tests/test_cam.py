@@ -7,32 +7,39 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hdcam.cam
 from hdcam.cam import (
+    BLOCK_CELLS,
     PLACEMENT_RULES,
     AnalogParams,
     VoltageProfile,
     analog_currents,
     calibrate_profile,
     column_currents,
-    load_rows,
     max_line_deviation,
     search_analog,
-    search_ideal,
     solve_bank_currents,
     transfer_curve,
 )
+from hdcam.config import ExperimentConfig
 from hdcam.errors import (
     AlignmentError,
     CalibrationWarning,
     CapacityError,
+    ConfigError,
     DimensionError,
 )
-from hdcam.hvcore import BipolarHV, hamming, random_hv
-from hdcam.learner import ClassMemory
+from hdcam.hvcore import BipolarHV, hamming, hamming_matrix, random_hv
+from hdcam.learner import ClassMemory, SimilarityBackend, predict
+from hdcam.lta import SensingSpec
 
 
 def _cm(hvs):
     return ClassMemory.from_deployed({i: hv for i, hv in enumerate(hvs)})
+
+
+def _rows(hvs):
+    return np.stack([hv.bits for hv in hvs])
 
 
 class TestVoltageProfile:
@@ -68,8 +75,12 @@ class TestAnalogParams:
         assert p.i_cell_nominal == pytest.approx(1e-5 * 0.4**2)
 
     def test_floor_must_be_small(self):
-        with pytest.raises(ValueError):
-            AnalogParams(i_floor=1e-7)
+        # The one sensing floor lives in SensingSpec; the config keeps it far
+        # below a single mismatch's current.
+        with pytest.raises(ConfigError):
+            ExperimentConfig(sensing=SensingSpec(floor=1e-7))
+        with pytest.raises(ConfigError):
+            ExperimentConfig(analog=AnalogParams(gamma=0.3, v_th=0.29))
 
     def test_threshold_must_leave_overdrive(self):
         with pytest.raises(ValueError):
@@ -77,54 +88,67 @@ class TestAnalogParams:
 
 
 class TestLoadRows:
+    """Rows are a plain (n_rows, dim) matrix: bit 128*k + c is bank k, column c."""
+
     def test_single_class_dim128(self, rng):
         hv = random_hv(128, rng)
-        layout = load_rows(_cm([hv]))
-        assert layout.active_banks == 1
-        assert np.array_equal(layout.banks[0, 0, :], hv.bits)
-        assert layout.banks[1:].sum() == 0
-        assert layout.banks[0, 1:, :].sum() == 0
-        assert layout.row_map == {0: 0}
+        query = hv.bits.copy()
+        query[5] ^= 1
+        params = AnalogParams()
+        current = analog_currents(_rows([hv]), query, VoltageProfile.uniform(1.0), params)
+        w = column_currents(VoltageProfile.uniform(1.0).column_voltages(), params)
+        assert current.shape == (1, 1)
+        assert current[0, 0] == w[5]
 
     def test_dim2048_uses_16_banks(self, rng):
-        layout = load_rows(_cm([random_hv(2048, rng)]))
-        assert layout.active_banks == 16
+        hv = random_hv(2048, rng)
+        query = hv.bits.copy()
+        query[127::128] ^= 1  # the far column of every bank
+        params = AnalogParams()
+        prof = VoltageProfile((1.2, 1.1, 1.0, 0.9))
+        current = search_analog(_rows([hv]), query, prof, params)[0]
+        w = column_currents(prof.column_voltages(), params)
+        assert current == pytest.approx(16 * w[127], rel=1e-12)
 
     def test_column_mapping(self, rng):
         hv = random_hv(256, rng)
-        layout = load_rows(_cm([hv]))
-        assert np.array_equal(layout.banks[0, 0, :], hv.bits[:128])
-        assert np.array_equal(layout.banks[1, 0, :], hv.bits[128:])
+        prof = VoltageProfile((1.2, 1.1, 1.0, 0.9))
+        params = AnalogParams()
+        w = column_currents(prof.column_voltages(), params)
+        for bit, column in ((3, 3), (128 + 3, 3), (128 + 100, 100)):
+            query = hv.bits.copy()
+            query[bit] ^= 1
+            assert search_analog(_rows([hv]), query, prof, params)[0] == w[column]
 
     def test_capacity(self, rng):
         with pytest.raises(CapacityError):
             _cm([random_hv(128, rng) for _ in range(129)])
 
-    def test_undeployed_memory(self):
+    def test_undeployed_memory(self, rng):
         with pytest.raises(ValueError):
-            load_rows(ClassMemory(128, "binary", {}))
+            predict([random_hv(128, rng)], ClassMemory(128, "binary", {}),
+                    SimilarityBackend(kind="ideal_hamming"))
 
 
 class TestSearchIdeal:
+    """Ideal search reads exact Hamming distances off hvcore.hamming_matrix."""
+
     def test_exact_and_complement(self, rng):
         hv = random_hv(512, rng)
         comp = BipolarHV(512, hv.bits ^ 1)
-        layout = load_rows(_cm([hv, comp]))
-        dists = search_ideal(layout, hv)
-        assert dists[0] == 0 and dists[1] == 512
+        dists = hamming_matrix(hv.bits, _rows([hv, comp]))
+        assert dists.tolist() == [[0, 512]]
 
     def test_matches_hvcore_hamming(self, rng):
         rows = [random_hv(1024, rng) for _ in range(7)]
-        layout = load_rows(_cm(rows))
         query = random_hv(1024, rng)
-        dists = search_ideal(layout, query)
+        dists = hamming_matrix(query.bits, _rows(rows))[0]
         for i, row in enumerate(rows):
-            assert dists[i] == hamming(query, row)
+            assert dists[i] == hamming(query, row) == np.count_nonzero(query.bits != row.bits)
 
     def test_dim_mismatch(self, rng):
-        layout = load_rows(_cm([random_hv(256, rng)]))
         with pytest.raises(DimensionError):
-            search_ideal(layout, random_hv(128, rng))
+            hamming_matrix(random_hv(128, rng).bits, _rows([random_hv(256, rng)]))
 
 
 def _oracle_bank_current(mism_row, v_cols, params):
@@ -172,7 +196,7 @@ def _oracle_closed_form(mism_row, v_cols, params):
 def _analog_case(draw):
     """Valid params and profile, plus one random bank mask."""
     gamma = draw(st.floats(0.3, 1.0))
-    v_th = draw(st.floats(0.05, gamma - 0.13))  # keeps i_floor well below i_cell_nominal
+    v_th = draw(st.floats(0.05, gamma - 0.13))  # keeps the sensing floor well below i_cell_nominal
     r_segment = draw(st.one_of(st.floats(0.0, 1e9), st.floats(-2.0, 9.0).map(lambda e: 10.0**e)))
     params = AnalogParams(r_segment=r_segment, gamma=gamma, v_th=v_th)
     levels = sorted(draw(st.lists(st.floats(0.05, 1.2), min_size=4, max_size=4)), reverse=True)
@@ -268,50 +292,60 @@ class TestSolveMl:
 
     @given(_analog_case(), st.integers(1, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
     def test_search_paths_agree_with_floor(self, case, n_rows, n_banks, seed):
+        # The cam reports raw line currents; the sensing floor is applied by the LTA only.
         params, profile, _ = case
         gen = np.random.default_rng(seed)
         rows = gen.integers(0, 2, (n_rows, 128 * n_banks), dtype=np.uint8)
-        query = BipolarHV(128 * n_banks, gen.integers(0, 2, 128 * n_banks, dtype=np.uint8))
-        via_search = search_analog(load_rows(_cm([BipolarHV(r.size, r) for r in rows])), query, profile, params)
-        via_pairs = analog_currents(rows, query.bits, profile, params)[0]
-        mism = (rows != query.bits).reshape(n_rows, n_banks, 128)
-        totals = solve_bank_currents(mism, profile.column_voltages(), params).sum(axis=-1)
-        via_banks = np.where(totals < params.i_floor, 0.0, totals)
+        query = gen.integers(0, 2, 128 * n_banks, dtype=np.uint8)
+        via_search = search_analog(rows, query, profile, params)
+        via_pairs = analog_currents(rows, query, profile, params)[0]
+        mism = (rows != query).reshape(n_rows, n_banks, 128)
+        via_banks = solve_bank_currents(mism, profile.column_voltages(), params).sum(axis=-1)
         assert via_search.shape == (n_rows,)
         assert np.array_equal(via_search, via_pairs)
         assert np.array_equal(via_search, via_banks)
+
+    @pytest.mark.parametrize("n_rows, dim, block", [(8, 2048, BLOCK_CELLS), (3, 256, 3840), (5, 128, 100)])
+    def test_block_boundaries_match_per_query(self, rng, monkeypatch, n_rows, dim, block):
+        # 4, 5 and (for a block below one query) 1 queries per block; 23 queries
+        # leave a partial last block.
+        monkeypatch.setattr(hdcam.cam, "BLOCK_CELLS", block)
+        gen = rng.generator
+        rows = gen.integers(0, 2, (n_rows, dim), dtype=np.uint8)
+        queries = gen.integers(0, 2, (23, dim), dtype=np.uint8)
+        prof, params = VoltageProfile((1.2, 1.1, 1.0, 0.9)), AnalogParams()
+        batched = analog_currents(rows, queries, prof, params)
+        for q, query in enumerate(queries):
+            assert np.array_equal(batched[q], search_analog(rows, query, prof, params))
 
 
 class TestSearchAnalog:
     def test_r0_perfectly_linear(self, rng):
         params = AnalogParams(r_segment=0.0)
         rows = [random_hv(512, rng) for _ in range(5)]
-        layout = load_rows(_cm(rows))
         query = random_hv(512, rng)
-        for row, current in enumerate(search_analog(layout, query, VoltageProfile.uniform(1.0), params)):
+        for row, current in enumerate(search_analog(_rows(rows), query.bits, VoltageProfile.uniform(1.0), params)):
             h = hamming(query, rows[row])
             assert current == pytest.approx(h * params.i_cell_nominal, rel=1e-12)
 
     def test_r0_argmin_matches_ideal(self, rng):
         params = AnalogParams(r_segment=0.0)
         for trial in range(5):
-            rows = [random_hv(512, rng) for _ in range(8)]
-            layout = load_rows(_cm(rows))
+            rows = _rows([random_hv(512, rng) for _ in range(8)])
             query = random_hv(512, rng)
-            dists = search_ideal(layout, query)
+            dists = hamming_matrix(query.bits, rows)[0]
             if len(set(dists.tolist())) < len(dists):
                 continue
-            currents = search_analog(layout, query, VoltageProfile.uniform(1.0), params)
+            currents = search_analog(rows, query.bits, VoltageProfile.uniform(1.0), params)
             assert int(np.argmin(currents)) == int(np.argmin(dists))
 
     def test_deterministic(self, rng):
         params = AnalogParams()
-        rows = [random_hv(256, rng) for _ in range(4)]
-        layout = load_rows(_cm(rows))
+        rows = _rows([random_hv(256, rng) for _ in range(4)])
         query = random_hv(256, rng)
         prof = VoltageProfile.uniform(1.0)
-        r1 = search_analog(layout, query, prof, params)
-        r2 = search_analog(layout, query, prof, params)
+        r1 = search_analog(rows, query.bits, prof, params)
+        r2 = search_analog(rows, query.bits, prof, params)
         assert np.array_equal(r1, r2)
 
 

@@ -59,6 +59,7 @@ class TestExperimentLoader:
 
     @pytest.mark.parametrize("section, key", [
         ("analog", "i_cell_nominal"),  # derived from g_cell, gamma and v_th
+        ("analog", "i_floor"),  # the one sensing floor is [sensing] floor
         ("encoding", "dim"),  # set by [experiment] dim
         ("experiment", "encoding"),
         ("experiment", "cluster_k"),

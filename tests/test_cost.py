@@ -132,15 +132,3 @@ class TestReport:
         ledger.charge("search", 10)
         rep = report(ledger)
         assert rep.hydra_queries_per_s == pytest.approx(10 / (10 * 0.985e-9))
-
-    def test_text_rendering(self):
-        ledger = CostLedger(2048)
-        ledger.charge("addition", 2)
-        text = report(ledger).to_text()
-        assert "addition" in text and "pJ" in text
-
-    def test_as_dict_has_counts(self):
-        ledger = CostLedger(2048)
-        ledger.charge("permutation", 4)
-        d = report(ledger).as_dict()
-        assert d["count_permutation"] == 4

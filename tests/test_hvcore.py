@@ -21,6 +21,7 @@ from hdcam.hvcore import (
     bundle_sub,
     dot_bipolar,
     hamming,
+    hamming_matrix,
     permute_drop,
     permute_shift,
     random_hv,
@@ -247,6 +248,17 @@ class TestSimilarity:
         a = _hv([1, 0, 1, 0] + [0] * 124)
         b = _hv([0, 1, 1, 0] + [0] * 124)
         assert hamming(a, b) == 2
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(128, 2048), st.integers(0, 2**32 - 1))
+    def test_hamming_matrix_matches_brute_force(self, n_a, n_b, width, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.integers(0, 2, (n_a, width), dtype=np.uint8)
+        b = gen.integers(0, 2, (n_b, width), dtype=np.uint8)
+        dists = hamming_matrix(a, b)
+        assert dists.dtype == np.int64 and dists.shape == (n_a, n_b)
+        for i in range(n_a):
+            for j in range(n_b):
+                assert dists[i, j] == np.count_nonzero(a[i] != b[j])
 
     def test_dot_self(self, rng):
         x = random_hv(512, rng)

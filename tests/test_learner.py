@@ -8,11 +8,14 @@ from hdcam.hvcore import (
     AccumulatorHV,
     BipolarHV,
     Rng,
+    binarize,
     bind,
     bundle_add,
+    bundle_sub,
     hamming,
     random_hv,
 )
+from hdcam import learner
 from hdcam.learner import (
     ClassMemory,
     EncodedSample,
@@ -49,6 +52,47 @@ def _analog_backend(seed=5):
     )
 
 
+def _noisy_task(rng, mode):
+    """Class memory trained on noisy prototypes, plus noisier, partly mislabelled
+    samples that retraining has to move between classes."""
+    gen = rng.generator
+    protos = [random_hv(256, rng) for _ in range(3)]
+    cm = train([_sample(_flip(protos[i % 3], 60, rng), i % 3) for i in range(9)], mode=mode)
+    samples = [_sample(_flip(protos[i % 3], 100, rng), int(gen.integers(3))) for i in range(12)]
+    return cm, samples
+
+
+def _retrain_reference(cm, samples, epochs, backend, online):
+    """Accumulators after a one-sample-at-a-time retrain loop. online=False scores
+    every sample of an epoch against the memory as it stood at the epoch start."""
+    accumulators = dict(cm.accumulators)
+    deployed = dict(cm.deployed)
+    for _ in range(epochs):
+        frozen = ClassMemory(cm.dim, cm.mode, dict(accumulators))
+        live = ClassMemory(cm.dim, cm.mode, accumulators)
+        frozen.deployed = live.deployed = deployed
+        for s in samples:
+            query = s.acc if backend.kind == "ideal_dot" else s.bits
+            (predicted,), _ = predict([query], live if online else frozen, backend)
+            if predicted != s.label:
+                accumulators[predicted] = bundle_sub(accumulators[predicted], s.bits)
+                accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
+        deployed = {label: binarize(acc) for label, acc in accumulators.items()}
+    return accumulators
+
+
+def _spy_predict(monkeypatch):
+    """List that records the query count of every predict call retrain makes."""
+    batches = []
+
+    def spy(queries, *args, **kwargs):
+        batches.append(len(queries))
+        return predict(queries, *args, **kwargs)
+
+    monkeypatch.setattr(learner, "predict", spy)
+    return batches
+
+
 class TestTrain:
     def test_single_sample_class_deploys_its_bits(self, rng):
         hvs = [random_hv(256, rng) for _ in range(3)]
@@ -83,30 +127,31 @@ class TestPredict:
         hvs = {i: random_hv(512, rng) for i in range(4)}
         cm = train([_sample(hv, i) for i, hv in hvs.items()])
         for i, hv in hvs.items():
-            assert predict(hv, cm, IDEAL) == i
+            assert predict([hv], cm, IDEAL)[0] == [i]
 
     def test_near_match_wins(self, rng):
         hvs = {i: random_hv(512, rng) for i in range(4)}
         cm = train([_sample(hv, i) for i, hv in hvs.items()])
         query = _flip(hvs[2], 1, rng)
-        assert predict(query, cm, IDEAL) == 2
+        assert predict([query], cm, IDEAL)[0] == [2]
 
     def test_empty_class_memory(self, rng):
         cm = ClassMemory(128, "binary", {})
         with pytest.raises(ValueError):
-            predict(random_hv(128, rng), cm, IDEAL)
+            predict([random_hv(128, rng)], cm, IDEAL)
 
     def test_ideal_dot_requires_accumulator(self, rng):
         cm = train([_sample(random_hv(128, rng), 0), _sample(random_hv(128, rng), 1)],
                    mode="multibit")
         with pytest.raises(TypeError):
-            predict(random_hv(128, rng), cm, SimilarityBackend(kind="ideal_dot"))
+            predict([random_hv(128, rng)], cm, SimilarityBackend(kind="ideal_dot"))
 
     def test_ideal_dot_recovers_class(self, rng):
         samples = [_sample(random_hv(512, rng), i) for i in range(3)]
         cm = train(samples, mode="multibit")
-        for s in samples:
-            assert predict(s.acc, cm, SimilarityBackend(kind="ideal_dot")) == s.label
+        labels, decisions = predict([s.acc for s in samples], cm, SimilarityBackend(kind="ideal_dot"))
+        assert labels == [s.label for s in samples]
+        assert decisions == [None] * 3
 
     def test_bind_mask_invariance(self, rng):
         hvs = {i: random_hv(512, rng) for i in range(5)}
@@ -115,24 +160,33 @@ class TestPredict:
         masked = ClassMemory.from_deployed(
             {i: bind(hv, mask) for i, hv in cm.deployed.items()}
         )
-        for i, hv in hvs.items():
-            query = _flip(hv, 37, rng)
-            assert predict(query, cm, IDEAL) == predict(bind(query, mask), masked, IDEAL)
+        queries = [_flip(hv, 37, rng) for hv in hvs.values()]
+        assert predict(queries, cm, IDEAL) == predict([bind(q, mask) for q in queries], masked, IDEAL)
 
     def test_analog_agrees_with_ideal_when_separated(self, rng):
         hvs = {i: random_hv(512, rng) for i in range(6)}
         cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        backend = _analog_backend()
-        for i in range(6):
-            query = _flip(hvs[i], 20, rng)
-            assert predict(query, cm, backend) == predict(query, cm, IDEAL)
+        queries = [_flip(hvs[i], 20, rng) for i in range(6)]
+        assert predict(queries, cm, _analog_backend())[0] == predict(queries, cm, IDEAL)[0] == list(range(6))
 
     def test_analog_decision_trace_returned(self, rng):
         hvs = {i: random_hv(256, rng) for i in range(9)}
         cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        label, decision = predict(hvs[4], cm, _analog_backend(), return_decision=True)
-        assert label == 4
-        assert decision is not None and len(decision.trace) == 2
+        labels, decisions = predict([hvs[4]], cm, _analog_backend())
+        assert labels == [4]
+        assert decisions[0] is not None and len(decisions[0].trace) == 2
+
+    @pytest.mark.parametrize("kind", ["ideal_hamming", "ideal_dot", "analog_cam"])
+    def test_batch_equals_one_query_at_a_time(self, kind):
+        # 40 queries span several QUERY_BLOCKs; the LTA still draws per query, in order.
+        cm, samples = _noisy_task(Rng(5), "multibit" if kind == "ideal_dot" else "binary")
+        queries = [s.acc if kind == "ideal_dot" else s.bits for s in (samples * 4)[:40]]
+        make = (lambda: _analog_backend(seed=3)) if kind == "analog_cam" else (lambda: SimilarityBackend(kind=kind))
+        batched = predict(queries, cm, make())
+        backend = make()
+        single = [predict([q], cm, backend) for q in queries]
+        assert batched[0] == [labels[0] for labels, _ in single]
+        assert batched[1] == [decisions[0] for _, decisions in single]
 
     def test_analog_backend_requires_context(self):
         with pytest.raises(ConfigError):
@@ -164,7 +218,7 @@ class TestRetrain:
         samples = [_sample(x, "a"), _sample(x, "a"), _sample(y, "b"),
                    _sample(w, "c"), _sample(planted, "b")]
         cm = train(samples)
-        assert predict(planted, cm, IDEAL) == "a"
+        assert predict([planted], cm, IDEAL)[0] == ["a"]
         out = retrain(cm, [_sample(planted, "b")], 1, IDEAL)
         changed = [l for l in cm.labels if out.accumulators[l] != cm.accumulators[l]]
         assert sorted(changed) == ["a", "b"]
@@ -174,9 +228,39 @@ class TestRetrain:
         z = _flip(x, 20, rng)
         samples = [_sample(x, "a"), _sample(x, "a"), _sample(y, "b"), _sample(z, "b")]
         cm = train(samples)
-        assert predict(z, cm, IDEAL) == "a"
+        assert predict([z], cm, IDEAL)[0] == ["a"]
         out = retrain(cm, samples, 1, IDEAL)
-        assert predict(z, out, IDEAL) == "b"
+        assert predict([z], out, IDEAL)[0] == ["b"]
+
+    @pytest.mark.parametrize("kind", ["ideal_hamming", "analog_cam"])
+    def test_binary_batched_per_epoch_equals_per_sample_loop(self, kind, monkeypatch):
+        rng = Rng(11)
+        cm, samples = _noisy_task(rng, "binary")
+        backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
+        batches = _spy_predict(monkeypatch)
+        out = retrain(cm, samples, 3, backend)
+        assert batches == [len(samples)] * 3  # one predict per epoch
+        backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
+        expected = _retrain_reference(cm, samples, 3, backend, online=False)
+        assert out.accumulators == expected
+        assert out.accumulators != cm.accumulators
+
+    def test_ideal_dot_stays_online(self, monkeypatch):
+        cm, samples = _noisy_task(Rng(2), "multibit")
+        dot = SimilarityBackend(kind="ideal_dot")
+        batches = _spy_predict(monkeypatch)
+        out = retrain(cm, samples, 1, dot)
+        assert batches == [1] * len(samples)
+        assert out.accumulators == _retrain_reference(cm, samples, 1, dot, online=True)
+        assert out.accumulators != _retrain_reference(cm, samples, 1, dot, online=False)
+
+    def test_analog_epochs_search_refreshed_rows(self):
+        cm, samples = _noisy_task(Rng(11), "binary")
+        backend = _analog_backend()
+        first = retrain(cm, samples, 1, backend)
+        assert first.deployed != cm.deployed
+        stepwise = retrain(first, samples, 1, backend)
+        assert retrain(cm, samples, 2, _analog_backend()).accumulators == stepwise.accumulators
 
     def test_negative_epochs(self, rng):
         samples = [_sample(random_hv(128, rng), i % 2) for i in range(4)]

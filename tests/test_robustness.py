@@ -194,11 +194,32 @@ class TestCliErrors:
         "[experiment]\ntest_fraction = 1.5\n",
         "[sensing]\nresolution = 1e-12\n",
         "[synthetic]\nkind = bogus\n",
+        "[sensing]\nfloor = 1e-7\n",
     ])
     def test_bad_config(self, tmp_path, text):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)
         self._check(tmp_path, ["classify", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("scheme, kind, body", [
+        ("ngram", "feature_csv", GOOD_DATA),
+        ("record", "text_corpus", "en\tabcd\nfr\tdcba\nen\tabcc\n"),
+    ])
+    def test_scheme_cannot_encode_data(self, tmp_path, scheme, kind, body):
+        p = tmp_path / "data"
+        p.write_text(body)
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text(f"[encoding]\nscheme = {scheme}\n")
+        err = self._check(tmp_path, ["classify", "--config", str(cfg), "--data", str(p),
+                                     "--kind", kind, "--dim", "128"])
+        assert scheme in err and kind in err
+
+    def test_out_is_a_file(self, tmp_path):
+        out = tmp_path / "afile"
+        out.write_text("")
+        rc, err = _run(["classify", "--dim", "256", "--out", str(out)])
+        assert rc == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
     def test_missing_data_file(self, tmp_path):
         self._check(tmp_path, ["classify", "--data", str(tmp_path / "nope.csv")])

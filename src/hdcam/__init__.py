@@ -9,7 +9,7 @@ from .cam import (
     transfer_curve,
 )
 from .config import ExperimentConfig, load_cost_table, load_experiment_config, load_profile, save_profile
-from .cost import CostLedger, CostReport, CostTable, OpCost, ratios_vs_cmos, report
+from .cost import CostLedger, CostTable, OpCost, ratios_vs_cmos
 from .datasets import Dataset, SyntheticSpec, ingest, make_hv_blobs, make_language_corpus, make_record_blobs, purity
 from .encoder import (
     EncodingConfig,
@@ -46,15 +46,17 @@ from .hvcore import (
     dot_bipolar,
     hamming,
     hamming_matrix,
+    majority,
     permute_drop,
     permute_shift,
+    random_bits,
     random_hv,
 )
 from .learner import (
     ClassMemory,
     ClusterSpec,
     ClusterState,
-    EncodedSample,
+    Encoded,
     SimilarityBackend,
     cluster,
     predict,

@@ -141,47 +141,3 @@ def charge_to(ledger, op_kind, count=1):
     if ledger is not None and count:
         ledger.charge(op_kind, count)
 
-
-@dataclass
-class CostReport:
-    """Totals, per-op breakdown, and the implied query rate of a ledger."""
-
-    active_dim: int
-    counts: dict
-    hydra_energy_pj: float
-    hydra_latency_ns: float
-    cmos_energy_pj: float
-    cmos_net_energy_pj: float
-    cmos_latency_ns: float
-    hydra_queries_per_s: float
-    per_op: dict
-
-
-def report(ledger):
-    """Structured cost summary of a ledger."""
-    s = ledger.active_dim / ledger.table.reference_dim
-    per_op = {}
-    for op in OP_KINDS:
-        n = ledger.counts.get(op, 0)
-        c = ledger.table.ops[op]
-        per_op[op] = {
-            "count": n,
-            "hydra_energy_pj": n * c.hydra_energy_pj * s,
-            "hydra_latency_ns": n * c.hydra_latency_ns,
-            "cmos_energy_pj": n * c.cmos_energy_pj,
-            "cmos_net_energy_pj": n * c.cmos_net_energy_pj,
-        }
-    searches = ledger.counts.get("search", 0)
-    latency_s = ledger.hydra_latency_ns * 1e-9
-    qps = searches / latency_s if searches and latency_s > 0 else 0.0
-    return CostReport(
-        active_dim=ledger.active_dim,
-        counts=dict(ledger.counts),
-        hydra_energy_pj=ledger.hydra_energy_pj,
-        hydra_latency_ns=ledger.hydra_latency_ns,
-        cmos_energy_pj=ledger.cmos_energy_pj,
-        cmos_net_energy_pj=ledger.cmos_net_energy_pj,
-        cmos_latency_ns=ledger.cmos_latency_ns,
-        hydra_queries_per_s=qps,
-        per_op=per_op,
-    )

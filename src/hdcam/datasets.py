@@ -13,14 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
-from .hvcore import BipolarHV, random_hv
+from .hvcore import random_bits
 
 DATASET_KINDS = ("feature_csv", "text_corpus", "synthetic_blobs")
 
 
 @dataclass
 class Dataset:
-    """Samples plus optional labels and range metadata."""
+    """Samples (a list, or a bit matrix for synthetic_blobs) plus optional
+    labels and range metadata."""
 
     kind: str
     samples: list
@@ -159,21 +160,18 @@ def make_language_corpus(spec, rng):
 
 def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
     """Planted hypervector blobs: each point flips at most dim * fraction bits
-    of its blob center. Returns a synthetic_blobs dataset with planted labels
-    and centers in the metadata."""
+    of its blob center. Returns a synthetic_blobs dataset whose samples are a
+    (K * points_per_blob, dim) bit matrix, with planted labels and the (K, dim)
+    centers in the metadata."""
     gen = rng.generator
     max_flips = int(dim * max_flip_fraction)
-    centers = [random_hv(dim, rng) for _ in range(K)]
-    points, labels = [], []
-    for k, center in enumerate(centers):
-        for _ in range(points_per_blob):
-            n_flips = int(gen.integers(0, max_flips + 1))
-            bits = center.bits.copy()
-            if n_flips:
-                idx = gen.choice(dim, size=n_flips, replace=False)
-                bits[idx] ^= 1
-            points.append(BipolarHV(dim, bits))
-            labels.append(k)
+    centers = random_bits(K, dim, rng)
+    points = np.repeat(centers, points_per_blob, axis=0)
+    for bits in points:
+        n_flips = int(gen.integers(0, max_flips + 1))
+        if n_flips:
+            bits[gen.choice(dim, size=n_flips, replace=False)] ^= 1
+    labels = [k for k in range(K) for _ in range(points_per_blob)]
     return Dataset(
         "synthetic_blobs", points, labels, {"centers": centers, "max_flips": max_flips}
     )

@@ -39,17 +39,13 @@ class ItemMemory:
 
 @dataclass
 class LevelMemory:
-    """Ordered level hypervectors whose mutual distance tracks ordinal distance."""
+    """Ordered level hypervectors over [0, 1]; mutual distance tracks ordinal distance."""
 
     levels: list
-    value_min: float = 0.0
-    value_max: float = 1.0
 
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("level memory needs at least 2 levels")
-        if self.value_min > self.value_max:
-            raise ValueError("value_min must not exceed value_max")
 
     @property
     def L(self):
@@ -111,7 +107,7 @@ def build_item_memory(num_symbols, dim, rng):
     raise GenerationError("item memory failed the orthogonality check twice")
 
 
-def build_level_memory(L, dim, rng, value_min=0.0, value_max=1.0):
+def build_level_memory(L, dim, rng):
     """Progressive-flip level chain.
 
     Level 0 is random; each next level flips its own disjoint block of a
@@ -131,14 +127,12 @@ def build_level_memory(L, dim, rng, value_min=0.0, value_max=1.0):
     for block in blocks:
         bits[block] ^= 1
         levels.append(BipolarHV(dim, bits.copy()))
-    return LevelMemory(levels, value_min, value_max)
+    return LevelMemory(levels)
 
 
 def quantize(x, lm):
-    """Uniform bin of x over [value_min, value_max], clamped to [0, L-1]."""
-    if lm.value_max == lm.value_min:
-        return 0
-    idx = math.floor((x - lm.value_min) / (lm.value_max - lm.value_min) * lm.L)
+    """Uniform bin of x over [0, 1], clamped to [0, L-1]."""
+    idx = math.floor(x * lm.L)
     return min(max(idx, 0), lm.L - 1)
 
 

@@ -14,12 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import cam
-from .cost import CostLedger, ratios_vs_cmos, report
+from .cost import CostLedger, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
 from .encoder import build_item_memory, build_level_memory, encode_ngram, encode_record
 from .errors import ConfigError
-from .hvcore import DEFAULT_TIE_BREAK_SEED, Rng, binarize, derive_seed
-from .learner import EncodedSample, SimilarityBackend, cluster, predict, retrain, train
+from .hvcore import Rng, derive_seed, majority
+from .learner import Encoded, SimilarityBackend, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
 
@@ -74,7 +74,7 @@ def build_encoding_context(dataset, cfg, seed):
         return EncodingContext(item_memory=im, vocab={c: i for i, c in enumerate(chars)})
     n_features = len(dataset.samples[0])
     im = build_item_memory(n_features, cfg.dim, rng)
-    lm = build_level_memory(enc.levels, cfg.dim, rng, 0.0, 1.0)
+    lm = build_level_memory(enc.levels, cfg.dim, rng)
     fmin = np.asarray(dataset.metadata["feature_min"], dtype=np.float64)
     fmax = np.asarray(dataset.metadata["feature_max"], dtype=np.float64)
     frange = np.where(fmax > fmin, fmax - fmin, 1.0)
@@ -83,21 +83,22 @@ def build_encoding_context(dataset, cfg, seed):
     )
 
 
-def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None,
-                  tie_break_seed=DEFAULT_TIE_BREAK_SEED):
-    """EncodedSample list (accumulator + binarized bits) for the given rows."""
+def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
+    """Encoded batch of the given rows: counts filled row by row, then one majority."""
     enc = cfg.encoding
-    out = []
-    for i in indices:
+    counts = np.empty((len(indices), cfg.dim), dtype=np.int16)
+    sizes = np.empty(len(indices), dtype=np.int64)
+    for row, i in enumerate(indices):
         if enc.scheme == "ngram":
             seq = [ctx.vocab[c] for c in dataset.samples[i]]
             acc = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng=rng_encode, ledger=ledger)
         else:
             x = (np.asarray(dataset.samples[i]) - ctx.feature_min) / ctx.feature_range
             acc = encode_record(x, ctx.item_memory, ctx.level_memory, ledger=ledger)
-        label = dataset.labels[i] if dataset.labels is not None else None
-        out.append(EncodedSample(bits=binarize(acc, tie_break_seed), label=label, acc=acc))
-    return out
+        counts[row] = acc.counts
+        sizes[row] = acc.n_bundled
+    labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
+    return Encoded(majority(counts, sizes), counts, sizes, labels)
 
 
 def _ideal_backend(mode):
@@ -153,43 +154,40 @@ def run_classify(cfg, dataset, out_path=None):
     train_idx, test_idx = train_test_indices(dataset.n, cfg.test_fraction, seeds["split"])
     ctx = build_encoding_context(dataset, cfg, seeds["memories"])
     rng_encode = Rng(seeds["encode"])
-    train_samples = encode_subset(dataset, train_idx, ctx, cfg, rng_encode, ledgers["train"])
-    test_samples = encode_subset(dataset, test_idx, ctx, cfg, rng_encode, ledgers["infer_encode"])
+    train_batch = encode_subset(dataset, train_idx, ctx, cfg, rng_encode, ledgers["train"])
+    test_batch = encode_subset(dataset, test_idx, ctx, cfg, rng_encode, ledgers["infer_encode"])
 
-    cm = train(train_samples, mode=cfg.mode, ledger=ledgers["train"])
+    cm = train(train_batch, ledger=ledgers["train"])
     if cfg.retrain_epochs:
         # Retraining always runs against the ideal backend of the configured
         # mode; the configured (possibly analog) backend applies to inference.
-        cm = retrain(cm, train_samples, cfg.retrain_epochs, _ideal_backend(cfg.mode),
+        cm = retrain(cm, train_batch, cfg.retrain_epochs, _ideal_backend(cfg.mode),
                      ledger=ledgers["train"])
 
     backend, profile = inference_backend(cfg)
-    queries = [s.acc if backend.kind == "ideal_dot" else s.bits for s in test_samples]
-    labels, decisions = predict(queries, cm, backend, ledger=ledgers["infer_search"])
+    labels, decisions = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
     predictions = [
-        (int(idx), sample.label, predicted, decision.ambiguous_flags if decision is not None else 0)
-        for idx, sample, predicted, decision in zip(test_idx, test_samples, labels, decisions)
+        (int(idx), true, predicted, decision.ambiguous_flags if decision is not None else 0)
+        for idx, true, predicted, decision in zip(test_idx, test_batch.labels, labels, decisions)
     ]
-    accuracy = sum(true == predicted for _, true, predicted, _ in predictions) / len(test_samples)
+    accuracy = sum(true == predicted for _, true, predicted, _ in predictions) / len(test_batch)
 
-    reports = {name: report(ledger) for name, ledger in ledgers.items()}
-    reports["total"] = report(
-        ledgers["train"].merge(ledgers["infer_encode"]).merge(ledgers["infer_search"])
-    )
+    reports = dict(ledgers)
+    reports["total"] = ledgers["train"].merge(ledgers["infer_encode"]).merge(ledgers["infer_search"])
     meta = cfg.meta()
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["accuracy"] = accuracy
-    meta["n_train"] = len(train_samples)
-    meta["n_test"] = len(test_samples)
+    meta["n_train"] = len(train_batch)
+    meta["n_test"] = len(test_batch)
     if profile is not None:
         meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
-    for name, rep in reports.items():
-        meta[f"cost.{name}.hydra_energy_pj"] = rep.hydra_energy_pj
-        meta[f"cost.{name}.hydra_latency_ns"] = rep.hydra_latency_ns
+    for name, ledger in reports.items():
+        meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
+        meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
     result = ClassifyResult(
         accuracy=accuracy,
-        n_train=len(train_samples),
-        n_test=len(test_samples),
+        n_train=len(train_batch),
+        n_test=len(test_batch),
         predictions=predictions,
         reports=reports,
         profile_levels=profile.levels if profile is not None else None,
@@ -221,28 +219,18 @@ def run_cluster(cfg, dataset, out_path=None):
     table = cfg.cost_table()
     ledgers = {name: CostLedger(cfg.dim, table) for name in ("encode", "cluster")}
     if dataset.kind == "synthetic_blobs":
-        points = list(dataset.samples)
+        points = dataset.samples
     else:
         ctx = build_encoding_context(dataset, cfg, seeds["memories"])
-        encoded = encode_subset(
+        points = encode_subset(
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
-        )
-        points = [s.bits for s in encoded]
+        ).bits
     backend, profile = inference_backend(cfg)
-    spec = cfg.cluster
-    state = cluster(
-        points,
-        spec.k,
-        spec.threshold,
-        spec.max_epochs,
-        Rng(seeds["cluster"]),
-        backend,
-        ledger=ledgers["cluster"],
-    )
-    converged = state.epoch < spec.max_epochs
+    state = cluster(points, cfg.cluster, Rng(seeds["cluster"]), backend, ledger=ledgers["cluster"])
+    converged = state.epoch < cfg.cluster.max_epochs
     score = purity(state.assignments, dataset.labels) if dataset.labels is not None else float("nan")
-    reports = {name: report(ledger) for name, ledger in ledgers.items()}
-    reports["total"] = report(ledgers["encode"].merge(ledgers["cluster"]))
+    reports = dict(ledgers)
+    reports["total"] = ledgers["encode"].merge(ledgers["cluster"])
     meta = cfg.meta()
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["epochs"] = state.epoch
@@ -251,9 +239,9 @@ def run_cluster(cfg, dataset, out_path=None):
     meta["objective_history"] = ";".join(str(v) for v in state.objective_history)
     if profile is not None:
         meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
-    for name, rep in reports.items():
-        meta[f"cost.{name}.hydra_energy_pj"] = rep.hydra_energy_pj
-        meta[f"cost.{name}.hydra_latency_ns"] = rep.hydra_latency_ns
+    for name, ledger in reports.items():
+        meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
+        meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
     result = ClusterResult(state=state, purity=score, converged=converged, reports=reports, meta=meta)
     if out_path is not None:
         labels = dataset.labels if dataset.labels is not None else [""] * dataset.n

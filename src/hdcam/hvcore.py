@@ -33,9 +33,9 @@ COUNT_MIN = -32768
 
 DROP_WIDTHS = (0, 8, 16)
 
-# Seed of the pseudo-random tie-break stream used by binarize(); fixed so
+# Seed of the pseudo-random tie-break stream used by majority(); fixed so
 # that exact-majority ties resolve identically across runs.
-DEFAULT_TIE_BREAK_SEED = 1021
+TIE_BREAK_SEED = 1021
 
 
 def check_alignment(dim):
@@ -143,11 +143,15 @@ class AccumulatorHV:
         return f"AccumulatorHV(dim={self.dim}, n_bundled={self.n_bundled})"
 
 
+def random_bits(n, dim, rng):
+    """(n, dim) i.i.d. uniform bits; the same stream as n random_hv calls."""
+    check_alignment(dim)
+    return rng.generator.integers(0, 2, size=(n, dim), dtype=np.uint8)
+
+
 def random_hv(dim, rng):
     """Fresh i.i.d. uniform hypervector of the given bank-aligned width."""
-    check_alignment(dim)
-    bits = rng.generator.integers(0, 2, size=dim, dtype=np.uint8)
-    return BipolarHV(dim, bits)
+    return BipolarHV(dim, random_bits(1, dim, rng)[0])
 
 
 def bind(a, b):
@@ -176,24 +180,34 @@ def bundle_sub(acc, hv):
     return AccumulatorHV(acc.dim, acc.counts - hv.bits, acc.n_bundled - 1)
 
 
-def binarize(acc, tie_break_seed=DEFAULT_TIE_BREAK_SEED):
-    """Majority sign of the bundle.
+def majority(counts, sizes):
+    """(n, dim) uint8 majority bits of n bundles with (n, dim) counts and (n,) sizes.
 
-    Bit i is 1 when counts_i > n_bundled / 2 and 0 when below. Exact ties
-    (possible only for even bundle sizes) take a per-index pseudo-random bit
-    drawn once from the fixed tie-break seed, so results are reproducible.
+    Bit i of row r is 1 when counts[r, i] > sizes[r] / 2 and 0 when below.
+    Exact ties (possible only for even bundle sizes) take bit i of one
+    pseudo-random draw from the fixed tie-break seed, shared by every row, so
+    results are reproducible.
     """
-    n = acc.n_bundled
-    if n == 0:
+    counts = np.asarray(counts)
+    if counts.dtype != np.int16 and counts.size and (
+        counts.min() < COUNT_MIN or counts.max() > COUNT_MAX
+    ):
+        raise SaturationError("counts outside the signed 16-bit range")
+    half = np.asarray(sizes).reshape(-1, 1) / 2.0
+    if not half.all():
         raise EmptyBundleError("cannot binarize an empty bundle")
-    doubled = 2 * acc.counts.astype(np.int32)
-    bits = (doubled > n).astype(np.uint8)
-    ties = doubled == n
+    bits = (counts > half).astype(np.uint8)
+    ties = counts == half
     if ties.any():
-        tie_rng = np.random.default_rng([tie_break_seed, acc.dim])
-        tie_bits = tie_rng.integers(0, 2, size=acc.dim, dtype=np.uint8)
-        bits[ties] = tie_bits[ties]
-    return BipolarHV(acc.dim, bits)
+        tie_rng = np.random.default_rng([TIE_BREAK_SEED, counts.shape[1]])
+        tie_bits = tie_rng.integers(0, 2, size=counts.shape[1], dtype=np.uint8)
+        bits = np.where(ties, tie_bits, bits)
+    return bits
+
+
+def binarize(acc):
+    """Majority sign of one bundle, as majority() gives it."""
+    return BipolarHV(acc.dim, majority(acc.counts[None], [acc.n_bundled])[0])
 
 
 def permute_shift(hv, s):

@@ -1,14 +1,15 @@
 """HDC classification (train / retrain / infer) and k-means-style clustering.
 
+Samples, deployed class vectors and cluster centres are (n, dim) matrices.
 Class vectors are bundled from binarized sample encodings and deployed as
-binary vectors; multibit similarity instead scores the raw accumulators with
+binary rows; multibit similarity instead scores the raw accumulators with
 the centered dot product. Search is one scoring step, a batch of queries
 against every stored row, then one decision step: an ideal Hamming argmin, an
 ideal dot-product argmax, or the modeled CAM fabric (match-line currents plus
 serial LTA sensing). Prediction, retraining and cluster assignment share both.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,15 +17,13 @@ from . import cam
 from .cost import charge_to
 from .errors import CapacityError, ConfigError
 from .hvcore import (
-    DEFAULT_TIE_BREAK_SEED,
     AccumulatorHV,
     BipolarHV,
-    binarize,
     bundle_add,
     bundle_sub,
-    hamming,
     hamming_matrix,
-    random_hv,
+    majority,
+    random_bits,
 )
 from .lta import SensingSpec, argmin_serial
 
@@ -38,43 +37,41 @@ BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
 
 
 @dataclass
-class EncodedSample:
-    """One encoded input: binarized vector, optional raw accumulator, label."""
+class Encoded:
+    """A batch of encoded inputs: (n, dim) majority bits, (n, dim) int16 bundle
+    counts, (n,) bundle sizes and n labels."""
 
-    bits: BipolarHV
-    label: object
-    acc: AccumulatorHV = None
+    bits: np.ndarray
+    counts: np.ndarray
+    sizes: np.ndarray
+    labels: list
+
+    def __len__(self):
+        return len(self.bits)
+
+    def __getitem__(self, rows):
+        """The samples of a slice, as a batch."""
+        return Encoded(self.bits[rows], self.counts[rows], self.sizes[rows], self.labels[rows])
 
 
 @dataclass
 class ClassMemory:
-    """Per-class training accumulators and deployed binary vectors."""
+    """Class labels, one training accumulator per class and the (k, dim)
+    deployed binary rows, all in label order."""
 
-    dim: int
-    mode: str
-    accumulators: dict
-    deployed: dict = field(default_factory=dict)
+    labels: list
+    accumulators: list
+    deployed: np.ndarray
 
     def __post_init__(self):
-        if self.mode not in ("binary", "multibit"):
-            raise ConfigError(f"unknown class-memory mode: {self.mode!r}")
-        if len(self.accumulators) > MAX_CLASSES:
-            raise CapacityError(
-                f"{len(self.accumulators)} classes exceed the {MAX_CLASSES}-row capacity"
-            )
+        if len(self.labels) > MAX_CLASSES:
+            raise CapacityError(f"{len(self.labels)} classes exceed the {MAX_CLASSES}-row capacity")
 
-    @property
-    def labels(self):
-        return list(self.accumulators)
 
-    @classmethod
-    def from_deployed(cls, deployed, mode="binary"):
-        """Wrap already-binary vectors (e.g. cluster centers) as a class memory."""
-        dim = next(iter(deployed.values())).dim
-        accs = {label: AccumulatorHV.zeros(dim) for label in deployed}
-        cm = cls(dim, mode, accs)
-        cm.deployed = dict(deployed)
-        return cm
+def _deploy(labels, accumulators):
+    """Class memory whose deployed rows are the majorities of the accumulators."""
+    counts = np.stack([acc.counts for acc in accumulators])
+    return ClassMemory(labels, accumulators, majority(counts, [acc.n_bundled for acc in accumulators]))
 
 
 @dataclass
@@ -100,35 +97,26 @@ class SimilarityBackend:
                 raise ConfigError(f"analog backend needs {missing}")
 
 
-def train(samples, mode="binary", tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=None):
-    """Bundle each class's sample vectors and deploy their binarizations."""
-    if not samples:
-        raise ValueError("cannot train on an empty sample list")
-    dim = samples[0].bits.dim
-    accumulators = {}
-    for s in samples:
-        if s.label not in accumulators:
-            if len(accumulators) == MAX_CLASSES:
-                raise CapacityError(f"more than {MAX_CLASSES} classes")
-            accumulators[s.label] = AccumulatorHV.zeros(dim)
-        accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
-        charge_to(ledger, "addition")
-    cm = ClassMemory(dim, mode, accumulators)
-    cm.deployed = {label: binarize(acc, tie_break_seed) for label, acc in accumulators.items()}
-    return cm
+def train(batch, ledger=None):
+    """Bundle each class's sample bits and deploy their majorities."""
+    if not len(batch):
+        raise ValueError("cannot train on an empty batch")
+    labels = list(dict.fromkeys(batch.labels))
+    if len(labels) > MAX_CLASSES:
+        raise CapacityError(f"more than {MAX_CLASSES} classes")
+    rows = np.array([labels.index(label) for label in batch.labels])
+    dim = batch.bits.shape[1]
+    accumulators = []
+    for k in range(len(labels)):
+        members = batch.bits[rows == k]
+        accumulators.append(AccumulatorHV(dim, members.sum(axis=0), len(members)))
+    charge_to(ledger, "addition", len(batch))
+    return _deploy(labels, accumulators)
 
 
-def _matrix(vectors, backend):
-    """Vectors as the rows the backend scores: centred counts of accumulators for
-    ideal_dot, bits of binary vectors otherwise."""
-    if backend.kind == "ideal_dot":
-        if not all(isinstance(v, AccumulatorHV) for v in vectors):
-            raise TypeError("ideal_dot scores raw accumulators; pass the encoded accumulators")
-        counts = np.stack([v.counts for v in vectors]).astype(np.float64)
-        return counts - np.array([v.n_bundled for v in vectors])[:, None] / 2.0
-    if not all(isinstance(v, BipolarHV) for v in vectors):
-        raise TypeError("this backend expects binary (BipolarHV) queries")
-    return np.stack([v.bits for v in vectors])
+def _centred(counts, sizes):
+    """Bundle counts centred on half their bundle sizes, as float64 rows."""
+    return counts.astype(np.float64) - np.asarray(sizes)[:, None] / 2.0
 
 
 def _score(queries, rows, backend):
@@ -155,54 +143,61 @@ def _decide(scores, backend):
     return np.array([d.winner for d in decisions], dtype=np.int64), decisions
 
 
-def predict(queries, cm, backend, ledger=None):
-    """(labels, decisions): the most similar class of each query under the backend.
+def predict(batch, cm, backend, ledger=None):
+    """(labels, decisions): the most similar class of each sample under the backend.
 
-    queries are BipolarHVs, or AccumulatorHVs for ideal_dot. decisions holds
-    each query's LtaDecision (analog_cam) or None, so analog runs can export
-    their comparison traces.
+    ideal_dot scores the batch's centred counts against the class
+    accumulators; the other backends score its bits against the deployed
+    rows. decisions holds each query's LtaDecision (analog_cam) or None, so
+    analog runs can export their comparison traces.
     """
-    if not cm.deployed:
+    if not cm.labels:
         raise ValueError("class memory has no deployed vectors")
-    charge_to(ledger, "search", len(queries))
-    labels = cm.labels
-    stored = cm.accumulators if backend.kind == "ideal_dot" else cm.deployed
-    rows = _matrix([stored[label] for label in labels], backend)
-    scores = np.concatenate([
-        _score(_matrix(queries[start : start + QUERY_BLOCK], backend), rows, backend)
-        for start in range(0, len(queries), QUERY_BLOCK)
-    ])
-    winners, decisions = _decide(scores, backend)
-    return [labels[i] for i in winners], decisions
+    charge_to(ledger, "search", len(batch))
+    dot = backend.kind == "ideal_dot"
+    if dot:
+        accs = cm.accumulators
+        rows = _centred(np.stack([a.counts for a in accs]), [a.n_bundled for a in accs])
+    else:
+        rows = cm.deployed
+    scores = []
+    for start in range(0, len(batch), QUERY_BLOCK):
+        part = batch[start : start + QUERY_BLOCK]
+        scores.append(_score(_centred(part.counts, part.sizes) if dot else part.bits, rows, backend))
+    winners, decisions = _decide(np.concatenate(scores), backend)
+    return [cm.labels[i] for i in winners], decisions
 
 
-def retrain(cm, samples, epochs, backend, tie_break_seed=DEFAULT_TIE_BREAK_SEED, ledger=None):
+def retrain(cm, batch, epochs, backend, ledger=None):
     """Mispredicted samples move between accumulators; deployments refresh per epoch.
 
     Each misclassified sample is subtracted from the predicted class and
-    added to its true class. Deployed binary vectors are re-binarized at
-    epoch end, not per update, so binary backends predict a whole epoch in
-    one batch. ideal_dot scores the accumulators themselves, which every
-    update changes, so it predicts online, one sample at a time.
+    added to its true class. Deployed binary rows are re-binarized at epoch
+    end, not per update, so binary backends predict a whole epoch in one
+    batch. ideal_dot scores the accumulators themselves, which every update
+    changes, so it predicts online, one sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    accumulators = dict(cm.accumulators)
-    out = ClassMemory(cm.dim, cm.mode, accumulators)
-    out.deployed = dict(cm.deployed)
+    row = {label: k for k, label in enumerate(cm.labels)}
+    # out shares this list, so online predictions see every update at once.
+    accumulators = list(cm.accumulators)
+    out = ClassMemory(cm.labels, accumulators, cm.deployed)
     online = backend.kind == "ideal_dot"
+    dim = batch.bits.shape[1]
     for _ in range(epochs):
-        if samples and not online:
-            batch, _ = predict([s.bits for s in samples], out, backend, ledger)
-        for i, s in enumerate(samples):
-            predicted = predict([s.acc], out, backend, ledger)[0][0] if online else batch[i]
-            if predicted != s.label:
-                accumulators[predicted] = bundle_sub(accumulators[predicted], s.bits)
-                accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
-                charge_to(ledger, "addition", 2)
-        out.deployed = {
-            label: binarize(acc, tie_break_seed) for label, acc in accumulators.items()
-        }
+        if len(batch) and not online:
+            predicted, _ = predict(batch, out, backend, ledger)
+        updates = 0
+        for i, label in enumerate(batch.labels):
+            guess = predict(batch[i : i + 1], out, backend, ledger)[0][0] if online else predicted[i]
+            if guess != label:
+                hv = BipolarHV(dim, batch.bits[i])
+                accumulators[row[guess]] = bundle_sub(accumulators[row[guess]], hv)
+                accumulators[row[label]] = bundle_add(accumulators[row[label]], hv)
+                updates += 1
+        charge_to(ledger, "addition", 2 * updates)
+        out = _deploy(cm.labels, accumulators)
     return out
 
 
@@ -221,96 +216,64 @@ class ClusterSpec:
 
 @dataclass
 class ClusterState:
-    """Cluster centers, point assignments and the per-epoch assignment objective."""
+    """(K, dim) cluster centres, point assignments and the per-epoch assignment objective."""
 
-    centers: list
+    centers: np.ndarray
     assignments: np.ndarray
     epoch: int
-    threshold: int
     objective_history: list
 
 
-def cluster(
-    points,
-    K,
-    threshold,
-    max_epochs,
-    rng,
-    backend,
-    tie_break_seed=DEFAULT_TIE_BREAK_SEED,
-    duplicate_margin=None,
-    ledger=None,
-):
-    """K-center clustering in Hamming space.
+def cluster(points, spec, rng, backend, ledger=None):
+    """K-center clustering of an (n, dim) bit matrix in Hamming space.
 
     Random centers are refined by alternating nearest-center assignment and
-    majority re-bundling until no center moves by threshold or more bits
-    (measured in Hamming distance) or max_epochs runs out. Degenerate
-    clusters, meaning empty ones or centers within duplicate_margin bits
-    (default dim/4) of an earlier center, are re-seeded to the data point
-    farthest from the surviving centers; random quasi-orthogonal clusters
-    sit near dim/2 apart, so a pair inside dim/4 cannot represent two
-    distinct clusters, and without re-seeding such pairs are absorbing.
-    Points and centers are binary, so any backend but analog_cam assigns by
-    exact Hamming distance.
+    majority re-bundling until no center moves by spec.threshold or more
+    bits (measured in Hamming distance) or spec.max_epochs runs out.
+    Degenerate clusters, meaning empty ones or centers within dim/4 bits of
+    an earlier kept center, are re-seeded in index order, each to the data
+    point farthest from the centers kept so far; random quasi-orthogonal
+    clusters sit near dim/2 apart, so a pair inside dim/4 cannot represent
+    two distinct clusters, and without re-seeding such pairs are absorbing.
+    Points and centers are binary, so the backend must be ideal_hamming or
+    analog_cam.
     """
-    if backend.kind != "analog_cam":
-        backend = SimilarityBackend(kind="ideal_hamming")
-    if K < 2:
-        raise ValueError("need at least 2 clusters")
+    if backend.kind == "ideal_dot":
+        raise ConfigError("clustering compares binary points; multibit (ideal_dot) cannot cluster")
+    K = spec.k
     if K > MAX_CLASSES:
         raise CapacityError(f"{K} clusters exceed the {MAX_CLASSES}-row capacity")
-    if len(points) < K:
-        raise ConfigError(f"need at least K = {K} points, got {len(points)}")
-    dim = points[0].dim
-    if duplicate_margin is None:
-        duplicate_margin = dim // 4
-    points_mat = np.stack([p.bits for p in points])
-    centers = [random_hv(dim, rng) for _ in range(K)]
-    assignments = np.zeros(len(points), dtype=np.int64)
+    n, dim = points.shape
+    if n < K:
+        raise ConfigError(f"need at least K = {K} points, got {n}")
+    centers = random_bits(K, dim, rng)
     objective_history = []
-    epoch = 0
-    for epoch in range(1, max_epochs + 1):
-        centers_mat = np.stack([c.bits for c in centers])
-        scores = _score(points_mat, centers_mat, backend)
+    for epoch in range(1, spec.max_epochs + 1):
+        scores = _score(points, centers, backend)
         assignments, _ = _decide(scores, backend)
-        charge_to(ledger, "search", len(points))
-        dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points_mat, centers_mat)
-        objective_history.append(int(dists[np.arange(len(points)), assignments].sum()))
-        updated = []
-        degenerate = []
-        for k in range(K):
-            members = np.flatnonzero(assignments == k)
-            if len(members) == 0:
-                updated.append(None)
-                degenerate.append(k)
-                continue
-            acc = AccumulatorHV.zeros(dim)
-            for i in members:
-                acc = bundle_add(acc, points[i])
-            charge_to(ledger, "addition", len(members))
-            new_center = binarize(acc, tie_break_seed)
-            for earlier in updated:
-                if earlier is not None and hamming(earlier, new_center) < duplicate_margin:
-                    new_center = None
-                    degenerate.append(k)
-                    break
-            updated.append(new_center)
-        for k in degenerate:
-            kept = [c.bits for c in updated if c is not None]
-            if kept:
-                idx = int(hamming_matrix(points_mat, np.stack(kept)).min(axis=1).argmax())
-            else:
-                idx = int(rng.generator.integers(len(points)))
-            updated[k] = BipolarHV(dim, points_mat[idx].copy())
-        delta = max(hamming(old, new) for old, new in zip(centers, updated))
+        charge_to(ledger, "search", n)
+        dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points, centers)
+        objective_history.append(int(dists[np.arange(n), assignments].sum()))
+        sizes = np.bincount(assignments, minlength=K)
+        counts = np.stack([points[assignments == k].sum(axis=0) for k in range(K)])
+        charge_to(ledger, "addition", n)
+        updated = np.zeros_like(centers)
+        filled = np.flatnonzero(sizes)
+        updated[filled] = majority(counts[filled], sizes[filled])
+        # Keep, in index order, each filled centre not within dim/4 of one kept before it.
+        near = hamming_matrix(updated, updated) < dim // 4
+        kept = []
+        for k in filled:
+            if not near[k, kept].any():
+                kept.append(k)
+        # Re-seed the rest, in index order, to the point farthest from every kept centre.
+        farthest = hamming_matrix(points, updated[kept]).min(axis=1)
+        for k in np.setdiff1d(np.arange(K), kept):
+            idx = int(farthest.argmax())
+            updated[k] = points[idx]
+            farthest = np.minimum(farthest, hamming_matrix(points, points[idx])[:, 0])
+        delta = hamming_matrix(centers, updated).diagonal().max()
         centers = updated
-        if delta < threshold:
+        if delta < spec.threshold:
             break
-    return ClusterState(
-        centers=centers,
-        assignments=assignments,
-        epoch=epoch,
-        threshold=threshold,
-        objective_history=objective_history,
-    )
+    return ClusterState(centers, assignments, epoch, objective_history)

@@ -14,7 +14,7 @@ from hdcam.datasets import SyntheticSpec, make_hv_blobs, purity
 from hdcam.encoder import EncodingConfig
 from hdcam.experiments import run_classify, synthesize_dataset
 from hdcam.hvcore import Rng
-from hdcam.learner import SimilarityBackend, cluster
+from hdcam.learner import ClusterSpec, SimilarityBackend, cluster
 from hdcam.lta import SensingSpec, argmin_serial
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -182,7 +182,7 @@ def test_clustering_recovery():
         for seed in SEEDS:
             ds = make_hv_blobs(K, 20, 2048, Rng(1000 + seed))
             state = cluster(
-                list(ds.samples), K, 8, 20, Rng(seed), SimilarityBackend(kind="ideal_hamming")
+                ds.samples, ClusterSpec(K, 8, 20), Rng(seed), SimilarityBackend(kind="ideal_hamming")
             )
             p = purity(state.assignments, ds.labels)
             mono = all(b <= a for a, b in zip(state.objective_history, state.objective_history[1:]))

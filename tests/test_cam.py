@@ -30,12 +30,8 @@ from hdcam.errors import (
     DimensionError,
 )
 from hdcam.hvcore import BipolarHV, hamming, hamming_matrix, random_hv
-from hdcam.learner import ClassMemory, SimilarityBackend, predict
+from hdcam.learner import ClassMemory, Encoded, SimilarityBackend, predict
 from hdcam.lta import SensingSpec
-
-
-def _cm(hvs):
-    return ClassMemory.from_deployed({i: hv for i, hv in enumerate(hvs)})
 
 
 def _rows(hvs):
@@ -122,11 +118,13 @@ class TestLoadRows:
 
     def test_capacity(self, rng):
         with pytest.raises(CapacityError):
-            _cm([random_hv(128, rng) for _ in range(129)])
+            ClassMemory(list(range(129)), [], _rows([random_hv(128, rng) for _ in range(129)]))
 
     def test_undeployed_memory(self, rng):
         with pytest.raises(ValueError):
-            predict([random_hv(128, rng)], ClassMemory(128, "binary", {}),
+            query = random_hv(128, rng).bits[None]
+            predict(Encoded(query, query.astype(np.int16), np.ones(1), [None]),
+                    ClassMemory([], [], np.zeros((0, 128), dtype=np.uint8)),
                     SimilarityBackend(kind="ideal_hamming"))
 
 

@@ -103,8 +103,9 @@ class TestGenerators:
     def test_hv_blobs_flip_budget(self):
         ds = make_hv_blobs(2, 10, 1024, Rng(3))
         centers = ds.metadata["centers"]
+        assert ds.samples.shape == (20, 1024) and centers.shape == (2, 1024)
         for point, label in zip(ds.samples, ds.labels):
-            flips = int(np.count_nonzero(point.bits != centers[label].bits))
+            flips = int(np.count_nonzero(point != centers[label]))
             assert flips <= 1024 // 16
 
     def test_generators_deterministic(self):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hdcam.cost import OP_KINDS, CostLedger, CostTable, OpCost, charge_to, ratios_vs_cmos, report
+from hdcam.cost import OP_KINDS, CostLedger, CostTable, OpCost, charge_to, ratios_vs_cmos
 from hdcam.errors import ConfigError
 
 
@@ -114,21 +114,18 @@ class TestMerge:
 
 
 class TestReport:
+    """The ledger's derived totals are the cost report."""
+
     def test_empty_ledger_all_zero(self):
-        rep = report(CostLedger(2048))
-        assert rep.hydra_energy_pj == 0
-        assert rep.cmos_net_energy_pj == 0
-        assert rep.hydra_queries_per_s == 0
+        ledger = CostLedger(2048)
+        assert ledger.hydra_energy_pj == 0
+        assert ledger.hydra_latency_ns == 0
+        assert ledger.cmos_net_energy_pj == 0
 
     def test_one_of_each_sums(self):
         ledger = CostLedger(2048)
         for op in OP_KINDS:
             ledger.charge(op)
-        rep = report(ledger)
-        assert rep.hydra_energy_pj == pytest.approx(41.08 + 0.752 + 569 + 14.65)
-
-    def test_queries_per_second(self):
-        ledger = CostLedger(2048)
-        ledger.charge("search", 10)
-        rep = report(ledger)
-        assert rep.hydra_queries_per_s == pytest.approx(10 / (10 * 0.985e-9))
+        assert ledger.hydra_energy_pj == pytest.approx(41.08 + 0.752 + 569 + 14.65)
+        assert ledger.hydra_latency_ns == pytest.approx(0.462 + 15.36 + 1.548 + 0.985)
+        assert ledger.cmos_net_energy_pj == pytest.approx(883.9 + 415.66 + 828.47 + 4139.7)

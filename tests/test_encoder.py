@@ -17,11 +17,15 @@ from hdcam.encoder import (
     encode_record,
     quantize,
 )
+from hdcam.config import ExperimentConfig
+from hdcam.datasets import SyntheticSpec, make_language_corpus, make_record_blobs
 from hdcam.errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
+from hdcam.experiments import build_encoding_context, encode_subset
 from hdcam.hvcore import (
     AccumulatorHV,
     BipolarHV,
     Rng,
+    binarize,
     bind,
     bundle_add,
     hamming,
@@ -88,7 +92,7 @@ class TestLevelMemory:
 class TestQuantize:
     def setup_method(self):
         levels = [BipolarHV(128, np.zeros(128, dtype=np.uint8)) for _ in range(4)]
-        self.lm = LevelMemory(levels, value_min=0.0, value_max=1.0)
+        self.lm = LevelMemory(levels)
 
     def test_min_maps_to_zero(self):
         assert quantize(0.0, self.lm) == 0
@@ -102,10 +106,6 @@ class TestQuantize:
     def test_clamping(self):
         assert quantize(-5.0, self.lm) == 0
         assert quantize(5.0, self.lm) == 3
-
-    def test_degenerate_range(self):
-        lm = LevelMemory(self.lm.levels, value_min=2.0, value_max=2.0)
-        assert quantize(2.0, lm) == 0
 
     @given(x=st.floats(-1, 2), y=st.floats(-1, 2))
     def test_monotone(self, x, y):
@@ -255,6 +255,40 @@ class TestEncodeNgram:
         # drop mode applies k passes for the k-step permutation: (1+2) per window
         assert drop_ledger.count("permutation") == 6
         assert drop_ledger.count("multiplication") == 4
+
+
+class TestEncodeSubset:
+    """encode_subset equals per-sample encode_* plus binarize, drop-mode RNG stream included."""
+
+    @pytest.mark.parametrize("scheme, permute_mode", [
+        ("record", "shift"), ("ngram", "shift"), ("ngram", "drop"),
+    ])
+    def test_equals_per_sample_encoding(self, scheme, permute_mode):
+        if scheme == "record":
+            ds = make_record_blobs(SyntheticSpec(samples=30, classes=3, features=5), Rng(4))
+        else:
+            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=12, text_length=20), Rng(4))
+        encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
+        cfg = ExperimentConfig(dim=256, encoding=encoding)
+        ctx = build_encoding_context(ds, cfg, 7)
+        indices = [5, 0, 11, 3, 3, 9]
+        ledger = CostLedger(256)
+        batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
+        rng, expected_ledger = Rng(8), CostLedger(256)
+        accs = []
+        for i in indices:
+            if scheme == "record":
+                x = (np.asarray(ds.samples[i]) - ctx.feature_min) / ctx.feature_range
+                accs.append(encode_record(x, ctx.item_memory, ctx.level_memory, expected_ledger))
+            else:
+                seq = [ctx.vocab[c] for c in ds.samples[i]]
+                accs.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
+        assert batch.counts.dtype == np.int16
+        assert np.array_equal(batch.counts, np.stack([acc.counts for acc in accs]))
+        assert batch.sizes.tolist() == [acc.n_bundled for acc in accs]
+        assert np.array_equal(batch.bits, np.stack([binarize(acc).bits for acc in accs]))
+        assert batch.labels == [ds.labels[i] for i in indices]
+        assert ledger.counts == expected_ledger.counts
 
 
 class TestEncodingConfig:

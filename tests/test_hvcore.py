@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,8 +22,10 @@ from hdcam.hvcore import (
     dot_bipolar,
     hamming,
     hamming_matrix,
+    majority,
     permute_drop,
     permute_shift,
+    random_bits,
     random_hv,
 )
 
@@ -53,6 +55,15 @@ class TestRandomHV:
         hv = random_hv(128, Rng(7))
         assert hv_to_hex(hv) == GOLDEN_HV_128_SEED7
         assert hv == hv_from_hex(128, GOLDEN_HV_128_SEED7)
+
+    @pytest.mark.parametrize("dim", range(128, 2049, 128))
+    def test_bit_matrix_is_the_same_stream(self, dim):
+        rng = Rng(dim)
+        rows = [random_hv(dim, rng).bits for _ in range(5)]
+        follow = random_hv(dim, rng)
+        rng = Rng(dim)
+        assert np.array_equal(random_bits(5, dim, rng), np.stack(rows))
+        assert random_hv(dim, rng) == follow
 
     def test_same_seed_same_stream(self):
         assert random_hv(256, Rng(11)) == random_hv(256, Rng(11))
@@ -184,6 +195,51 @@ class TestBinarize:
         for hv in (_hv(h), _hv(h), _hv(g)):
             acc = bundle_add(acc, hv)
         assert binarize(acc) == _hv(h)
+
+
+def _reference_majority(counts, n):
+    """Majority bits of one bundle: 2 * count against the bundle size, exact
+    ties from the fixed per-width tie-break draw."""
+    doubled = 2 * counts.astype(np.int64)
+    bits = (doubled > n).astype(np.uint8)
+    tie_bits = np.random.default_rng([1021, len(counts)]).integers(0, 2, size=len(counts), dtype=np.uint8)
+    return np.where(doubled == n, tie_bits, bits)
+
+
+@st.composite
+def _bundles(draw):
+    dim = 128 * draw(st.integers(1, 16))
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counts = np.stack([gen.integers(0, n + 1, size=dim) for n in sizes]).astype(np.int16)
+    return counts, np.array(sizes)
+
+
+class TestMajority:
+    @settings(max_examples=60, deadline=None)
+    @given(_bundles())
+    def test_equals_per_row_binarize(self, bundle):
+        counts, sizes = bundle
+        bits = majority(counts, sizes)
+        assert bits.dtype == np.uint8 and bits.shape == counts.shape
+        for row, n, out in zip(counts, sizes, bits):
+            assert np.array_equal(out, binarize(AccumulatorHV(len(row), row, int(n))).bits)
+            assert np.array_equal(out, _reference_majority(row, n))
+
+    def test_rows_share_one_tie_draw(self):
+        counts = np.ones((3, 256), dtype=np.int16)
+        bits = majority(counts, [2, 2, 2])
+        assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
+        assert np.array_equal(bits[0], _reference_majority(counts[0], 2))
+
+    def test_empty_bundle_error(self):
+        with pytest.raises(EmptyBundleError):
+            majority(np.zeros((2, 128), dtype=np.int16), [3, 0])
+
+    def test_saturation_error(self):
+        counts = np.full((1, 128), 40000, dtype=np.int64)
+        with pytest.raises(SaturationError):
+            majority(counts, [50000])
 
 
 class TestPermute:

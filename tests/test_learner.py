@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdcam.cam import AnalogParams, VoltageProfile
 from hdcam.datasets import make_hv_blobs, purity
@@ -13,12 +15,14 @@ from hdcam.hvcore import (
     bundle_add,
     bundle_sub,
     hamming,
+    hamming_matrix,
     random_hv,
 )
 from hdcam import learner
 from hdcam.learner import (
     ClassMemory,
-    EncodedSample,
+    ClusterSpec,
+    Encoded,
     SimilarityBackend,
     cluster,
     predict,
@@ -37,9 +41,22 @@ def _flip(hv, n, rng):
     return BipolarHV(hv.dim, bits)
 
 
-def _sample(hv, label):
-    acc = bundle_add(AccumulatorHV.zeros(hv.dim), hv)
-    return EncodedSample(bits=hv, label=label, acc=acc)
+def _batch(hvs, labels=None):
+    """Encoded batch of one-vector bundles: counts equal bits, sizes 1."""
+    bits = np.stack([hv.bits for hv in hvs])
+    labels = [None] * len(hvs) if labels is None else list(labels)
+    return Encoded(bits, bits.astype(np.int16), np.ones(len(hvs), dtype=np.int64), labels)
+
+
+def _repeat(batch, n):
+    """The first n samples of the batch repeated end to end."""
+    idx = np.arange(n) % len(batch)
+    return Encoded(batch.bits[idx], batch.counts[idx], batch.sizes[idx],
+                   [batch.labels[i] for i in idx])
+
+
+def _row(cm, label):
+    return cm.deployed[cm.labels.index(label)]
 
 
 def _analog_backend(seed=5):
@@ -52,32 +69,32 @@ def _analog_backend(seed=5):
     )
 
 
-def _noisy_task(rng, mode):
-    """Class memory trained on noisy prototypes, plus noisier, partly mislabelled
-    samples that retraining has to move between classes."""
+def _noisy_task(rng):
+    """Class memory trained on noisy prototypes, plus a batch of noisier, partly
+    mislabelled samples that retraining has to move between classes."""
     gen = rng.generator
     protos = [random_hv(256, rng) for _ in range(3)]
-    cm = train([_sample(_flip(protos[i % 3], 60, rng), i % 3) for i in range(9)], mode=mode)
-    samples = [_sample(_flip(protos[i % 3], 100, rng), int(gen.integers(3))) for i in range(12)]
-    return cm, samples
+    cm = train(_batch([_flip(protos[i % 3], 60, rng) for i in range(9)], [i % 3 for i in range(9)]))
+    hvs = [_flip(protos[i % 3], 100, rng) for i in range(12)]
+    return cm, _batch(hvs, [int(gen.integers(3)) for _ in hvs])
 
 
-def _retrain_reference(cm, samples, epochs, backend, online):
+def _retrain_reference(cm, batch, epochs, backend, online):
     """Accumulators after a one-sample-at-a-time retrain loop. online=False scores
     every sample of an epoch against the memory as it stood at the epoch start."""
-    accumulators = dict(cm.accumulators)
-    deployed = dict(cm.deployed)
+    row = {label: k for k, label in enumerate(cm.labels)}
+    accumulators = list(cm.accumulators)
+    deployed = cm.deployed
     for _ in range(epochs):
-        frozen = ClassMemory(cm.dim, cm.mode, dict(accumulators))
-        live = ClassMemory(cm.dim, cm.mode, accumulators)
-        frozen.deployed = live.deployed = deployed
-        for s in samples:
-            query = s.acc if backend.kind == "ideal_dot" else s.bits
-            (predicted,), _ = predict([query], live if online else frozen, backend)
-            if predicted != s.label:
-                accumulators[predicted] = bundle_sub(accumulators[predicted], s.bits)
-                accumulators[s.label] = bundle_add(accumulators[s.label], s.bits)
-        deployed = {label: binarize(acc) for label, acc in accumulators.items()}
+        frozen = ClassMemory(cm.labels, list(accumulators), deployed)
+        live = ClassMemory(cm.labels, accumulators, deployed)
+        for i, label in enumerate(batch.labels):
+            (predicted,), _ = predict(batch[i : i + 1], live if online else frozen, backend)
+            if predicted != label:
+                hv = BipolarHV(batch.bits.shape[1], batch.bits[i])
+                accumulators[row[predicted]] = bundle_sub(accumulators[row[predicted]], hv)
+                accumulators[row[label]] = bundle_add(accumulators[row[label]], hv)
+        deployed = np.stack([binarize(acc).bits for acc in accumulators])
     return accumulators
 
 
@@ -85,9 +102,9 @@ def _spy_predict(monkeypatch):
     """List that records the query count of every predict call retrain makes."""
     batches = []
 
-    def spy(queries, *args, **kwargs):
-        batches.append(len(queries))
-        return predict(queries, *args, **kwargs)
+    def spy(batch, *args, **kwargs):
+        batches.append(len(batch))
+        return predict(batch, *args, **kwargs)
 
     monkeypatch.setattr(learner, "predict", spy)
     return batches
@@ -96,95 +113,99 @@ def _spy_predict(monkeypatch):
 class TestTrain:
     def test_single_sample_class_deploys_its_bits(self, rng):
         hvs = [random_hv(256, rng) for _ in range(3)]
-        cm = train([_sample(hv, i) for i, hv in enumerate(hvs)])
+        cm = train(_batch(hvs, range(3)))
         for i, hv in enumerate(hvs):
-            assert cm.deployed[i] == hv
+            assert np.array_equal(_row(cm, i), hv.bits)
 
     def test_disjoint_classes_near_half_distance(self, rng):
-        a = [_sample(random_hv(2048, rng), "a") for _ in range(10)]
-        b = [_sample(random_hv(2048, rng), "b") for _ in range(10)]
-        cm = train(a + b)
-        assert 1024 - 200 <= hamming(cm.deployed["a"], cm.deployed["b"]) <= 1024 + 200
+        hvs = [random_hv(2048, rng) for _ in range(20)]
+        cm = train(_batch(hvs, ["a"] * 10 + ["b"] * 10))
+        assert 1024 - 200 <= hamming_matrix(_row(cm, "a"), _row(cm, "b"))[0, 0] <= 1024 + 200
 
     def test_accumulators_match_brute_force(self, rng):
-        samples = [_sample(random_hv(128, rng), i % 3) for i in range(9)]
-        cm = train(samples)
+        batch = _batch([random_hv(128, rng) for _ in range(9)], [i % 3 for i in range(9)])
+        cm = train(batch)
         for label in range(3):
             expected = np.zeros(128, dtype=np.int64)
-            for s in samples:
-                if s.label == label:
-                    expected += s.bits.bits
-            assert np.array_equal(cm.accumulators[label].counts, expected.astype(np.int16))
+            for bits, sample_label in zip(batch.bits, batch.labels):
+                if sample_label == label:
+                    expected += bits
+            acc = cm.accumulators[cm.labels.index(label)]
+            assert np.array_equal(acc.counts, expected.astype(np.int16))
+            assert acc.n_bundled == 3
+            assert binarize(acc).bits.tolist() == _row(cm, label).tolist()
 
     def test_capacity_error(self, rng):
-        samples = [_sample(random_hv(128, rng), i) for i in range(129)]
         with pytest.raises(CapacityError):
-            train(samples)
+            train(_batch([random_hv(128, rng) for _ in range(129)], range(129)))
 
 
 class TestPredict:
     def test_exact_match(self, rng):
-        hvs = {i: random_hv(512, rng) for i in range(4)}
-        cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        for i, hv in hvs.items():
-            assert predict([hv], cm, IDEAL)[0] == [i]
+        hvs = [random_hv(512, rng) for _ in range(4)]
+        cm = train(_batch(hvs, range(4)))
+        for i, hv in enumerate(hvs):
+            assert predict(_batch([hv]), cm, IDEAL)[0] == [i]
 
     def test_near_match_wins(self, rng):
-        hvs = {i: random_hv(512, rng) for i in range(4)}
-        cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        query = _flip(hvs[2], 1, rng)
-        assert predict([query], cm, IDEAL)[0] == [2]
+        hvs = [random_hv(512, rng) for _ in range(4)]
+        cm = train(_batch(hvs, range(4)))
+        assert predict(_batch([_flip(hvs[2], 1, rng)]), cm, IDEAL)[0] == [2]
 
     def test_empty_class_memory(self, rng):
-        cm = ClassMemory(128, "binary", {})
+        cm = ClassMemory([], [], np.zeros((0, 128), dtype=np.uint8))
         with pytest.raises(ValueError):
-            predict([random_hv(128, rng)], cm, IDEAL)
+            predict(_batch([random_hv(128, rng)]), cm, IDEAL)
 
     def test_ideal_dot_requires_accumulator(self, rng):
-        cm = train([_sample(random_hv(128, rng), 0), _sample(random_hv(128, rng), 1)],
-                   mode="multibit")
-        with pytest.raises(TypeError):
-            predict([random_hv(128, rng)], cm, SimilarityBackend(kind="ideal_dot"))
+        # ideal_dot scores the raw counts and ignores the bits; the Hamming
+        # backend does the opposite.
+        a, b = random_hv(512, rng), random_hv(512, rng)
+        cm = train(_batch([a, b], "ab"))
+        query = _batch([a])
+        query.counts = b.bits.astype(np.int16)[None]
+        assert predict(query, cm, SimilarityBackend(kind="ideal_dot"))[0] == ["b"]
+        assert predict(query, cm, IDEAL)[0] == ["a"]
 
     def test_ideal_dot_recovers_class(self, rng):
-        samples = [_sample(random_hv(512, rng), i) for i in range(3)]
-        cm = train(samples, mode="multibit")
-        labels, decisions = predict([s.acc for s in samples], cm, SimilarityBackend(kind="ideal_dot"))
-        assert labels == [s.label for s in samples]
+        batch = _batch([random_hv(512, rng) for _ in range(3)], range(3))
+        cm = train(batch)
+        labels, decisions = predict(batch, cm, SimilarityBackend(kind="ideal_dot"))
+        assert labels == batch.labels
         assert decisions == [None] * 3
 
     def test_bind_mask_invariance(self, rng):
-        hvs = {i: random_hv(512, rng) for i in range(5)}
-        cm = train([_sample(hv, i) for i, hv in hvs.items()])
+        hvs = [random_hv(512, rng) for _ in range(5)]
+        cm = train(_batch(hvs, range(5)))
         mask = random_hv(512, rng)
-        masked = ClassMemory.from_deployed(
-            {i: bind(hv, mask) for i, hv in cm.deployed.items()}
+        masked = ClassMemory(cm.labels, cm.accumulators, cm.deployed ^ mask.bits)
+        queries = [_flip(hv, 37, rng) for hv in hvs]
+        assert predict(_batch(queries), cm, IDEAL) == predict(
+            _batch([bind(q, mask) for q in queries]), masked, IDEAL
         )
-        queries = [_flip(hv, 37, rng) for hv in hvs.values()]
-        assert predict(queries, cm, IDEAL) == predict([bind(q, mask) for q in queries], masked, IDEAL)
 
     def test_analog_agrees_with_ideal_when_separated(self, rng):
-        hvs = {i: random_hv(512, rng) for i in range(6)}
-        cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        queries = [_flip(hvs[i], 20, rng) for i in range(6)]
+        hvs = [random_hv(512, rng) for _ in range(6)]
+        cm = train(_batch(hvs, range(6)))
+        queries = _batch([_flip(hv, 20, rng) for hv in hvs])
         assert predict(queries, cm, _analog_backend())[0] == predict(queries, cm, IDEAL)[0] == list(range(6))
 
     def test_analog_decision_trace_returned(self, rng):
-        hvs = {i: random_hv(256, rng) for i in range(9)}
-        cm = train([_sample(hv, i) for i, hv in hvs.items()])
-        labels, decisions = predict([hvs[4]], cm, _analog_backend())
+        hvs = [random_hv(256, rng) for _ in range(9)]
+        cm = train(_batch(hvs, range(9)))
+        labels, decisions = predict(_batch([hvs[4]]), cm, _analog_backend())
         assert labels == [4]
         assert decisions[0] is not None and len(decisions[0].trace) == 2
 
     @pytest.mark.parametrize("kind", ["ideal_hamming", "ideal_dot", "analog_cam"])
     def test_batch_equals_one_query_at_a_time(self, kind):
         # 40 queries span several QUERY_BLOCKs; the LTA still draws per query, in order.
-        cm, samples = _noisy_task(Rng(5), "multibit" if kind == "ideal_dot" else "binary")
-        queries = [s.acc if kind == "ideal_dot" else s.bits for s in (samples * 4)[:40]]
+        cm, batch = _noisy_task(Rng(5))
+        queries = _repeat(batch, 40)
         make = (lambda: _analog_backend(seed=3)) if kind == "analog_cam" else (lambda: SimilarityBackend(kind=kind))
         batched = predict(queries, cm, make())
         backend = make()
-        single = [predict([q], cm, backend) for q in queries]
+        single = [predict(queries[i : i + 1], cm, backend) for i in range(len(queries))]
         assert batched[0] == [labels[0] for labels, _ in single]
         assert batched[1] == [decisions[0] for _, decisions in single]
 
@@ -199,117 +220,185 @@ class TestPredict:
 
 class TestRetrain:
     def test_no_errors_no_change(self, rng):
-        samples = [_sample(random_hv(512, rng), i) for i in range(4)]
-        cm = train(samples)
-        out = retrain(cm, samples, 3, IDEAL)
-        for label in cm.labels:
-            assert out.accumulators[label] == cm.accumulators[label]
-            assert out.deployed[label] == cm.deployed[label]
+        batch = _batch([random_hv(512, rng) for _ in range(4)], range(4))
+        cm = train(batch)
+        out = retrain(cm, batch, 3, IDEAL)
+        assert out.accumulators == cm.accumulators
+        assert np.array_equal(out.deployed, cm.deployed)
 
     def test_zero_epochs_identity(self, rng):
-        samples = [_sample(random_hv(256, rng), i % 2) for i in range(6)]
-        cm = train(samples)
-        out = retrain(cm, samples, 0, IDEAL)
+        batch = _batch([random_hv(256, rng) for _ in range(6)], [i % 2 for i in range(6)])
+        cm = train(batch)
+        out = retrain(cm, batch, 0, IDEAL)
         assert out.accumulators == cm.accumulators
 
     def test_single_misprediction_touches_two_classes(self, rng):
         x, y, w = (random_hv(512, rng) for _ in range(3))
         planted = _flip(x, 20, rng)
-        samples = [_sample(x, "a"), _sample(x, "a"), _sample(y, "b"),
-                   _sample(w, "c"), _sample(planted, "b")]
-        cm = train(samples)
-        assert predict([planted], cm, IDEAL)[0] == ["a"]
-        out = retrain(cm, [_sample(planted, "b")], 1, IDEAL)
-        changed = [l for l in cm.labels if out.accumulators[l] != cm.accumulators[l]]
+        cm = train(_batch([x, x, y, w, planted], "aabcb"))
+        assert predict(_batch([planted]), cm, IDEAL)[0] == ["a"]
+        out = retrain(cm, _batch([planted], "b"), 1, IDEAL)
+        changed = [l for l, old, new in zip(cm.labels, cm.accumulators, out.accumulators) if old != new]
         assert sorted(changed) == ["a", "b"]
 
     def test_planted_error_corrected(self, rng):
         x, y = random_hv(512, rng), random_hv(512, rng)
         z = _flip(x, 20, rng)
-        samples = [_sample(x, "a"), _sample(x, "a"), _sample(y, "b"), _sample(z, "b")]
-        cm = train(samples)
-        assert predict([z], cm, IDEAL)[0] == ["a"]
-        out = retrain(cm, samples, 1, IDEAL)
-        assert predict([z], out, IDEAL)[0] == ["b"]
+        batch = _batch([x, x, y, z], "aabb")
+        cm = train(batch)
+        assert predict(_batch([z]), cm, IDEAL)[0] == ["a"]
+        out = retrain(cm, batch, 1, IDEAL)
+        assert predict(_batch([z]), out, IDEAL)[0] == ["b"]
 
     @pytest.mark.parametrize("kind", ["ideal_hamming", "analog_cam"])
     def test_binary_batched_per_epoch_equals_per_sample_loop(self, kind, monkeypatch):
-        rng = Rng(11)
-        cm, samples = _noisy_task(rng, "binary")
+        cm, batch = _noisy_task(Rng(11))
         backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
         batches = _spy_predict(monkeypatch)
-        out = retrain(cm, samples, 3, backend)
-        assert batches == [len(samples)] * 3  # one predict per epoch
+        out = retrain(cm, batch, 3, backend)
+        assert batches == [len(batch)] * 3  # one predict per epoch
         backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
-        expected = _retrain_reference(cm, samples, 3, backend, online=False)
+        expected = _retrain_reference(cm, batch, 3, backend, online=False)
         assert out.accumulators == expected
         assert out.accumulators != cm.accumulators
 
     def test_ideal_dot_stays_online(self, monkeypatch):
-        cm, samples = _noisy_task(Rng(2), "multibit")
+        cm, batch = _noisy_task(Rng(2))
         dot = SimilarityBackend(kind="ideal_dot")
         batches = _spy_predict(monkeypatch)
-        out = retrain(cm, samples, 1, dot)
-        assert batches == [1] * len(samples)
-        assert out.accumulators == _retrain_reference(cm, samples, 1, dot, online=True)
-        assert out.accumulators != _retrain_reference(cm, samples, 1, dot, online=False)
+        out = retrain(cm, batch, 1, dot)
+        assert batches == [1] * len(batch)
+        assert out.accumulators == _retrain_reference(cm, batch, 1, dot, online=True)
+        assert out.accumulators != _retrain_reference(cm, batch, 1, dot, online=False)
 
     def test_analog_epochs_search_refreshed_rows(self):
-        cm, samples = _noisy_task(Rng(11), "binary")
+        cm, batch = _noisy_task(Rng(11))
         backend = _analog_backend()
-        first = retrain(cm, samples, 1, backend)
-        assert first.deployed != cm.deployed
-        stepwise = retrain(first, samples, 1, backend)
-        assert retrain(cm, samples, 2, _analog_backend()).accumulators == stepwise.accumulators
+        first = retrain(cm, batch, 1, backend)
+        assert not np.array_equal(first.deployed, cm.deployed)
+        stepwise = retrain(first, batch, 1, backend)
+        assert retrain(cm, batch, 2, _analog_backend()).accumulators == stepwise.accumulators
 
     def test_negative_epochs(self, rng):
-        samples = [_sample(random_hv(128, rng), i % 2) for i in range(4)]
-        cm = train(samples)
+        batch = _batch([random_hv(128, rng) for _ in range(4)], [i % 2 for i in range(4)])
+        cm = train(batch)
         with pytest.raises(ValueError):
-            retrain(cm, samples, -1, IDEAL)
+            retrain(cm, batch, -1, IDEAL)
+
+
+def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
+    """The per-centre clustering loop over BipolarHV lists: one random_hv per
+    centre, one bundle_add per member, pairwise duplicate checks against the
+    earlier surviving centres, and farthest-point re-seeding in index order.
+    Returns (centres, assignments, epoch, objective history)."""
+    dim = points.shape[1]
+    hvs = [BipolarHV(dim, p) for p in points]
+    centers = [random_hv(dim, rng) for _ in range(K)]
+    history = []
+    for epoch in range(1, max_epochs + 1):
+        scores = learner._score(points, np.stack([c.bits for c in centers]), backend)
+        assignments, _ = learner._decide(scores, backend)
+        history.append(sum(hamming(hvs[i], centers[k]) for i, k in enumerate(assignments)))
+        updated, degenerate = [], []
+        for k in range(K):
+            members = np.flatnonzero(assignments == k)
+            if len(members) == 0:
+                updated.append(None)
+                degenerate.append(k)
+                continue
+            acc = AccumulatorHV.zeros(dim)
+            for i in members:
+                acc = bundle_add(acc, hvs[i])
+            new_center = binarize(acc)
+            if any(c is not None and hamming(c, new_center) < dim // 4 for c in updated):
+                new_center = None
+                degenerate.append(k)
+            updated.append(new_center)
+        for k in degenerate:
+            kept = [c for c in updated if c is not None]
+            far = max(range(len(hvs)), key=lambda i: min(hamming(hvs[i], c) for c in kept))
+            updated[k] = hvs[far]
+        delta = max(hamming(old, new) for old, new in zip(centers, updated))
+        centers = updated
+        if delta < threshold:
+            break
+    return np.stack([c.bits for c in centers]), assignments, epoch, history
 
 
 class TestCluster:
     def test_points_equal_distinct_hvs(self):
         rng = Rng(1)
-        points = [random_hv(512, Rng(100 + i)) for i in range(3)] * 5
-        state = cluster(points, 3, 128, 20, rng, IDEAL)
+        points = np.stack([random_hv(512, Rng(100 + i)).bits for i in range(3)] * 5)
+        state = cluster(points, ClusterSpec(3, 128, 20), rng, IDEAL)
         assert state.epoch <= 2
-        center_set = {tuple(c.bits) for c in state.centers}
-        assert center_set == {tuple(p.bits) for p in points[:3]}
+        assert {tuple(c) for c in state.centers} == {tuple(p) for p in points[:3]}
 
     def test_threshold_dim_one_epoch(self, rng):
-        points = [random_hv(512, rng) for _ in range(8)]
-        state = cluster(points, 2, 512, 20, rng, IDEAL)
+        points = np.stack([random_hv(512, rng).bits for _ in range(8)])
+        state = cluster(points, ClusterSpec(2, 512, 20), rng, IDEAL)
         assert state.epoch == 1
 
     def test_two_blobs_recovered(self):
         ds = make_hv_blobs(2, 20, 2048, Rng(77))
-        state = cluster(list(ds.samples), 2, 8, 20, Rng(3), IDEAL)
+        state = cluster(ds.samples, ClusterSpec(2, 8, 20), Rng(3), IDEAL)
         assert purity(state.assignments, ds.labels) >= 0.95
 
     def test_objective_non_increasing(self):
         ds = make_hv_blobs(3, 15, 1024, Rng(17))
-        state = cluster(list(ds.samples), 3, 8, 20, Rng(2), IDEAL)
+        state = cluster(ds.samples, ClusterSpec(3, 8, 20), Rng(2), IDEAL)
         hist = state.objective_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
     def test_analog_backend_two_blobs(self):
         ds = make_hv_blobs(2, 12, 512, Rng(5))
-        state = cluster(list(ds.samples), 2, 8, 20, Rng(9), _analog_backend())
+        state = cluster(ds.samples, ClusterSpec(2, 8, 20), Rng(9), _analog_backend())
         assert purity(state.assignments, ds.labels) >= 0.95
 
+    @pytest.mark.parametrize("K, blobs, kind, seed", [
+        (8, 2, "ideal_hamming", 1),  # empty and duplicate centres every epoch
+        (8, 2, "analog_cam", 2),
+        (5, 3, "ideal_hamming", 3),
+        (3, 3, "ideal_hamming", 4),
+        (2, 4, "analog_cam", 5),
+    ])
+    def test_matches_per_centre_reference(self, K, blobs, kind, seed):
+        ds = make_hv_blobs(blobs, 12, 256, Rng(40 + seed), 1 / 8)
+        backend = (lambda: _analog_backend(seed)) if kind == "analog_cam" else (lambda: IDEAL)
+        state = cluster(ds.samples, ClusterSpec(K, 0, 6), Rng(seed), backend())
+        centers, assignments, epoch, history = _cluster_reference(
+            ds.samples, K, 0, 6, Rng(seed), backend()
+        )
+        assert np.array_equal(state.centers, centers)
+        assert np.array_equal(state.assignments, assignments)
+        assert (state.epoch, state.objective_history) == (epoch, history)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**16), K=st.integers(2, 6), n=st.integers(6, 20),
+           threshold=st.integers(0, 40))
+    def test_random_points_match_reference(self, seed, K, n, threshold):
+        points = np.random.default_rng(seed).integers(0, 2, size=(n, 128), dtype=np.uint8)
+        state = cluster(points, ClusterSpec(K, threshold, 5), Rng(seed), IDEAL)
+        centers, assignments, epoch, history = _cluster_reference(points, K, threshold, 5, Rng(seed), IDEAL)
+        assert np.array_equal(state.centers, centers)
+        assert np.array_equal(state.assignments, assignments)
+        assert (state.epoch, state.objective_history) == (epoch, history)
+
+    def test_multibit_backend_rejected(self, rng):
+        points = np.stack([random_hv(128, rng).bits for _ in range(4)])
+        with pytest.raises(ConfigError):
+            cluster(points, ClusterSpec(2), rng, SimilarityBackend(kind="ideal_dot"))
+
     def test_k_too_small(self, rng):
-        points = [random_hv(128, rng) for _ in range(4)]
+        points = np.stack([random_hv(128, rng).bits for _ in range(4)])
         with pytest.raises(ValueError):
-            cluster(points, 1, 8, 20, rng, IDEAL)
+            cluster(points, ClusterSpec(1, 8, 20), rng, IDEAL)
 
     def test_k_exceeds_capacity(self, rng):
-        points = [random_hv(128, rng) for _ in range(130)]
+        points = np.stack([random_hv(128, rng).bits for _ in range(130)])
         with pytest.raises(CapacityError):
-            cluster(points, 129, 8, 20, rng, IDEAL)
+            cluster(points, ClusterSpec(129, 8, 20), rng, IDEAL)
 
     def test_fewer_points_than_k(self, rng):
-        points = [random_hv(128, rng) for _ in range(2)]
+        points = np.stack([random_hv(128, rng).bits for _ in range(2)])
         with pytest.raises(ValueError):
-            cluster(points, 3, 8, 20, rng, IDEAL)
+            cluster(points, ClusterSpec(3, 8, 20), rng, IDEAL)

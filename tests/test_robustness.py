@@ -214,6 +214,11 @@ class TestCliErrors:
                                      "--kind", kind, "--dim", "128"])
         assert scheme in err and kind in err
 
+    def test_cluster_multibit(self, tmp_path):
+        # Cluster points are binary; multibit (ideal_dot) has nothing to score.
+        err = self._check(tmp_path, ["cluster", "--mode", "multibit", "--dim", "256", "--seed", "1"])
+        assert "multibit" in err
+
     def test_out_is_a_file(self, tmp_path):
         out = tmp_path / "afile"
         out.write_text("")

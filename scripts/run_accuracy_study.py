@@ -1,28 +1,20 @@
 #!/usr/bin/env python3
 """Accuracy sensitivity study: binary vs multibit vectors, shift vs bit-drop
-permutation, on the bundled synthetic record and language tasks."""
+permutation, on the record and language tasks of presets/."""
 
 import argparse
+from dataclasses import replace
 from pathlib import Path
 
-from hdcam.config import ExperimentConfig
-from hdcam.datasets import SyntheticSpec
-from hdcam.encoder import EncodingConfig
+from hdcam.config import load_experiment_config
 from hdcam.experiments import run_classify, synthesize_dataset, write_csv
+
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
 
 
 def task_config(task, seed, dim):
-    if task == "records":
-        return ExperimentConfig(
-            dim=dim, seed=seed, retrain_epochs=1,
-            encoding=EncodingConfig(scheme="record", dim=dim),
-            synthetic=SyntheticSpec(kind="records", samples=600, classes=6, features=9, noise=0.22),
-        )
-    return ExperimentConfig(
-        dim=dim, seed=seed, retrain_epochs=1,
-        encoding=EncodingConfig(scheme="ngram", n=3, dim=dim),
-        synthetic=SyntheticSpec(kind="languages", samples=480, languages=4, text_length=61),
-    )
+    return load_experiment_config(PRESETS / f"{task}.ini", "classify").with_overrides(
+        seed=seed, dim=dim)
 
 
 def main():
@@ -48,8 +40,7 @@ def main():
             cfg = task_config("languages", seed, args.dim)
             ds = synthesize_dataset(cfg)
             acc_s = run_classify(cfg, ds).accuracy
-            enc = EncodingConfig(scheme="ngram", n=3, permute_mode="drop",
-                                 drop_width=width, dim=args.dim)
+            enc = replace(cfg.encoding, permute_mode="drop", drop_width=width)
             acc_d = run_classify(cfg.with_overrides(encoding=enc), ds).accuracy
             rows.append(("languages", f"drop_width_{width}", "shift", seed, acc_s))
             rows.append(("languages", f"drop_width_{width}", f"drop{width}", seed, acc_d))

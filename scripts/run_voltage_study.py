@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Voltage-scaling study: match-line transfer curves for the uniform and
 calibrated profiles, then end-to-end classification with the ideal, analog
-calibrated and analog uniform backends."""
+calibrated and analog uniform backends on presets/languages-10.ini."""
 
 import argparse
 from pathlib import Path
 
-from hdcam.config import ExperimentConfig
-from hdcam.datasets import SyntheticSpec
-from hdcam.encoder import EncodingConfig
+from hdcam.config import load_experiment_config
 from hdcam.experiments import run_classify, run_transfer_curve, synthesize_dataset, write_csv
+
+PRESET = Path(__file__).resolve().parents[1] / "presets" / "languages-10.ini"
 
 
 def main():
@@ -20,8 +20,8 @@ def main():
     args = ap.parse_args()
     out = Path(args.out)
 
-    cfg0 = ExperimentConfig()
-    _, meta = run_transfer_curve(cfg0, out / "transfer_curve.csv")
+    task = load_experiment_config(PRESET, "classify")
+    _, meta = run_transfer_curve(task, out / "transfer_curve.csv")
     print(f"max deviation: uniform {meta['max_deviation_uniform_a']:.3e} A, "
           f"calibrated {meta['max_deviation_calibrated_a']:.3e} A "
           f"({meta['deviation_improvement']:.2f}x)")
@@ -29,11 +29,7 @@ def main():
     rows = []
     sums = {"ideal": 0.0, "calibrated": 0.0, "uniform": 0.0}
     for seed in range(args.seeds):
-        cfg = ExperimentConfig(
-            dim=args.dim, seed=seed, retrain_epochs=2,
-            encoding=EncodingConfig(scheme="ngram", n=3, dim=args.dim),
-            synthetic=SyntheticSpec(kind="languages", samples=1200, languages=10, text_length=61),
-        )
+        cfg = task.with_overrides(dim=args.dim, seed=seed)
         ds = synthesize_dataset(cfg)
         accs = {
             "ideal": run_classify(cfg, ds).accuracy,

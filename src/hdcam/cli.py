@@ -1,18 +1,30 @@
 """Command-line experiment runner.
 
 Verbs: classify, cluster, dim-sweep, transfer-curve, calibrate, cost-report.
-Shared flags override the config file, which overrides built-in defaults.
-Without --data, classify and cluster fall back to the seeded synthetic
-generators configured in the [synthetic] section.
+Each verb reads the config keys that config.VERBS declares for it, and its
+flags follow from them: --config and --out; --data and --kind where it reads
+[synthetic]; --seed, --dim, --mode, --backend and --profile where it reads
+that [experiment] key. dim-sweep also takes --dims. Flags override the config
+file, which overrides built-in defaults; a key or flag the verb does not read
+is an error (exit 2). Without --data, the [synthetic] generator supplies the
+data; cluster defaults it to planted blobs, one per cluster.
 """
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ExperimentConfig, load_experiment_config, save_profile
-from .datasets import ingest
+from .config import (
+    BACKENDS,
+    MODES,
+    PROFILES,
+    VERBS,
+    ExperimentConfig,
+    load_experiment_config,
+    save_profile,
+    verb_keys,
+)
+from .datasets import SyntheticSpec, ingest
 from .errors import ConfigError, HdcError
 from .experiments import (
     resolve_profile,
@@ -24,37 +36,61 @@ from .experiments import (
     synthesize_dataset,
 )
 
+# [experiment] keys that a flag of the same name overrides.
+OVERRIDES = ("seed", "dim", "mode", "backend", "profile")
 
-def _add_common(p):
-    p.add_argument("--config", metavar="PATH", help="INI config file")
-    p.add_argument("--data", metavar="PATH", help="dataset file (else synthetic)")
-    p.add_argument("--kind", choices=("feature_csv", "text_corpus"),
-                   default="feature_csv", help="format of --data")
-    p.add_argument("--out", metavar="DIR", default="results", help="output directory")
-    p.add_argument("--seed", type=int, metavar="N")
-    p.add_argument("--dim", type=int, metavar="N")
-    p.add_argument("--mode", choices=("binary", "multibit"))
-    p.add_argument("--backend", choices=("ideal", "analog"))
-    p.add_argument("--profile", choices=("uniform", "calibrated"))
+FLAGS = {
+    "--config": dict(metavar="PATH", help="INI config file"),
+    "--out": dict(metavar="DIR", default="results", help="output directory"),
+    "--data": dict(metavar="PATH", help="dataset file (else synthetic)"),
+    "--kind": dict(choices=("feature_csv", "text_corpus"), default="feature_csv",
+                   help="format of --data"),
+    "--seed": dict(type=int, metavar="N"),
+    "--dim": dict(type=int, metavar="N"),
+    "--mode": dict(choices=MODES),
+    "--backend": dict(choices=BACKENDS),
+    "--profile": dict(choices=PROFILES),
+    "--dims": dict(default="512,1024,2048", help="comma-separated bank-aligned widths"),
+}
+
+
+def verb_flags(verb):
+    """The flags of `verb`, derived from the keys it reads."""
+    keys = verb_keys(verb)
+    flags = ["--config", "--out"]
+    if "synthetic.kind" in keys:
+        flags += ["--data", "--kind"]
+    flags += [f"--{name}" for name in OVERRIDES if f"experiment.{name}" in keys]
+    if verb == "dim-sweep":
+        flags.append("--dims")
+    return flags
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so it ends like any bad input."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="hdcam", description=__doc__)
+    parser = _Parser(prog="hdcam", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("classify", "cluster", "dim-sweep", "transfer-curve", "calibrate", "cost-report"):
-        p = sub.add_parser(verb)
-        _add_common(p)
-        if verb == "dim-sweep":
-            p.add_argument("--dims", default="512,1024,2048",
-                           help="comma-separated bank-aligned widths")
+    for verb in VERBS:
+        # No abbreviations: dim-sweep would otherwise read --dim as --dims.
+        p = sub.add_parser(verb, allow_abbrev=False)
+        for flag in verb_flags(verb):
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def _load_config(args):
-    cfg = load_experiment_config(args.config) if args.config else ExperimentConfig()
-    return cfg.with_overrides(
-        seed=args.seed, dim=args.dim, mode=args.mode, backend=args.backend, profile=args.profile
-    )
+    cfg = load_experiment_config(args.config, args.verb) if args.config else ExperimentConfig()
+    if args.verb == "cluster" and not args.data:
+        # Planted blobs, one per cluster, for the [synthetic] keys the file leaves out.
+        blobs = ExperimentConfig(synthetic=SyntheticSpec(kind="hv_blobs", classes=cfg.cluster.k))
+        cfg = load_experiment_config(args.config, "cluster", blobs) if args.config else blobs
+    return cfg.with_overrides(**{name: getattr(args, name, None) for name in OVERRIDES})
 
 
 def _load_dataset(args, cfg):
@@ -64,8 +100,10 @@ def _load_dataset(args, cfg):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            raise ConfigError(f"hdcam {args.verb} does not take {' '.join(extra)}")
         cfg = _load_config(args)
         out = Path(args.out)
         if args.verb == "classify":
@@ -76,10 +114,6 @@ def main(argv=None):
                   f"{res.reports['infer_search'].hydra_energy_pj / res.n_test:.3f} pJ")
             print(f"wrote {out / 'classify.csv'}")
         elif args.verb == "cluster":
-            if not args.data and cfg.synthetic.kind == "records":
-                # default the synthetic source to planted blobs for clustering
-                blobs = replace(cfg.synthetic, kind="hv_blobs", classes=cfg.cluster.k)
-                cfg = cfg.with_overrides(synthetic=blobs)
             dataset = _load_dataset(args, cfg)
             res = run_cluster(cfg, dataset, out / "cluster.csv")
             print(f"epochs = {res.state.epoch}, converged = {res.converged}, "

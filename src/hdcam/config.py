@@ -3,11 +3,12 @@
 The config file is standard INI (configparser). The scalar fields of
 ExperimentConfig form the [experiment] section and each dataclass-typed field
 is the section of its own name ([encoding], [cluster], [analog], [sensing],
-[synthetic]), so the accepted keys, their types and the CSV header are all
-read off the dataclasses. Every key is optional and falls back to the
-dataclass default; an unknown section or key, or a value that does not cast,
-is an error. Voltage profiles and cost-table overrides use the same format
-([profile] / per-op sections).
+[synthetic]), so the keys and their types are read off the dataclasses.
+VERBS declares which of those keys each verb reads; a verb's loader accepts,
+and its CSV header records, exactly those. Every key is optional and falls
+back to the dataclass default; an unknown section or key, a key the verb does
+not read, or a value that does not cast, is an error. Voltage profiles and
+cost-table overrides use the same format ([profile] / per-op sections).
 """
 
 import configparser
@@ -27,6 +28,21 @@ from .lta import SensingSpec
 MODES = ("binary", "multibit")
 BACKENDS = ("ideal", "analog")
 PROFILES = ("uniform", "calibrated")
+
+# The keys each verb reads: a section name takes all of its keys, `section.key`
+# one key, and `-section.key` takes one key of a taken section back out. Some
+# keys are read only under one value of another ([analog], [sensing] and
+# profile on the analog backend, [synthetic] without --data, levels under the
+# record scheme); they stay accepted, because one file serves both values.
+_RUN = ("experiment", "encoding", "analog", "sensing", "synthetic")
+VERBS = {
+    "classify": _RUN,
+    "cluster": (*_RUN, "cluster", "-experiment.retrain_epochs", "-experiment.test_fraction"),
+    "dim-sweep": (*_RUN, "-experiment.dim"),  # the sweep sets dim
+    "transfer-curve": ("analog",),
+    "calibrate": ("analog",),
+    "cost-report": ("experiment.cost_table_path",),
+}
 
 
 def _finite_float(raw):
@@ -95,13 +111,23 @@ class ExperimentConfig:
             return CostTable()
         return load_cost_table(self.cost_table_path)
 
-    def meta(self):
-        """Flat `section.key` view of every loadable key, for CSV header blocks."""
-        return {
-            f"{section}.{f.name}": "" if getattr(obj, f.name) is None else getattr(obj, f.name)
-            for section, obj in _sections(self).items()
-            for f in _keys(obj)
-        }
+    def meta(self, verb):
+        """Flat `section.key` view of the keys `verb` reads, for CSV header blocks."""
+        reads = verb_keys(verb)
+        return {key: "" if v is None else v for key, v in _values(self).items() if key in reads}
+
+
+def _values(cfg):
+    """`section.key` -> value of every INI key of cfg, in header order."""
+    return {f"{section}.{f.name}": getattr(obj, f.name)
+            for section, obj in _sections(cfg).items() for f in _keys(obj)}
+
+
+def verb_keys(verb):
+    """The `section.key` names `verb` reads, in header order."""
+    reads = VERBS[verb]
+    return [key for key in _values(ExperimentConfig())
+            if (key in reads or key.split(".")[0] in reads) and "-" + key not in reads]
 
 
 def _keys(obj):
@@ -147,10 +173,18 @@ def _read(parser, section, obj):
         raise ConfigError(f"[{section}] {exc}") from None
 
 
-def load_experiment_config(path):
-    """ExperimentConfig from an INI file; missing keys keep their defaults."""
-    sections = _sections(ExperimentConfig())
+def load_experiment_config(path, verb, base=None):
+    """`verb`'s ExperimentConfig from an INI file. Keys the file leaves out keep
+    their values in base (the dataclass defaults if None); a key that `verb`
+    does not read is an error."""
+    base = ExperimentConfig() if base is None else base
+    sections = _sections(base)
     parser = _parse(path, sections)
+    known, reads = _values(base), verb_keys(verb)
+    for section in parser.sections():
+        for key in parser.options(section):
+            if f"{section}.{key}" in known and f"{section}.{key}" not in reads:
+                raise ConfigError(f"[{section}] {key}: hdcam {verb} does not read this key")
     cfg = sections.pop("experiment")
     nested = {name: _read(parser, name, obj) for name, obj in sections.items()}
     return _read(parser, "experiment", replace(cfg, **nested))

@@ -174,7 +174,7 @@ def run_classify(cfg, dataset, out_path=None):
 
     reports = dict(ledgers)
     reports["total"] = ledgers["train"].merge(ledgers["infer_encode"]).merge(ledgers["infer_search"])
-    meta = cfg.meta()
+    meta = cfg.meta("classify")
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["accuracy"] = accuracy
     meta["n_train"] = len(train_batch)
@@ -231,7 +231,7 @@ def run_cluster(cfg, dataset, out_path=None):
     score = purity(state.assignments, dataset.labels) if dataset.labels is not None else float("nan")
     reports = dict(ledgers)
     reports["total"] = ledgers["encode"].merge(ledgers["cluster"])
-    meta = cfg.meta()
+    meta = cfg.meta("cluster")
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["epochs"] = state.epoch
     meta["converged"] = converged
@@ -270,7 +270,7 @@ def run_dim_sweep(cfg, dataset, dims, out_path=None):
                 search_rep.cmos_net_energy_pj / res.n_test,
             )
         )
-    meta = cfg.meta()
+    meta = cfg.meta("dim-sweep")
     meta["dims"] = ",".join(str(d) for d in dims)
     if out_path is not None:
         write_csv(
@@ -289,17 +289,18 @@ def run_dim_sweep(cfg, dataset, dims, out_path=None):
     return rows, results
 
 
-def run_transfer_curve(cfg, out_path=None, placement_rule="random-seeded"):
+def run_transfer_curve(cfg, out_path=None):
     """Current-vs-distance curves for the uniform and calibrated profiles."""
     params = cfg.analog
     uniform = cam.VoltageProfile.uniform(1.0)
     calibrated = resolve_profile(cfg.with_overrides(profile="calibrated"))
-    curves = {"uniform": cam.transfer_curve(uniform, params, placement_rule),
-              "calibrated": cam.transfer_curve(calibrated, params, placement_rule)}
+    rule = "random-seeded"
+    curves = {"uniform": cam.transfer_curve(uniform, params, rule),
+              "calibrated": cam.transfer_curve(calibrated, params, rule)}
     dev_u = cam.max_line_deviation(curves["uniform"])
     dev_c = cam.max_line_deviation(curves["calibrated"])
-    meta = cfg.meta()
-    meta["placement_rule"] = placement_rule
+    meta = cfg.meta("transfer-curve")
+    meta["placement_rule"] = rule
     meta["profile.calibrated.levels"] = ",".join(f"{v:.2f}" for v in calibrated.levels)
     meta["max_deviation_uniform_a"] = dev_u
     meta["max_deviation_calibrated_a"] = dev_c
@@ -332,7 +333,7 @@ def run_cost_report(cfg, out_path=None):
         "mem_read_energy_nj": table.mem_read_energy_nj,
         "cmos_cycle_ns": table.cmos_cycle_ns,
         "reference_dim": table.reference_dim,
-        "cost_table_path": cfg.cost_table_path or "",
+        **cfg.meta("cost-report"),
     }
     if out_path is not None:
         write_csv(

@@ -5,19 +5,27 @@ criteria check relative effects (ratios, gaps, orderings) rather than
 absolute benchmark accuracies.
 """
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 
 from hdcam.cam import AnalogParams, VoltageProfile, calibrate_profile, max_line_deviation, transfer_curve
-from hdcam.config import ExperimentConfig
+from hdcam.config import load_experiment_config
 from hdcam.cost import CostLedger, ratios_vs_cmos
-from hdcam.datasets import SyntheticSpec, make_hv_blobs, purity
-from hdcam.encoder import EncodingConfig
+from hdcam.datasets import make_hv_blobs, purity
 from hdcam.experiments import run_classify, synthesize_dataset
 from hdcam.hvcore import Rng
 from hdcam.learner import ClusterSpec, SimilarityBackend, cluster
 from hdcam.lta import SensingSpec, argmin_serial
 
 SEEDS = (0, 1, 2, 3, 4)
+PRESETS = Path(__file__).resolve().parents[1] / "presets"
+
+
+def _preset(name, seed):
+    """The study config presets/<name>.ini, as classify reads it, at the given seed."""
+    return load_experiment_config(PRESETS / f"{name}.ini", "classify").with_overrides(seed=seed)
 
 
 def _report(name, ok, detail):
@@ -48,37 +56,13 @@ def test_cost_table_ratio_reproduction():
     _report("cost-table ratio reproduction", net_ok and direct_ok, detail)
 
 
-def _records_config(seed):
-    return ExperimentConfig(
-        dim=2048,
-        backend="ideal",
-        retrain_epochs=1,
-        seed=seed,
-        encoding=EncodingConfig(scheme="record"),
-        synthetic=SyntheticSpec(kind="records", samples=600, classes=6, features=9, noise=0.22),
-    )
-
-
-def _language_config(seed, dim=2048, **synth):
-    spec = dict(kind="languages", samples=480, languages=4, text_length=61)
-    spec.update(synth)
-    return ExperimentConfig(
-        dim=dim,
-        backend="ideal",
-        retrain_epochs=1,
-        seed=seed,
-        encoding=EncodingConfig(scheme="ngram", n=3, dim=dim),
-        synthetic=SyntheticSpec(**spec),
-    )
-
-
 def test_binary_vs_multibit_gap():
     details = []
     ok = True
-    for task, make_cfg in (("records", _records_config), ("languages", _language_config)):
+    for task in ("records", "languages"):
         gaps = []
         for seed in SEEDS:
-            cfg = make_cfg(seed)
+            cfg = _preset(task, seed)
             ds = synthesize_dataset(cfg)
             acc_b = run_classify(cfg.with_overrides(mode="binary"), ds).accuracy
             acc_m = run_classify(cfg.with_overrides(mode="multibit"), ds).accuracy
@@ -92,7 +76,7 @@ def test_binary_vs_multibit_gap():
 def test_bit_drop_permutation_fidelity():
     shift_acc = {}
     for seed in SEEDS:
-        cfg = _language_config(seed)
+        cfg = _preset("languages", seed)
         ds = synthesize_dataset(cfg)
         shift_acc[seed] = run_classify(cfg, ds).accuracy
     details = []
@@ -100,9 +84,9 @@ def test_bit_drop_permutation_fidelity():
     for width in (8, 16):
         diffs = []
         for seed in SEEDS:
-            cfg = _language_config(seed)
+            cfg = _preset("languages", seed)
             ds = synthesize_dataset(cfg)
-            enc = EncodingConfig(scheme="ngram", n=3, permute_mode="drop", drop_width=width, dim=2048)
+            enc = replace(cfg.encoding, permute_mode="drop", drop_width=width)
             acc_d = run_classify(cfg.with_overrides(encoding=enc), ds).accuracy
             diffs.append(acc_d - shift_acc[seed])
         gap = _mean(diffs)
@@ -114,8 +98,7 @@ def test_bit_drop_permutation_fidelity():
 def test_voltage_scaling_recovery():
     accs = {"ideal": [], "calibrated": [], "uniform": []}
     for seed in SEEDS:
-        cfg = _language_config(seed, dim=1024, samples=1200, languages=10)
-        cfg = cfg.with_overrides(retrain_epochs=2)
+        cfg = _preset("languages-10", seed)
         ds = synthesize_dataset(cfg)
         accs["ideal"].append(run_classify(cfg, ds).accuracy)
         accs["calibrated"].append(
@@ -198,8 +181,8 @@ def test_dimension_scaling():
     big = CostLedger(2048, counts=dict(counts))
     small = CostLedger(512, counts=dict(counts))
     exact = small.hydra_energy_pj == big.hydra_energy_pj * (512 / 2048)
-    cfg512 = _records_config(0).with_overrides(dim=512)
-    cfg2048 = _records_config(0)
+    cfg2048 = _preset("records", 0)
+    cfg512 = cfg2048.with_overrides(dim=512)
     ds = synthesize_dataset(cfg2048)
     acc512 = run_classify(cfg512, ds).accuracy
     acc2048 = run_classify(cfg2048, ds).accuracy

@@ -145,7 +145,7 @@ class TestConfig:
             "[analog]\nr_segment = 250.0\n"
             "[synthetic]\nkind = languages\nsamples = 99\n"
         )
-        cfg = load_experiment_config(p)
+        cfg = load_experiment_config(p, "classify")
         assert cfg.seed == 9 and cfg.dim == 512 and cfg.mode == "multibit"
         assert cfg.encoding.scheme == "ngram" and cfg.encoding.n == 4
         assert cfg.encoding.dim == 512
@@ -154,7 +154,7 @@ class TestConfig:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_experiment_config(tmp_path / "nope.ini")
+            load_experiment_config(tmp_path / "nope.ini", "classify")
 
     def test_analog_multibit_rejected(self):
         with pytest.raises(ConfigError):
@@ -295,6 +295,25 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "cluster.csv").exists()
         assert "purity" in capsys.readouterr().out
+
+    def test_cluster_honours_set_synthetic_keys(self, tmp_path):
+        # Without --data, cluster draws planted blobs only for the keys the file leaves out.
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[synthetic]\nkind = records\nclasses = 6\nsamples = 60\n")
+        rc = main(["cluster", "--config", str(cfgfile), "--dim", "256", "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "cluster.csv").read_text()
+        assert "# synthetic.kind = records\n" in text and "# synthetic.classes = 6\n" in text
+        body = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+        assert len(body) == 60 and len({label for _, label, _ in body}) == 6
+
+    def test_cluster_blobs_follow_k(self, tmp_path):
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[cluster]\nk = 3\n[synthetic]\nblob_points = 10\n")
+        rc = main(["cluster", "--config", str(cfgfile), "--dim", "256", "--out", str(tmp_path)])
+        assert rc == 0
+        text = (tmp_path / "cluster.csv").read_text()
+        assert "# synthetic.kind = hv_blobs\n" in text and "# synthetic.classes = 3\n" in text
 
     def test_dim_sweep_verb(self, tmp_path):
         rc = main(["dim-sweep", "--out", str(tmp_path), "--dims", "256,512", "--seed", "2"])

@@ -5,16 +5,21 @@ from pathlib import Path
 import pytest
 
 from hdcam.cam import AnalogParams, VoltageProfile
-from hdcam.cli import main
+from hdcam.cli import main, verb_flags
 from hdcam.config import (
+    VERBS,
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
     load_profile,
     save_profile,
+    verb_keys,
 )
+from hdcam.datasets import SyntheticSpec
 from hdcam.encoder import EncodingConfig
 from hdcam.errors import ConfigError
+from hdcam.learner import ClusterSpec
+from hdcam.lta import SensingSpec
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -44,18 +49,23 @@ def _as_ini(meta):
     return "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
 
 
+def _reader(section):
+    """A verb that reads the section."""
+    return "cluster" if section == "cluster" else "classify"
+
+
 class TestExperimentLoader:
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[experimnet\]"):
-            load_experiment_config(_ini(tmp_path, "[experimnet]\nseed = 1\n"))
+            load_experiment_config(_ini(tmp_path, "[experimnet]\nseed = 1\n"), "classify")
 
     def test_default_section_is_unknown(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
-            load_experiment_config(_ini(tmp_path, "[DEFAULT]\nmode = multibit\n"))
+            load_experiment_config(_ini(tmp_path, "[DEFAULT]\nmode = multibit\n"), "classify")
 
     def test_unknown_key(self, tmp_path):
         with pytest.raises(ConfigError, match=r"\[experiment\] mdoe: unknown key"):
-            load_experiment_config(_ini(tmp_path, "[experiment]\nmdoe = multibit\n"))
+            load_experiment_config(_ini(tmp_path, "[experiment]\nmdoe = multibit\n"), "classify")
 
     @pytest.mark.parametrize("section, key", [
         ("analog", "i_cell_nominal"),  # derived from g_cell, gamma and v_th
@@ -66,7 +76,7 @@ class TestExperimentLoader:
     ])
     def test_keys_that_are_not_settable(self, tmp_path, section, key):
         with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: unknown key"):
-            load_experiment_config(_ini(tmp_path, f"[{section}]\n{key} = 5\n"))
+            load_experiment_config(_ini(tmp_path, f"[{section}]\n{key} = 5\n"), "classify")
 
     @pytest.mark.parametrize("section, key, raw", [
         ("experiment", "dim", "abc"),
@@ -78,7 +88,7 @@ class TestExperimentLoader:
     def test_bad_cast_names_key_and_value(self, tmp_path, section, key, raw):
         p = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
         with pytest.raises(ConfigError) as err:
-            load_experiment_config(p)
+            load_experiment_config(p, _reader(section))
         assert f"[{section}] {key} = {raw!r}" in str(err.value)
 
     @pytest.mark.parametrize("section, key, raw", [
@@ -92,80 +102,120 @@ class TestExperimentLoader:
     ])
     def test_invalid_value_is_config_error(self, tmp_path, section, key, raw):
         with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
-            load_experiment_config(_ini(tmp_path, f"[{section}]\n{key} = {raw}\n"))
+            load_experiment_config(_ini(tmp_path, f"[{section}]\n{key} = {raw}\n"), _reader(section))
 
     def test_malformed_ini(self, tmp_path):
         with pytest.raises(ConfigError) as err:
-            load_experiment_config(_ini(tmp_path, "seed = 1\n"))
+            load_experiment_config(_ini(tmp_path, "seed = 1\n"), "classify")
         assert "\n" not in str(err.value)
 
     def test_blob_keys_reach_the_config(self, tmp_path):
         p = _ini(tmp_path, "[synthetic]\nblob_points = 15\nblob_max_flip_fraction = 0.125\n")
-        cfg = load_experiment_config(p)
+        cfg = load_experiment_config(p, "cluster")
         assert cfg.synthetic.blob_points == 15
         assert cfg.synthetic.blob_max_flip_fraction == 0.125
-
-    def test_meta_keys_are_the_loadable_keys(self, tmp_path):
-        meta = ExperimentConfig().meta()
-        candidates = set(meta)
-        for section, cls in (("experiment", ExperimentConfig), ("encoding", EncodingConfig),
-                             ("analog", AnalogParams)):
-            candidates |= {f"{section}.{f.name}" for f in fields(cls)}
-        candidates.add("analog.i_cell_nominal")
-        accepted = set()
-        for key in sorted(candidates):
-            section, name = key.split(".")
-            p = _ini(tmp_path, f"[{section}]\n{name} = {meta.get(key, 1)}\n")
-            try:
-                load_experiment_config(p)
-            except ConfigError:
-                continue
-            accepted.add(key)
-        assert accepted == set(meta)
 
     def test_meta_round_trips_through_the_loader(self, tmp_path):
         cfg = ExperimentConfig(
             seed=3, dim=512, retrain_epochs=2,
             analog=AnalogParams(r_segment=250.0, g_cell=1e-5),
         )
-        back = load_experiment_config(_ini(tmp_path, _as_ini(cfg.meta())))
+        back = load_experiment_config(_ini(tmp_path, _as_ini(cfg.meta("classify"))), "classify")
         assert back == cfg
-        assert back.meta() == cfg.meta()
+        assert back.meta("classify") == cfg.meta("classify")
 
     def test_header_starts_with_seed_and_drops_derived_current(self):
-        meta = ExperimentConfig().meta()
+        meta = ExperimentConfig().meta("classify")
         assert next(iter(meta)) == "experiment.seed"
         assert "analog.i_cell_nominal" not in meta
         assert meta["experiment.cost_table_path"] == ""
 
+    @pytest.mark.parametrize("verb, text", [
+        ("classify", "[cluster]\nk = 9\n"),
+        ("cluster", "[experiment]\nretrain_epochs = 3\n"),
+        ("dim-sweep", "[experiment]\ndim = 1024\n"),
+        ("transfer-curve", "[encoding]\nn = 5\n"),
+        ("calibrate", "[synthetic]\nsamples = 10\n"),
+        ("cost-report", "[analog]\nr_segment = 0\n"),
+    ])
+    def test_key_the_verb_does_not_read_names_the_verb(self, tmp_path, verb, text):
+        section, key = re.match(r"\[(\w+)\]\n(\w+)", text).groups()
+        with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: hdcam {verb} does not read"):
+            load_experiment_config(_ini(tmp_path, text), verb)
+
+    def test_each_verb_takes_its_declared_keys_and_flags(self):
+        settable = {verb: len(verb_keys(verb)) + len(verb_flags(verb)) for verb in VERBS}
+        assert settable == {"classify": 38, "cluster": 39, "dim-sweep": 37,
+                            "transfer-curve": 6, "calibrate": 6, "cost-report": 3}
+        assert "--dim" not in verb_flags("dim-sweep") and "--dims" in verb_flags("dim-sweep")
+
     def test_readme_config_block_loads(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
-        cfg = load_experiment_config(_ini(tmp_path, block))
-        documented = {
-            f"{section}.{key}"
-            for section, body in re.findall(r"^\[(\w+)\]\n(.*?)(?=^\[|\Z)", block, re.S | re.M)
-            for key in re.findall(r"^;? ?(\w+) =", body, re.M)
-        }
-        assert documented == set(cfg.meta())
+        readers = {}  # section.key -> (verbs that read it, its line)
+        for line in block.splitlines():
+            verbs = re.search(r"read by ([\w, -]+)$", line)
+            verbs = verbs and verbs.group(1).split(", ")
+            if header := re.match(r"\[(\w+)\]", line):
+                section, section_verbs = header.group(1), verbs
+            elif key := re.match(r"^;? ?(\w+) =", line):
+                readers[f"{section}.{key.group(1)}"] = (verbs or section_verbs, line)
+        for verb in VERBS:
+            documented = [key for key, (verbs, _) in readers.items() if verb in verbs]
+            assert documented == verb_keys(verb), verb
+            lines = {}
+            for key in documented:
+                lines.setdefault(key.split(".")[0], []).append(readers[key][1] + "\n")
+            text = "".join(f"[{section}]\n" + "".join(body) for section, body in lines.items())
+            load_experiment_config(_ini(tmp_path, text, f"{verb}.ini"), verb)
 
 
-class TestHeaderRoundTrip:
-    def test_cluster_run_reproduces_from_its_header(self, tmp_path):
-        cfg = _ini(tmp_path, (
-            "[experiment]\nseed = 5\ndim = 512\n"
-            "[cluster]\nk = 3\nthreshold = 4\n"
-            "[synthetic]\nkind = hv_blobs\nclasses = 3\nblob_points = 15\n"
-            "blob_max_flip_fraction = 0.1\n"
-        ))
-        assert main(["cluster", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
-        first = tmp_path / "a" / "cluster.csv"
-        header = _header(first)
-        assert header["synthetic.blob_points"] == "15"
-        sections = {key.split(".")[0] for key in ExperimentConfig().meta()}
-        config = {k: v for k, v in header.items() if k.split(".")[0] in sections}
+# Every field of the section dataclasses, settable or not.
+CANDIDATES = {f"{section}.{f.name}" for section, cls in (
+    ("experiment", ExperimentConfig), ("encoding", EncodingConfig), ("cluster", ClusterSpec),
+    ("analog", AnalogParams), ("sensing", SensingSpec), ("synthetic", SyntheticSpec),
+) for f in fields(cls)} | {"analog.i_cell_nominal"}
+DEFAULTS = {key: value for verb in VERBS for key, value in ExperimentConfig().meta(verb).items()}
+
+# A small run of each verb that writes a CSV: (CSV name, extra flags, config file).
+RUNS = {
+    "classify": ("classify.csv", [], (
+        "[experiment]\nseed = 5\ndim = 256\nretrain_epochs = 1\n"
+        "[synthetic]\nsamples = 60\nclasses = 3\nnoise = 0.1\n")),
+    "cluster": ("cluster.csv", [], (
+        "[experiment]\nseed = 5\ndim = 512\n"
+        "[cluster]\nk = 3\nthreshold = 4\n"
+        "[synthetic]\nkind = hv_blobs\nclasses = 3\nblob_points = 15\n"
+        "blob_max_flip_fraction = 0.1\n")),
+    "dim-sweep": ("dim_sweep.csv", ["--dims", "128,256"], (
+        "[experiment]\nseed = 2\ntest_fraction = 0.25\n[synthetic]\nsamples = 60\n")),
+    "transfer-curve": ("transfer_curve.csv", [], "[analog]\nr_segment = 500.0\ngamma = 0.7\n"),
+    "cost-report": ("cost_report.csv", [], "[experiment]\ncost_table_path = {cost}\n"),
+}
+
+
+class TestVerbHeaders:
+    @pytest.mark.parametrize("verb", RUNS)
+    def test_header_is_the_accepted_config_and_replays_the_run(self, tmp_path, verb):
+        accepted = set()
+        for key in sorted(CANDIDATES):
+            section, name = key.split(".")
+            p = _ini(tmp_path, f"[{section}]\n{name} = {DEFAULTS.get(key, 1)}\n", "probe.ini")
+            try:
+                load_experiment_config(p, verb)
+            except ConfigError:
+                continue
+            accepted.add(key)
+        name, flags, text = RUNS[verb]
+        cost = _ini(tmp_path, "[search]\nhydra_energy_pj = 20.0\n", "cost.ini")
+        cfg = _ini(tmp_path, text.format(cost=cost))
+        assert main([verb, "--config", str(cfg), *flags, "--out", str(tmp_path / "a")]) == 0
+        first = tmp_path / "a" / name
+        sections = {key.split(".")[0] for key in CANDIDATES}
+        config = {k: v for k, v in _header(first).items() if k.split(".")[0] in sections}
+        assert set(config) == accepted
         replay = _ini(tmp_path, _as_ini(config), "replay.ini")
-        assert main(["cluster", "--config", str(replay), "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "b" / "cluster.csv").read_bytes() == first.read_bytes()
+        assert main([verb, "--config", str(replay), *flags, "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "b" / name).read_bytes() == first.read_bytes()
 
 
 class TestProfileFile:

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdcam.cli import main
-from hdcam.config import ExperimentConfig
+from hdcam.cli import main, verb_flags
+from hdcam.config import VERBS, ExperimentConfig, verb_keys
 from hdcam.datasets import ingest, train_test_indices
 from hdcam.errors import ConfigError, HdcError, ParseError
 
@@ -35,7 +35,8 @@ DATA = st.tuples(st.just("feature_csv"), CSV_LINES) | st.tuples(st.just("text_co
 # A line that makes any file of its kind malformed, appended to force exit 2.
 POISON = {"feature_csv": "nan,nan,a", "text_corpus": "no tab here"}
 
-META = ExperimentConfig().meta()
+# Every key some verb reads, with its default.
+META = {key: value for verb in VERBS for key, value in ExperimentConfig().meta(verb).items()}
 VALUES = st.sampled_from(sorted({str(v) for v in META.values()}) + [
     "-1", "0", "1", "2", "3", "0.5", "0.99", "1e-12", "nan", "inf", "abc",
     "multibit", "analog", "uniform", "ngram", "drop", "hv_blobs", "16",
@@ -62,6 +63,21 @@ INI_TEXT = st.builds(_ini_text, st.lists(ENTRIES, max_size=5),
                      st.just("") | st.just("") | st.just("") | JUNK.map(lambda j: j + "\n"))
 GOOD_DATA = "".join(f"{0.1 * (i % 3) + 0.01 * i:.3f},{0.9 - 0.1 * (i % 3):.3f},c{i % 3}\n"
                     for i in range(12))
+
+
+def _argv(verb, cfg, tmp):
+    """A small run of the verb on the config file, with the flags it takes."""
+    flags = verb_flags(verb)
+    argv = [verb, "--config", str(cfg), "--out", str(Path(tmp) / "out")]
+    if "--data" in flags:
+        data = Path(tmp) / "data.csv"
+        data.write_text(GOOD_DATA)
+        argv += ["--data", str(data)]
+    if "--dim" in flags:
+        argv += ["--dim", "128"]
+    if "--dims" in flags:
+        argv += ["--dims", "128"]
+    return argv
 
 
 def _run(argv):
@@ -112,18 +128,29 @@ def test_cli_on_fuzzed_data(data, verb, poison):
 
 
 @settings(max_examples=40)
-@given(text=INI_TEXT, verb=st.sampled_from(["classify", "cluster"]), poison=st.booleans())
+@given(text=INI_TEXT, verb=st.sampled_from(sorted(VERBS)), poison=st.booleans())
 def test_cli_on_fuzzed_ini(text, verb, poison):
     if poison:
         text += "[cluster]\nmdoe = 1\n"
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.ini"
         cfg.write_text(text)
-        data = Path(tmp) / "data.csv"
-        data.write_text(GOOD_DATA)
-        rc, err = _run([verb, "--config", str(cfg), "--data", str(data), "--dim", "128",
-                        "--out", str(Path(tmp) / "out")])
+        rc, err = _run(_argv(verb, cfg, tmp))
     _assert_clean(rc, err, must_fail=poison)
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_key_outside_the_verb_declaration_exits_2(data):
+    verb = data.draw(st.sampled_from(sorted(VERBS)))
+    key = data.draw(st.sampled_from(sorted(set(META) - set(verb_keys(verb)))))
+    section, name = key.split(".")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.ini"
+        cfg.write_text(f"[{section}]\n{name} = {META[key]}\n")
+        rc, err = _run(_argv(verb, cfg, tmp))
+    _assert_clean(rc, err, must_fail=True)
+    assert f"[{section}] {name}: hdcam {verb} " in err
 
 
 class TestIngestRejects:
@@ -181,6 +208,15 @@ class TestCliErrors:
         p = tmp_path / "d.csv"
         p.write_text("0.5,0.5,a\n0.5,nan,b\n")
         assert "line 2" in self._check(tmp_path, ["classify", "--data", str(p)])
+
+    @pytest.mark.parametrize("argv", [
+        ["transfer-curve", "--seed", "3"],
+        ["cost-report", "--data", "x"],
+        ["dim-sweep", "--dim", "512"],
+        ["classify", "--bogus", "1"],
+    ])
+    def test_flag_the_verb_does_not_take(self, tmp_path, argv):
+        assert argv[1] in self._check(tmp_path, argv)
 
     def test_dim_sweep_bad_dims(self, tmp_path):
         err = self._check(tmp_path, ["dim-sweep", "--dims", "512,abc"])

@@ -13,8 +13,6 @@ from .cost import CostLedger, CostTable, OpCost, ratios_vs_cmos
 from .datasets import Dataset, SyntheticSpec, ingest, make_hv_blobs, make_language_corpus, make_record_blobs, purity
 from .encoder import (
     EncodingConfig,
-    ItemMemory,
-    LevelMemory,
     build_item_memory,
     build_level_memory,
     encode_ngram,
@@ -36,21 +34,16 @@ from .errors import (
     TooManyLevelsError,
 )
 from .hvcore import (
-    AccumulatorHV,
-    BipolarHV,
     Rng,
     binarize,
     bind,
     bundle_add,
     bundle_sub,
-    dot_bipolar,
-    hamming,
     hamming_matrix,
     majority,
     permute_drop,
     permute_shift,
     random_bits,
-    random_hv,
 )
 from .learner import (
     ClassMemory,

@@ -94,9 +94,6 @@ class ExperimentConfig:
             raise ConfigError("retrain_epochs must be non-negative")
         if not 0 < self.test_fraction < 1:
             raise ConfigError("test_fraction must be in (0, 1)")
-        if self.sensing.floor * 100 > self.analog.i_cell_nominal:
-            raise ConfigError(f"sensing floor {self.sensing.floor:g} A is not well below one "
-                              f"mismatch's current {self.analog.i_cell_nominal:g} A")
         if self.encoding.dim != self.dim:
             self.encoding = replace(self.encoding, dim=self.dim)
         if self.cost_table_path is not None and not os.path.exists(self.cost_table_path):

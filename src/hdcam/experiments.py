@@ -50,10 +50,10 @@ def synthesize_dataset(cfg):
 
 @dataclass
 class EncodingContext:
-    """Built memories plus whatever the dataset kind needs at encode time."""
+    """Item (and level) memory rows plus whatever the dataset kind needs at encode time."""
 
-    item_memory: object
-    level_memory: object = None
+    item_memory: np.ndarray
+    level_memory: np.ndarray = None
     vocab: dict = None
     feature_min: np.ndarray = None
     feature_range: np.ndarray = None
@@ -91,12 +91,10 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     for row, i in enumerate(indices):
         if enc.scheme == "ngram":
             seq = [ctx.vocab[c] for c in dataset.samples[i]]
-            acc = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng=rng_encode, ledger=ledger)
+            counts[row], sizes[row] = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng_encode, ledger)
         else:
             x = (np.asarray(dataset.samples[i]) - ctx.feature_min) / ctx.feature_range
-            acc = encode_record(x, ctx.item_memory, ctx.level_memory, ledger=ledger)
-        counts[row] = acc.counts
-        sizes[row] = acc.n_bundled
+            counts[row], sizes[row] = encode_record(x, ctx.item_memory, ctx.level_memory, ledger)
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(majority(counts, sizes), counts, sizes, labels)
 
@@ -151,6 +149,8 @@ def run_classify(cfg, dataset, out_path=None):
     ledgers = {
         name: CostLedger(cfg.dim, table) for name in ("train", "infer_encode", "infer_search")
     }
+    # Built first, so a config the analog backend rejects fails before any encoding.
+    backend, profile = inference_backend(cfg)
     train_idx, test_idx = train_test_indices(dataset.n, cfg.test_fraction, seeds["split"])
     ctx = build_encoding_context(dataset, cfg, seeds["memories"])
     rng_encode = Rng(seeds["encode"])
@@ -164,7 +164,6 @@ def run_classify(cfg, dataset, out_path=None):
         cm = retrain(cm, train_batch, cfg.retrain_epochs, _ideal_backend(cfg.mode),
                      ledger=ledgers["train"])
 
-    backend, profile = inference_backend(cfg)
     labels, decisions = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
     predictions = [
         (int(idx), true, predicted, decision.ambiguous_flags if decision is not None else 0)
@@ -218,6 +217,7 @@ def run_cluster(cfg, dataset, out_path=None):
     seeds = child_seeds(cfg.seed)
     table = cfg.cost_table()
     ledgers = {name: CostLedger(cfg.dim, table) for name in ("encode", "cluster")}
+    backend, profile = inference_backend(cfg)
     if dataset.kind == "synthetic_blobs":
         points = dataset.samples
     else:
@@ -225,7 +225,6 @@ def run_cluster(cfg, dataset, out_path=None):
         points = encode_subset(
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
         ).bits
-    backend, profile = inference_backend(cfg)
     state = cluster(points, cfg.cluster, Rng(seeds["cluster"]), backend, ledger=ledgers["cluster"])
     converged = state.epoch < cfg.cluster.max_epochs
     score = purity(state.assignments, dataset.labels) if dataset.labels is not None else float("nan")

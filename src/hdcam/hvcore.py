@@ -1,4 +1,4 @@
-"""MAP hypervector algebra on bank-aligned bipolar vectors.
+"""MAP hypervector algebra on bank-aligned bit rows.
 
 Bit convention used everywhere in this package: stored bit 0 encodes bipolar
 +1 and bit 1 encodes -1, so binding is a plain XOR and Hamming distance is
@@ -7,9 +7,11 @@ accelerator's cache word width); counter i tallies how many bundled vectors
 carried bit 1 at position i, and majority binarization thresholds those
 counts at half the bundle size.
 
+A hypervector is a (dim,) uint8 row of bits, a bundle is a (dim,) int16 row
+of counts plus its integer size, and sets of either are (n, dim) matrices.
 Vectors are sized in whole 128-column bank rows, at most 16 banks (2048
-bits). All operations are pure: inputs are never mutated, and backing arrays
-are marked read-only on construction.
+bits). All operations are pure: they return new arrays and never mutate
+their inputs.
 """
 
 from dataclasses import dataclass
@@ -46,9 +48,9 @@ def check_alignment(dim):
         )
 
 
-def _check_same_dim(a, b):
-    if a.dim != b.dim:
-        raise DimensionError(f"operand dims differ: {a.dim} vs {b.dim}")
+def _check_width(a, b):
+    if np.shape(a)[-1] != np.shape(b)[-1]:
+        raise DimensionError(f"operand widths differ: {np.shape(a)[-1]} vs {np.shape(b)[-1]}")
 
 
 @dataclass
@@ -73,111 +75,35 @@ def derive_seed(master, stream):
     return int(ss.generate_state(1)[0])
 
 
-@dataclass(eq=False)
-class BipolarHV:
-    """Bank-aligned binary hypervector; bit b at index i encodes 1 - 2*b."""
-
-    dim: int
-    bits: np.ndarray
-
-    def __post_init__(self):
-        check_alignment(self.dim)
-        bits = np.asarray(self.bits, dtype=np.uint8)
-        if bits.shape != (self.dim,):
-            raise DimensionError(f"expected {self.dim} bits, got shape {bits.shape}")
-        if bits.max(initial=0) > 1:
-            raise ValueError("bits must be 0 or 1")
-        bits.setflags(write=False)
-        self.bits = bits
-
-    @classmethod
-    def from_bits(cls, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(len(bits), bits)
-
-    def __eq__(self, other):
-        if not isinstance(other, BipolarHV):
-            return NotImplemented
-        return self.dim == other.dim and np.array_equal(self.bits, other.bits)
-
-    def __repr__(self):
-        return f"BipolarHV(dim={self.dim}, ones={int(self.bits.sum())})"
-
-
-@dataclass(eq=False)
-class AccumulatorHV:
-    """Bundling workspace: per-index signed 16-bit counts of bit-1 occurrences."""
-
-    dim: int
-    counts: np.ndarray
-    n_bundled: int = 0
-
-    def __post_init__(self):
-        check_alignment(self.dim)
-        counts = np.asarray(self.counts)
-        if counts.shape != (self.dim,):
-            raise DimensionError(f"expected {self.dim} counts, got shape {counts.shape}")
-        if counts.dtype != np.int16:
-            if counts.size and (counts.min() < COUNT_MIN or counts.max() > COUNT_MAX):
-                raise SaturationError("counts outside the signed 16-bit range")
-            counts = counts.astype(np.int16)
-        if self.n_bundled < 0:
-            raise ValueError("n_bundled must be non-negative")
-        counts.setflags(write=False)
-        self.counts = counts
-
-    @classmethod
-    def zeros(cls, dim):
-        return cls(dim, np.zeros(dim, dtype=np.int16), 0)
-
-    def __eq__(self, other):
-        if not isinstance(other, AccumulatorHV):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.n_bundled == other.n_bundled
-            and np.array_equal(self.counts, other.counts)
-        )
-
-    def __repr__(self):
-        return f"AccumulatorHV(dim={self.dim}, n_bundled={self.n_bundled})"
-
-
 def random_bits(n, dim, rng):
-    """(n, dim) i.i.d. uniform bits; the same stream as n random_hv calls."""
+    """(n, dim) i.i.d. uniform bits; row by row, the same stream as n draws of one row."""
     check_alignment(dim)
     return rng.generator.integers(0, 2, size=(n, dim), dtype=np.uint8)
 
 
-def random_hv(dim, rng):
-    """Fresh i.i.d. uniform hypervector of the given bank-aligned width."""
-    return BipolarHV(dim, random_bits(1, dim, rng)[0])
-
-
 def bind(a, b):
-    """Elementwise bipolar multiplication, realized as XOR."""
-    _check_same_dim(a, b)
-    return BipolarHV(a.dim, a.bits ^ b.bits)
+    """Elementwise bipolar multiplication of two bit rows, realized as XOR."""
+    _check_width(a, b)
+    return a ^ b
 
 
-def bundle_add(acc, hv):
-    """Add one bipolar vector into the accumulator (+1 where its bit is 1)."""
-    _check_same_dim(acc, hv)
-    hits = hv.bits != 0
-    if np.any(acc.counts[hits] == COUNT_MAX):
+def bundle_add(counts, bits):
+    """A bundle's int16 count row with one bit row added (+1 where the bit is 1)."""
+    _check_width(counts, bits)
+    if counts.max(initial=0) == COUNT_MAX and np.any(counts[bits != 0] == COUNT_MAX):
         raise SaturationError("bundle_add would overflow a 16-bit counter")
-    return AccumulatorHV(acc.dim, acc.counts + hv.bits, acc.n_bundled + 1)
+    return counts + bits
 
 
-def bundle_sub(acc, hv):
-    """Remove one bipolar vector from the accumulator (-1 where its bit is 1)."""
-    _check_same_dim(acc, hv)
-    if acc.n_bundled == 0:
+def bundle_sub(counts, bits, size):
+    """A bundle's int16 count row with one bit row removed (-1 where the bit is 1);
+    size is the number of rows bundled so far."""
+    _check_width(counts, bits)
+    if size == 0:
         raise EmptyBundleError("cannot subtract from an empty bundle")
-    hits = hv.bits != 0
-    if np.any(acc.counts[hits] == COUNT_MIN):
+    if counts.min(initial=0) == COUNT_MIN and np.any(counts[bits != 0] == COUNT_MIN):
         raise SaturationError("bundle_sub would underflow a 16-bit counter")
-    return AccumulatorHV(acc.dim, acc.counts - hv.bits, acc.n_bundled - 1)
+    return counts - bits
 
 
 def majority(counts, sizes):
@@ -205,20 +131,21 @@ def majority(counts, sizes):
     return bits
 
 
-def binarize(acc):
-    """Majority sign of one bundle, as majority() gives it."""
-    return BipolarHV(acc.dim, majority(acc.counts[None], [acc.n_bundled])[0])
+def binarize(counts, size):
+    """Majority bits of one bundle, as majority() gives them."""
+    # Kept as a name of its own because bench/tracer.py counts its calls.
+    return majority(counts[None], [size])[0]
 
 
-def permute_shift(hv, s):
-    """Circular left shift: result_i = hv_(i+s mod dim)."""
-    if not 0 <= s < hv.dim:
+def permute_shift(bits, s):
+    """Circular left shift of a bit row: result_i = bits_(i+s mod dim)."""
+    if not 0 <= s < len(bits):
         raise ValueError(f"shift must satisfy 0 <= s < dim, got {s}")
-    return BipolarHV(hv.dim, np.roll(hv.bits, -s))
+    return np.concatenate((bits[s:], bits[:s]))
 
 
-def permute_drop(hv, s, rng):
-    """Shift left by s without wrap-around; the freed tail gets fresh random bits.
+def permute_drop(bits, s, rng):
+    """Shift a bit row left by s without wrap-around; the freed tail gets fresh random bits.
 
     Models a batch-wise read that skips the first s bits, so only the batch
     widths the read mux supports are allowed (s in {0, 8, 16}).
@@ -226,9 +153,9 @@ def permute_drop(hv, s, rng):
     if s not in DROP_WIDTHS:
         raise ConfigError(f"drop width must be one of {DROP_WIDTHS}, got {s}")
     if s == 0:
-        return BipolarHV(hv.dim, hv.bits.copy())
+        return bits.copy()
     tail = rng.generator.integers(0, 2, size=s, dtype=np.uint8)
-    return BipolarHV(hv.dim, np.concatenate([hv.bits[s:], tail]))
+    return np.concatenate((bits[s:], tail))
 
 
 def _packed_words(bits):
@@ -246,39 +173,6 @@ def hamming_matrix(a, b):
     Rows are packed into 64-bit words first, so the pairwise XOR holds
     dim / 64 words per pair rather than dim bytes.
     """
-    a, b = np.atleast_2d(a), np.atleast_2d(b)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionError(f"operand widths differ: {a.shape[1]} vs {b.shape[1]}")
+    _check_width(a, b)
     words = _packed_words(a)[:, None, :] ^ _packed_words(b)[None, :, :]
     return np.bitwise_count(words).sum(axis=2, dtype=np.int64)
-
-
-def hamming(a, b):
-    """Number of mismatching bit positions."""
-    _check_same_dim(a, b)
-    return int(hamming_matrix(a.bits, b.bits)[0, 0])
-
-
-def _bipolar_values(x):
-    if isinstance(x, BipolarHV):
-        return 1.0 - 2.0 * x.bits.astype(np.float64), True
-    if isinstance(x, AccumulatorHV):
-        return x.counts.astype(np.float64) - x.n_bundled / 2.0, False
-    raise TypeError(f"expected BipolarHV or AccumulatorHV, got {type(x).__name__}")
-
-
-def dot_bipolar(a, b):
-    """Bipolar dot product.
-
-    Binary operands use values 1 - 2*bit, so for two binary vectors the
-    result equals dim - 2 * hamming(a, b). Accumulator operands use centered
-    counts (counts_i - n_bundled / 2); note the centered axis points toward
-    bit 1, so mixing a binary and an accumulator operand flips orientation.
-    """
-    _check_same_dim(a, b)
-    va, a_binary = _bipolar_values(a)
-    vb, b_binary = _bipolar_values(b)
-    total = float(np.dot(va, vb))
-    if a_binary and b_binary:
-        return int(round(total))
-    return total

@@ -1,12 +1,13 @@
 """HDC classification (train / retrain / infer) and k-means-style clustering.
 
-Samples, deployed class vectors and cluster centres are (n, dim) matrices.
-Class vectors are bundled from binarized sample encodings and deployed as
-binary rows; multibit similarity instead scores the raw accumulators with
-the centered dot product. Search is one scoring step, a batch of queries
-against every stored row, then one decision step: an ideal Hamming argmin, an
-ideal dot-product argmax, or the modeled CAM fabric (match-line currents plus
-serial LTA sensing). Prediction, retraining and cluster assignment share both.
+Samples, class bundles, deployed class vectors and cluster centres are
+(n, dim) matrices. Each class bundles the binarized encodings of its samples
+into an int16 count row with a size, and is deployed as the binary majority
+row; multibit similarity instead scores the count rows with the centred dot
+product. Search is one scoring step, a batch of queries against every stored
+row, then one decision step: an ideal Hamming argmin, an ideal dot-product
+argmax, or the modeled CAM fabric (match-line currents plus serial LTA
+sensing). Prediction, retraining and cluster assignment share both.
 """
 
 from dataclasses import dataclass
@@ -15,16 +16,8 @@ import numpy as np
 
 from . import cam
 from .cost import charge_to
-from .errors import CapacityError, ConfigError
-from .hvcore import (
-    AccumulatorHV,
-    BipolarHV,
-    bundle_add,
-    bundle_sub,
-    hamming_matrix,
-    majority,
-    random_bits,
-)
+from .errors import CapacityError, ConfigError, SaturationError
+from .hvcore import COUNT_MAX, bundle_add, bundle_sub, hamming_matrix, majority, random_bits
 from .lta import SensingSpec, argmin_serial
 
 MAX_CLASSES = 128
@@ -56,11 +49,12 @@ class Encoded:
 
 @dataclass
 class ClassMemory:
-    """Class labels, one training accumulator per class and the (k, dim)
-    deployed binary rows, all in label order."""
+    """Class labels, the (k, dim) int16 class bundle counts, their (k,) sizes
+    and the (k, dim) deployed binary rows, all in label order."""
 
     labels: list
-    accumulators: list
+    counts: np.ndarray
+    sizes: np.ndarray
     deployed: np.ndarray
 
     def __post_init__(self):
@@ -68,15 +62,15 @@ class ClassMemory:
             raise CapacityError(f"{len(self.labels)} classes exceed the {MAX_CLASSES}-row capacity")
 
 
-def _deploy(labels, accumulators):
-    """Class memory whose deployed rows are the majorities of the accumulators."""
-    counts = np.stack([acc.counts for acc in accumulators])
-    return ClassMemory(labels, accumulators, majority(counts, [acc.n_bundled for acc in accumulators]))
+def _deploy(labels, counts, sizes):
+    """Class memory whose deployed rows are the majorities of the class bundles."""
+    return ClassMemory(labels, counts, sizes, majority(counts, sizes))
 
 
 @dataclass
 class SimilarityBackend:
-    """Similarity engine selection; analog needs the electrical context."""
+    """Similarity engine selection; analog needs the electrical context, whose
+    sensing floor must sit well below one mismatch's current."""
 
     kind: str
     profile: cam.VoltageProfile = None
@@ -95,6 +89,9 @@ class SimilarityBackend:
             ]
             if missing:
                 raise ConfigError(f"analog backend needs {missing}")
+            if self.sensing.floor * 100 > self.params.i_cell_nominal:
+                raise ConfigError(f"sensing floor {self.sensing.floor:g} A is not well below one "
+                                  f"mismatch's current {self.params.i_cell_nominal:g} A")
 
 
 def train(batch, ledger=None):
@@ -105,13 +102,11 @@ def train(batch, ledger=None):
     if len(labels) > MAX_CLASSES:
         raise CapacityError(f"more than {MAX_CLASSES} classes")
     rows = np.array([labels.index(label) for label in batch.labels])
-    dim = batch.bits.shape[1]
-    accumulators = []
-    for k in range(len(labels)):
-        members = batch.bits[rows == k]
-        accumulators.append(AccumulatorHV(dim, members.sum(axis=0), len(members)))
+    counts = np.stack([batch.bits[rows == k].sum(axis=0) for k in range(len(labels))])
+    if counts.max() > COUNT_MAX:
+        raise SaturationError("class counts outside the signed 16-bit range")
     charge_to(ledger, "addition", len(batch))
-    return _deploy(labels, accumulators)
+    return _deploy(labels, counts.astype(np.int16), np.bincount(rows))
 
 
 def _centred(counts, sizes):
@@ -146,8 +141,8 @@ def _decide(scores, backend):
 def predict(batch, cm, backend, ledger=None):
     """(labels, decisions): the most similar class of each sample under the backend.
 
-    ideal_dot scores the batch's centred counts against the class
-    accumulators; the other backends score its bits against the deployed
+    ideal_dot scores the batch's centred counts against the centred class
+    counts; the other backends score its bits against the deployed
     rows. decisions holds each query's LtaDecision (analog_cam) or None, so
     analog runs can export their comparison traces.
     """
@@ -155,11 +150,7 @@ def predict(batch, cm, backend, ledger=None):
         raise ValueError("class memory has no deployed vectors")
     charge_to(ledger, "search", len(batch))
     dot = backend.kind == "ideal_dot"
-    if dot:
-        accs = cm.accumulators
-        rows = _centred(np.stack([a.counts for a in accs]), [a.n_bundled for a in accs])
-    else:
-        rows = cm.deployed
+    rows = _centred(cm.counts, cm.sizes) if dot else cm.deployed
     scores = []
     for start in range(0, len(batch), QUERY_BLOCK):
         part = batch[start : start + QUERY_BLOCK]
@@ -169,22 +160,21 @@ def predict(batch, cm, backend, ledger=None):
 
 
 def retrain(cm, batch, epochs, backend, ledger=None):
-    """Mispredicted samples move between accumulators; deployments refresh per epoch.
+    """Mispredicted samples move between class bundles; deployments refresh per epoch.
 
-    Each misclassified sample is subtracted from the predicted class and
-    added to its true class. Deployed binary rows are re-binarized at epoch
-    end, not per update, so binary backends predict a whole epoch in one
-    batch. ideal_dot scores the accumulators themselves, which every update
+    Each misclassified sample is subtracted from the predicted class's count
+    row and added to its true class's. Deployed binary rows are re-binarized
+    at epoch end, not per update, so binary backends predict a whole epoch in
+    one batch. ideal_dot scores the count rows themselves, which every update
     changes, so it predicts online, one sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     row = {label: k for k, label in enumerate(cm.labels)}
-    # out shares this list, so online predictions see every update at once.
-    accumulators = list(cm.accumulators)
-    out = ClassMemory(cm.labels, accumulators, cm.deployed)
+    # out shares these arrays, so online predictions see every update at once.
+    counts, sizes = cm.counts.copy(), cm.sizes.copy()
+    out = ClassMemory(cm.labels, counts, sizes, cm.deployed)
     online = backend.kind == "ideal_dot"
-    dim = batch.bits.shape[1]
     for _ in range(epochs):
         if len(batch) and not online:
             predicted, _ = predict(batch, out, backend, ledger)
@@ -192,12 +182,14 @@ def retrain(cm, batch, epochs, backend, ledger=None):
         for i, label in enumerate(batch.labels):
             guess = predict(batch[i : i + 1], out, backend, ledger)[0][0] if online else predicted[i]
             if guess != label:
-                hv = BipolarHV(dim, batch.bits[i])
-                accumulators[row[guess]] = bundle_sub(accumulators[row[guess]], hv)
-                accumulators[row[label]] = bundle_add(accumulators[row[label]], hv)
+                old, new = row[guess], row[label]
+                counts[old] = bundle_sub(counts[old], batch.bits[i], sizes[old])
+                counts[new] = bundle_add(counts[new], batch.bits[i])
+                sizes[old] -= 1
+                sizes[new] += 1
                 updates += 1
         charge_to(ledger, "addition", 2 * updates)
-        out = _deploy(cm.labels, accumulators)
+        out = _deploy(cm.labels, counts, sizes)
     return out
 
 

@@ -21,21 +21,19 @@ from hdcam.cam import (
     solve_bank_currents,
     transfer_curve,
 )
-from hdcam.config import ExperimentConfig
 from hdcam.errors import (
     AlignmentError,
     CalibrationWarning,
     CapacityError,
-    ConfigError,
     DimensionError,
 )
-from hdcam.hvcore import BipolarHV, hamming, hamming_matrix, random_hv
+from hdcam.hvcore import hamming_matrix, random_bits
 from hdcam.learner import ClassMemory, Encoded, SimilarityBackend, predict
-from hdcam.lta import SensingSpec
 
 
-def _rows(hvs):
-    return np.stack([hv.bits for hv in hvs])
+def _rand(dim, rng):
+    """One random bit row."""
+    return random_bits(1, dim, rng)[0]
 
 
 class TestVoltageProfile:
@@ -70,14 +68,6 @@ class TestAnalogParams:
         p = replace(AnalogParams(), g_cell=1e-5)
         assert p.i_cell_nominal == pytest.approx(1e-5 * 0.4**2)
 
-    def test_floor_must_be_small(self):
-        # The one sensing floor lives in SensingSpec; the config keeps it far
-        # below a single mismatch's current.
-        with pytest.raises(ConfigError):
-            ExperimentConfig(sensing=SensingSpec(floor=1e-7))
-        with pytest.raises(ConfigError):
-            ExperimentConfig(analog=AnalogParams(gamma=0.3, v_th=0.29))
-
     def test_threshold_must_leave_overdrive(self):
         with pytest.raises(ValueError):
             AnalogParams(gamma=0.5, v_th=0.6)
@@ -87,44 +77,46 @@ class TestLoadRows:
     """Rows are a plain (n_rows, dim) matrix: bit 128*k + c is bank k, column c."""
 
     def test_single_class_dim128(self, rng):
-        hv = random_hv(128, rng)
-        query = hv.bits.copy()
+        hv = _rand(128, rng)
+        query = hv.copy()
         query[5] ^= 1
         params = AnalogParams()
-        current = analog_currents(_rows([hv]), query, VoltageProfile.uniform(1.0), params)
+        current = analog_currents(hv[None], query, VoltageProfile.uniform(1.0), params)
         w = column_currents(VoltageProfile.uniform(1.0).column_voltages(), params)
         assert current.shape == (1, 1)
         assert current[0, 0] == w[5]
 
     def test_dim2048_uses_16_banks(self, rng):
-        hv = random_hv(2048, rng)
-        query = hv.bits.copy()
+        hv = _rand(2048, rng)
+        query = hv.copy()
         query[127::128] ^= 1  # the far column of every bank
         params = AnalogParams()
         prof = VoltageProfile((1.2, 1.1, 1.0, 0.9))
-        current = search_analog(_rows([hv]), query, prof, params)[0]
+        current = search_analog(hv[None], query, prof, params)[0]
         w = column_currents(prof.column_voltages(), params)
         assert current == pytest.approx(16 * w[127], rel=1e-12)
 
     def test_column_mapping(self, rng):
-        hv = random_hv(256, rng)
+        hv = _rand(256, rng)
         prof = VoltageProfile((1.2, 1.1, 1.0, 0.9))
         params = AnalogParams()
         w = column_currents(prof.column_voltages(), params)
         for bit, column in ((3, 3), (128 + 3, 3), (128 + 100, 100)):
-            query = hv.bits.copy()
+            query = hv.copy()
             query[bit] ^= 1
-            assert search_analog(_rows([hv]), query, prof, params)[0] == w[column]
+            assert search_analog(hv[None], query, prof, params)[0] == w[column]
 
     def test_capacity(self, rng):
+        bits = random_bits(129, 128, rng)
         with pytest.raises(CapacityError):
-            ClassMemory(list(range(129)), [], _rows([random_hv(128, rng) for _ in range(129)]))
+            ClassMemory(list(range(129)), bits.astype(np.int16), np.ones(129, dtype=np.int64), bits)
 
     def test_undeployed_memory(self, rng):
         with pytest.raises(ValueError):
-            query = random_hv(128, rng).bits[None]
+            query = _rand(128, rng)[None]
             predict(Encoded(query, query.astype(np.int16), np.ones(1), [None]),
-                    ClassMemory([], [], np.zeros((0, 128), dtype=np.uint8)),
+                    ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
+                                np.zeros((0, 128), dtype=np.uint8)),
                     SimilarityBackend(kind="ideal_hamming"))
 
 
@@ -132,21 +124,21 @@ class TestSearchIdeal:
     """Ideal search reads exact Hamming distances off hvcore.hamming_matrix."""
 
     def test_exact_and_complement(self, rng):
-        hv = random_hv(512, rng)
-        comp = BipolarHV(512, hv.bits ^ 1)
-        dists = hamming_matrix(hv.bits, _rows([hv, comp]))
+        hv = _rand(512, rng)
+        comp = hv ^ 1
+        dists = hamming_matrix(hv, np.stack([hv, comp]))
         assert dists.tolist() == [[0, 512]]
 
     def test_matches_hvcore_hamming(self, rng):
-        rows = [random_hv(1024, rng) for _ in range(7)]
-        query = random_hv(1024, rng)
-        dists = hamming_matrix(query.bits, _rows(rows))[0]
+        rows = [_rand(1024, rng) for _ in range(7)]
+        query = _rand(1024, rng)
+        dists = hamming_matrix(query, np.stack(rows))[0]
         for i, row in enumerate(rows):
-            assert dists[i] == hamming(query, row) == np.count_nonzero(query.bits != row.bits)
+            assert dists[i] == np.count_nonzero(query != row)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            hamming_matrix(random_hv(128, rng).bits, _rows([random_hv(256, rng)]))
+            hamming_matrix(_rand(128, rng), _rand(256, rng)[None])
 
 
 def _oracle_bank_current(mism_row, v_cols, params):
@@ -204,8 +196,8 @@ def _analog_case(draw):
 
 class TestSolveMl:
     def test_zero_mismatches(self, rng):
-        hv = random_hv(256, rng)
-        assert analog_currents(hv.bits, hv.bits, VoltageProfile.uniform(1.0), AnalogParams())[0, 0] == 0.0
+        hv = _rand(256, rng)
+        assert analog_currents(hv, hv, VoltageProfile.uniform(1.0), AnalogParams())[0, 0] == 0.0
 
     def test_single_nearest_mismatch_no_resistance(self):
         params = AnalogParams(r_segment=0.0)
@@ -254,21 +246,21 @@ class TestSolveMl:
     def test_bank_additivity(self, rng):
         params = AnalogParams()
         prof = VoltageProfile.uniform(1.0)
-        row, query = random_hv(512, rng), random_hv(512, rng)
-        total = analog_currents(row.bits, query.bits, prof, params)[0, 0]
-        mism = (row.bits != query.bits).reshape(4, 128)
+        row, query = _rand(512, rng), _rand(512, rng)
+        total = analog_currents(row, query, prof, params)[0, 0]
+        mism = (row != query).reshape(4, 128)
         bank_currents = solve_bank_currents(mism, prof.column_voltages(), params)
         assert bank_currents.shape == (4,)
         assert total == float(bank_currents.sum())
         per_bank = [
-            analog_currents(row.bits[b * 128 : (b + 1) * 128], query.bits[b * 128 : (b + 1) * 128], prof, params)[0, 0]
+            analog_currents(row[b * 128 : (b + 1) * 128], query[b * 128 : (b + 1) * 128], prof, params)[0, 0]
             for b in range(4)
         ]
         assert total == pytest.approx(sum(per_bank), rel=1e-12)
 
     def test_length_mismatch(self, rng):
         with pytest.raises(DimensionError):
-            analog_currents(random_hv(256, rng).bits, random_hv(128, rng).bits, VoltageProfile.uniform(), AnalogParams())
+            analog_currents(_rand(256, rng), _rand(128, rng), VoltageProfile.uniform(), AnalogParams())
 
     @pytest.mark.parametrize("width", [0, 100, 200])
     def test_unaligned_width(self, width):
@@ -320,30 +312,30 @@ class TestSolveMl:
 class TestSearchAnalog:
     def test_r0_perfectly_linear(self, rng):
         params = AnalogParams(r_segment=0.0)
-        rows = [random_hv(512, rng) for _ in range(5)]
-        query = random_hv(512, rng)
-        for row, current in enumerate(search_analog(_rows(rows), query.bits, VoltageProfile.uniform(1.0), params)):
-            h = hamming(query, rows[row])
+        rows = [_rand(512, rng) for _ in range(5)]
+        query = _rand(512, rng)
+        for row, current in enumerate(search_analog(np.stack(rows), query, VoltageProfile.uniform(1.0), params)):
+            h = np.count_nonzero(query != rows[row])
             assert current == pytest.approx(h * params.i_cell_nominal, rel=1e-12)
 
     def test_r0_argmin_matches_ideal(self, rng):
         params = AnalogParams(r_segment=0.0)
         for trial in range(5):
-            rows = _rows([random_hv(512, rng) for _ in range(8)])
-            query = random_hv(512, rng)
-            dists = hamming_matrix(query.bits, rows)[0]
+            rows = np.stack([_rand(512, rng) for _ in range(8)])
+            query = _rand(512, rng)
+            dists = hamming_matrix(query, rows)[0]
             if len(set(dists.tolist())) < len(dists):
                 continue
-            currents = search_analog(rows, query.bits, VoltageProfile.uniform(1.0), params)
+            currents = search_analog(rows, query, VoltageProfile.uniform(1.0), params)
             assert int(np.argmin(currents)) == int(np.argmin(dists))
 
     def test_deterministic(self, rng):
         params = AnalogParams()
-        rows = _rows([random_hv(256, rng) for _ in range(4)])
-        query = random_hv(256, rng)
+        rows = np.stack([_rand(256, rng) for _ in range(4)])
+        query = _rand(256, rng)
         prof = VoltageProfile.uniform(1.0)
-        r1 = search_analog(rows, query.bits, prof, params)
-        r2 = search_analog(rows, query.bits, prof, params)
+        r1 = search_analog(rows, query, prof, params)
+        r2 = search_analog(rows, query, prof, params)
         assert np.array_equal(r1, r2)
 
 

@@ -338,6 +338,14 @@ class TestCli:
         assert rc == 0, capsys.readouterr().err
         assert load_profile(tmp_path / "profile.ini").levels == (1.2, 1.2, 1.2, 0.8)
 
+    @pytest.mark.parametrize("verb", ["transfer-curve", "calibrate"])
+    def test_analog_verbs_do_not_check_the_sensing_floor(self, tmp_path, verb):
+        # Neither verb reads [sensing], so a g_cell whose mismatch current falls
+        # below the sensing floor is no error for them.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[analog]\ng_cell = 1e-9\n")
+        assert main([verb, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
     def test_cost_report_verb(self, tmp_path, capsys):
         rc = main(["cost-report", "--out", str(tmp_path)])
         assert rc == 0

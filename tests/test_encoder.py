@@ -9,8 +9,6 @@ from hdcam import encoder as enc_mod
 from hdcam.cost import CostLedger
 from hdcam.encoder import (
     EncodingConfig,
-    ItemMemory,
-    LevelMemory,
     build_item_memory,
     build_level_memory,
     encode_ngram,
@@ -21,27 +19,22 @@ from hdcam.config import ExperimentConfig
 from hdcam.datasets import SyntheticSpec, make_language_corpus, make_record_blobs
 from hdcam.errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
 from hdcam.experiments import build_encoding_context, encode_subset
-from hdcam.hvcore import (
-    AccumulatorHV,
-    BipolarHV,
-    Rng,
-    binarize,
-    bind,
-    bundle_add,
-    hamming,
-    permute_shift,
-    random_hv,
-)
+from hdcam.hvcore import Rng, binarize, bind, bundle_add, hamming_matrix, permute_shift, random_bits
+
+
+def _dist(a, b):
+    return int(hamming_matrix(a, b)[0, 0])
 
 
 class TestItemMemory:
     def test_quasi_orthogonality_band(self, rng):
         im = build_item_memory(26, 2048, rng)
-        hvs = list(im.symbols.values())
+        assert im.shape == (26, 2048) and im.dtype == np.uint8
+        dists = hamming_matrix(im, im)
         lo, hi = 1024 - 4 * math.sqrt(2048), 1024 + 4 * math.sqrt(2048)
         for i in range(26):
             for j in range(i + 1, 26):
-                assert lo <= hamming(hvs[i], hvs[j]) <= hi
+                assert lo <= dists[i, j] <= hi
 
     def test_single_symbol(self, rng):
         assert len(build_item_memory(1, 128, rng)) == 1
@@ -53,7 +46,7 @@ class TestItemMemory:
     def test_generation_error_after_retry(self, rng, monkeypatch):
         calls = []
         monkeypatch.setattr(
-            enc_mod, "_pairwise_quasi_orthogonal", lambda hvs, dim: calls.append(1) and False
+            enc_mod, "_pairwise_quasi_orthogonal", lambda rows: calls.append(1) and False
         )
         with pytest.raises(GenerationError):
             build_item_memory(3, 128, rng)
@@ -63,12 +56,13 @@ class TestItemMemory:
 class TestLevelMemory:
     def test_two_levels_half_distance(self, rng):
         lm = build_level_memory(2, 2048, rng)
-        assert hamming(lm.levels[0], lm.levels[1]) == 1024
+        assert lm.shape == (2, 2048) and lm.dtype == np.uint8
+        assert _dist(lm[0], lm[1]) == 1024
 
     def test_five_levels_proportional(self, rng):
         lm = build_level_memory(5, 2048, rng)
-        assert hamming(lm.levels[0], lm.levels[4]) == 1024
-        assert hamming(lm.levels[0], lm.levels[2]) == 512
+        assert _dist(lm[0], lm[4]) == 1024
+        assert _dist(lm[0], lm[2]) == 512
 
     def test_too_many_levels(self, rng):
         with pytest.raises(TooManyLevelsError):
@@ -79,38 +73,36 @@ class TestLevelMemory:
         by_sep = {}
         for i in range(9):
             for j in range(i + 1, 9):
-                by_sep.setdefault(j - i, []).append(hamming(lm.levels[i], lm.levels[j]))
+                by_sep.setdefault(j - i, []).append(_dist(lm[i], lm[j]))
         for d in range(2, 9):
             assert min(by_sep[d]) >= max(by_sep[d - 1])
 
     def test_endpoints_exact_even_when_uneven_blocks(self, rng):
         # 7 levels over 512 dims: 256 flips split into 6 blocks of 42/43
         lm = build_level_memory(7, 512, rng)
-        assert hamming(lm.levels[0], lm.levels[6]) == 256
+        assert _dist(lm[0], lm[6]) == 256
 
 
 class TestQuantize:
-    def setup_method(self):
-        levels = [BipolarHV(128, np.zeros(128, dtype=np.uint8)) for _ in range(4)]
-        self.lm = LevelMemory(levels)
+    L = 4
 
     def test_min_maps_to_zero(self):
-        assert quantize(0.0, self.lm) == 0
+        assert quantize(0.0, self.L) == 0
 
     def test_max_maps_to_top(self):
-        assert quantize(1.0, self.lm) == 3
+        assert quantize(1.0, self.L) == 3
 
     def test_midpoint(self):
-        assert quantize(0.5, self.lm) == 2
+        assert quantize(0.5, self.L) == 2
 
     def test_clamping(self):
-        assert quantize(-5.0, self.lm) == 0
-        assert quantize(5.0, self.lm) == 3
+        assert quantize(-5.0, self.L) == 0
+        assert quantize(5.0, self.L) == 3
 
     @given(x=st.floats(-1, 2), y=st.floats(-1, 2))
     def test_monotone(self, x, y):
         if x <= y:
-            assert quantize(x, self.lm) <= quantize(y, self.lm)
+            assert quantize(x, self.L) <= quantize(y, self.L)
 
 
 def _toy_memories(n_features, dim, rng, L=4):
@@ -122,39 +114,36 @@ def _toy_memories(n_features, dim, rng, L=4):
 class TestEncodeRecord:
     def test_single_feature_equals_bound_vector(self, rng):
         im, lm = _toy_memories(1, 128, rng)
-        acc = encode_record([0.6], im, lm)
-        expected = bind(im.symbols[0], lm.levels[quantize(0.6, lm)])
-        assert np.array_equal(acc.counts, expected.bits.astype(np.int16))
-        assert acc.n_bundled == 1
+        counts, size = encode_record([0.6], im, lm)
+        expected = bind(im[0], lm[quantize(0.6, 4)])
+        assert counts.dtype == np.int16
+        assert np.array_equal(counts, expected.astype(np.int16))
+        assert size == 1
 
     def test_identical_features_identical_basis(self, rng):
-        hv = random_hv(128, rng)
-        im = ItemMemory(128, {0: hv, 1: hv})
+        im = np.repeat(random_bits(1, 128, rng), 2, axis=0)
         lm = build_level_memory(4, 128, rng)
-        acc = encode_record([0.3, 0.3], im, lm)
-        assert set(np.unique(acc.counts)) <= {0, 2}
+        counts, _ = encode_record([0.3, 0.3], im, lm)
+        assert set(np.unique(counts)) <= {0, 2}
 
     def test_three_feature_brute_force(self, rng):
         im, lm = _toy_memories(3, 256, rng)
         features = [0.1, 0.5, 0.9]
-        acc = encode_record(features, im, lm)
+        counts, size = encode_record(features, im, lm)
         expected = np.zeros(256, dtype=np.int64)
         for pos, x in enumerate(features):
-            bound = im.symbols[pos].bits ^ lm.levels[quantize(x, lm)].bits
-            expected += bound
-        assert np.array_equal(acc.counts, expected.astype(np.int16))
-        assert acc.n_bundled == 3
+            expected += im[pos] ^ lm[quantize(x, 4)]
+        assert np.array_equal(counts, expected.astype(np.int16))
+        assert size == 3
 
     def test_accumulation_order_irrelevant(self, rng):
         im, lm = _toy_memories(5, 256, rng)
         features = [0.1, 0.3, 0.5, 0.7, 0.9]
-        acc = encode_record(features, im, lm)
-        shuffled = AccumulatorHV.zeros(256)
+        counts, _ = encode_record(features, im, lm)
+        shuffled = np.zeros(256, dtype=np.int16)
         for pos in [3, 0, 4, 1, 2]:
-            shuffled = bundle_add(
-                shuffled, bind(im.symbols[pos], lm.levels[quantize(features[pos], lm)])
-            )
-        assert np.array_equal(acc.counts, shuffled.counts)
+            shuffled = bundle_add(shuffled, bind(im[pos], lm[quantize(features[pos], 4)]))
+        assert np.array_equal(counts, shuffled)
 
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)
@@ -174,58 +163,57 @@ class TestEncodeNgram:
     def test_n1_plain_bundle(self, rng):
         im = build_item_memory(4, 128, rng)
         cfg = EncodingConfig(scheme="record", n=1, dim=128)
-        acc = encode_ngram([0, 1, 2], 1, im, cfg)
+        counts, size = encode_ngram([0, 1, 2], 1, im, cfg)
         expected = np.zeros(128, dtype=np.int64)
         for s in (0, 1, 2):
-            expected += im.symbols[s].bits
-        assert np.array_equal(acc.counts, expected.astype(np.int16))
+            expected += im[s]
+        assert np.array_equal(counts, expected.astype(np.int16))
+        assert size == 3
 
     def test_n1_reversal_invariant(self, rng):
         im = build_item_memory(4, 128, rng)
         cfg = EncodingConfig(scheme="record", n=1, dim=128)
-        a = encode_ngram([0, 1, 2], 1, im, cfg)
-        b = encode_ngram([2, 1, 0], 1, im, cfg)
-        assert np.array_equal(a.counts, b.counts)
+        a, _ = encode_ngram([0, 1, 2], 1, im, cfg)
+        b, _ = encode_ngram([2, 1, 0], 1, im, cfg)
+        assert np.array_equal(a, b)
 
     def test_bigram_single_window(self, rng):
         im = build_item_memory(2, 128, rng)
         cfg = EncodingConfig(scheme="ngram", n=2, dim=128)
-        acc = encode_ngram([0, 1], 2, im, cfg)
-        gram = bind(permute_shift(im.symbols[0], 1), im.symbols[1])
-        assert np.array_equal(acc.counts, gram.bits.astype(np.int16))
+        counts, size = encode_ngram([0, 1], 2, im, cfg)
+        gram = bind(permute_shift(im[0], 1), im[1])
+        assert np.array_equal(counts, gram.astype(np.int16))
+        assert size == 1
 
     def test_trigram_brute_force_shift_mode(self, rng):
         im = build_item_memory(5, 256, rng)
         cfg = EncodingConfig(scheme="ngram", n=3, dim=256)
         seq = [0, 3, 1, 4, 2]
-        acc = encode_ngram(seq, 3, im, cfg)
+        counts, size = encode_ngram(seq, 3, im, cfg)
         expected = np.zeros(256, dtype=np.int64)
         for t in range(len(seq) - 2):
-            gram = im.symbols[seq[t + 2]].bits.copy()
-            gram ^= permute_shift(im.symbols[seq[t + 1]], 1).bits
-            gram ^= permute_shift(im.symbols[seq[t]], 2).bits
+            gram = im[seq[t + 2]] ^ permute_shift(im[seq[t + 1]], 1) ^ permute_shift(im[seq[t]], 2)
             expected += gram
-        assert np.array_equal(acc.counts, expected.astype(np.int16))
+        assert np.array_equal(counts, expected.astype(np.int16))
+        assert size == 3
 
     def test_order_sensitive_for_n2(self, rng):
         im = build_item_memory(4, 256, rng)
         cfg = EncodingConfig(scheme="ngram", n=2, dim=256)
-        a = encode_ngram([0, 1, 2, 3], 2, im, cfg)
-        b = encode_ngram([3, 2, 1, 0], 2, im, cfg)
-        assert not np.array_equal(a.counts, b.counts)
+        a, _ = encode_ngram([0, 1, 2, 3], 2, im, cfg)
+        b, _ = encode_ngram([3, 2, 1, 0], 2, im, cfg)
+        assert not np.array_equal(a, b)
 
     def test_drop_mode_matches_shift_except_tail(self, rng):
         im = build_item_memory(3, 2048, rng)
         cfg = EncodingConfig(scheme="ngram", n=3, permute_mode="drop", drop_width=8, dim=2048)
         seq = [0, 1, 2]
-        acc = encode_ngram(seq, 3, im, cfg, rng=Rng(9))
+        counts, _ = encode_ngram(seq, 3, im, cfg, rng=Rng(9))
         # same gram built with matched-displacement wrap-around shifts
-        gram = im.symbols[2].bits.copy()
-        gram ^= permute_shift(im.symbols[1], 8).bits
-        gram ^= permute_shift(im.symbols[0], 16).bits
-        diff = np.count_nonzero(acc.counts != gram.astype(np.int16))
+        gram = im[2] ^ permute_shift(im[1], 8) ^ permute_shift(im[0], 16)
+        diff = np.count_nonzero(counts != gram.astype(np.int16))
         assert diff <= 3 * 8
-        assert np.array_equal(acc.counts[: 2048 - 16], gram[: 2048 - 16].astype(np.int16))
+        assert np.array_equal(counts[: 2048 - 16], gram[: 2048 - 16].astype(np.int16))
 
     def test_too_short_sequence(self, rng):
         im = build_item_memory(3, 128, rng)
@@ -275,18 +263,18 @@ class TestEncodeSubset:
         ledger = CostLedger(256)
         batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
         rng, expected_ledger = Rng(8), CostLedger(256)
-        accs = []
+        bundles = []
         for i in indices:
             if scheme == "record":
                 x = (np.asarray(ds.samples[i]) - ctx.feature_min) / ctx.feature_range
-                accs.append(encode_record(x, ctx.item_memory, ctx.level_memory, expected_ledger))
+                bundles.append(encode_record(x, ctx.item_memory, ctx.level_memory, expected_ledger))
             else:
                 seq = [ctx.vocab[c] for c in ds.samples[i]]
-                accs.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
+                bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
         assert batch.counts.dtype == np.int16
-        assert np.array_equal(batch.counts, np.stack([acc.counts for acc in accs]))
-        assert batch.sizes.tolist() == [acc.n_bundled for acc in accs]
-        assert np.array_equal(batch.bits, np.stack([binarize(acc).bits for acc in accs]))
+        assert np.array_equal(batch.counts, np.stack([counts for counts, _ in bundles]))
+        assert batch.sizes.tolist() == [size for _, size in bundles]
+        assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
         assert batch.labels == [ds.labels[i] for i in indices]
         assert ledger.counts == expected_ledger.counts
 

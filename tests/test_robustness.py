@@ -233,9 +233,19 @@ class TestCliErrors:
         "[sensing]\nfloor = 1e-7\n",
     ])
     def test_bad_config(self, tmp_path, text):
+        # The analog backend, because the sensing floor is checked where it meets
+        # the analog params; every other case fails as the config loads.
         cfg = tmp_path / "cfg.ini"
         cfg.write_text(text)
-        self._check(tmp_path, ["classify", "--config", str(cfg)])
+        self._check(tmp_path, ["classify", "--backend", "analog", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("verb", ["classify", "cluster"])
+    def test_sensing_floor_above_mismatch_current(self, tmp_path, verb):
+        # g_cell = 1e-9 S puts one mismatch's current below the 1e-9 A floor.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[analog]\ng_cell = 1e-9\n")
+        err = self._check(tmp_path, [verb, "--backend", "analog", "--config", str(cfg), "--dim", "256"])
+        assert "sensing floor 1e-09 A is not well below one mismatch's current 1.6e-10 A" in err
 
     @pytest.mark.parametrize("scheme, kind, body", [
         ("ngram", "feature_csv", GOOD_DATA),

@@ -50,9 +50,6 @@ MTJ_R_ANTIPARALLEL_OHM = 3.44e6
 N_SEGMENTS = 4
 SEGMENT_COLS = BANK_COLS // N_SEGMENTS
 
-# Fixed shuffle seed of the "random-seeded" mismatch placement rule.
-DEFAULT_PLACEMENT_SEED = 12021
-
 # Calibration search: levels move on a CAL_GRID_STEP grid inside [CAL_V_LO,
 # CAL_V_HI] for at most CAL_MAX_SWEEPS coordinate sweeps.
 CAL_GRID_STEP = 0.01
@@ -60,7 +57,8 @@ CAL_V_LO = 0.8
 CAL_V_HI = 1.2
 CAL_MAX_SWEEPS = 25
 
-PLACEMENT_RULES = ("nearest-first", "farthest-first", "random-seeded")
+# Seed of the column shuffle that places a transfer curve's mismatches.
+PLACEMENT_SEED = 12021
 
 
 @dataclass
@@ -168,31 +166,23 @@ def search_analog(rows_bits, query_bits, profile, params):
     return analog_currents(rows_bits, query_bits, profile, params)[0]
 
 
-def _placement_order(rule, seed):
-    if rule == "nearest-first":
-        return np.arange(BANK_COLS)
-    if rule == "farthest-first":
-        return np.arange(BANK_COLS - 1, -1, -1)
-    if rule == "random-seeded":
-        return np.random.default_rng(seed).permutation(BANK_COLS)
-    raise ValueError(f"placement rule must be one of {PLACEMENT_RULES}, got {rule!r}")
+def transfer_curve(profile, params):
+    """Per-bank sensed current for h = 0..128 mismatches, a (129,) array indexed by h.
 
-
-def transfer_curve(profile, params, placement_rule="random-seeded", placement_seed=DEFAULT_PLACEMENT_SEED):
-    """Per-bank (hamming, current) curve for h = 0..128 mismatches.
-
-    Mismatch positions for h are the first h entries of the placement order,
-    so successive points share a placement prefix.
+    Mismatch positions for h are the first h columns of one shuffle with the
+    fixed PLACEMENT_SEED, so each segment's cells spread over the whole range
+    and successive points share a placement prefix.
     """
-    order = _placement_order(placement_rule, placement_seed)
+    order = np.random.default_rng(PLACEMENT_SEED).permutation(BANK_COLS)
     weights = column_currents(profile.column_voltages(), params)[order]
-    totals = np.concatenate(([0.0], np.cumsum(weights)))
-    return list(enumerate(totals.tolist()))
+    return np.concatenate(([0.0], np.cumsum(weights)))
 
 
 def max_line_deviation(curve):
-    """Largest absolute deviation of a transfer curve from its least-squares line."""
-    h, c = np.asarray(curve, dtype=np.float64).T
+    """Largest absolute deviation of a transfer curve, currents indexed by
+    Hamming distance, from its least-squares line."""
+    c = np.asarray(curve, dtype=np.float64)
+    h = np.arange(len(c), dtype=np.float64)
     hc, cc = h - h.mean(), c - c.mean()
     slope = (hc @ cc) / (hc @ hc)
     return float(np.abs(cc - slope * hc).max())
@@ -203,7 +193,7 @@ def calibrate_profile(params):
 
     Levels move on the calibration grid, constrained non-increasing toward
     the sensing node, minimizing the maximum deviation from the best-fit line
-    of the h = 0..128 curve under the random-seeded placement rule.
+    of the h = 0..128 transfer curve.
     Deterministic for fixed params. Warns if nothing beats the uniform 1 V
     profile.
     """

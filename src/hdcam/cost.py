@@ -121,19 +121,8 @@ class CostLedger:
         return sum(n * self.table.ops[op].hydra_latency_ns for op, n in self.counts.items())
 
     @property
-    def cmos_energy_pj(self):
-        return sum(n * self.table.ops[op].cmos_energy_pj for op, n in self.counts.items())
-
-    @property
     def cmos_net_energy_pj(self):
         return sum(n * self.table.ops[op].cmos_net_energy_pj for op, n in self.counts.items())
-
-    @property
-    def cmos_latency_ns(self):
-        return sum(
-            n * self.table.ops[op].cmos_cycles * self.table.cmos_cycle_ns
-            for op, n in self.counts.items()
-        )
 
 
 def charge_to(ledger, op_kind, count=1):

@@ -8,25 +8,26 @@ letter-Markov language corpus, and planted hypervector blobs for clustering.
 
 import math
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
 from .hvcore import random_bits
 
-DATASET_KINDS = ("feature_csv", "text_corpus", "synthetic_blobs")
-
 
 @dataclass
 class Dataset:
-    """Samples (a list, or a bit matrix for synthetic_blobs) plus optional
-    labels and range metadata."""
+    """Samples plus optional labels, one per sample.
+
+    The samples of a feature_csv dataset are one (n, F) float64 matrix, those
+    of a text_corpus a list of strings, and those of synthetic_blobs an
+    (n, dim) uint8 bit matrix.
+    """
 
     kind: str
-    samples: list
+    samples: object
     labels: list = None
-    metadata: dict = field(default_factory=dict)
 
     @property
     def n(self):
@@ -58,14 +59,6 @@ class SyntheticSpec:
             raise ConfigError("noise must be non-negative and blob_max_flip_fraction in [0, 1]")
 
 
-def _feature_metadata(rows):
-    arr = np.asarray(rows, dtype=np.float64)
-    return {
-        "feature_min": arr.min(axis=0).tolist(),
-        "feature_max": arr.max(axis=0).tolist(),
-    }
-
-
 def _numbered_lines(path):
     try:
         with open(path) as f:
@@ -75,7 +68,8 @@ def _numbered_lines(path):
 
 
 def ingest(path, kind):
-    """Parse a dataset file; errors carry the offending line number."""
+    """Parse a dataset file line by line; errors carry the offending line
+    number. Feature rows are stacked once, at the end, into an (n, F) matrix."""
     if kind == "feature_csv":
         samples, labels = [], []
         arity = None
@@ -103,11 +97,12 @@ def ingest(path, kind):
             labels.append(parts[-1].strip())
         if not samples:
             raise EmptyDatasetError(f"no samples in {path}")
-        metadata = _feature_metadata(samples)
-        spans = (hi - lo for hi, lo in zip(metadata["feature_max"], metadata["feature_min"]))
-        if not all(map(math.isfinite, spans)):
+        samples = np.array(samples, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            spans = samples.max(axis=0) - samples.min(axis=0)
+        if not np.isfinite(spans).all():
             raise ParseError("feature range exceeds the float range")
-        return Dataset("feature_csv", samples, labels, metadata)
+        return Dataset("feature_csv", samples, labels)
     if kind == "text_corpus":
         samples, labels = [], []
         for lineno, raw in _numbered_lines(path):
@@ -123,21 +118,20 @@ def ingest(path, kind):
             labels.append(label.strip())
         if not samples:
             raise EmptyDatasetError(f"no samples in {path}")
-        return Dataset("text_corpus", samples, labels, {})
+        return Dataset("text_corpus", samples, labels)
     raise ParseError(f"unknown dataset kind: {kind!r}")
 
 
 def make_record_blobs(spec, rng):
-    """Gaussian class blobs in feature space, clipped to [0, 1]."""
+    """Gaussian class blobs in feature space, clipped to [0, 1]: row i belongs
+    to class i mod classes. The one (samples, features) normal draw is the
+    same stream as one draw per row."""
     gen = rng.generator
     protos = gen.uniform(0.0, 1.0, size=(spec.classes, spec.features))
-    samples, labels = [], []
-    for i in range(spec.samples):
-        c = i % spec.classes
-        x = np.clip(protos[c] + gen.normal(0.0, spec.noise, size=spec.features), 0.0, 1.0)
-        samples.append(x.tolist())
-        labels.append(f"class_{c}")
-    return Dataset("feature_csv", samples, labels, _feature_metadata(samples))
+    classes = np.arange(spec.samples) % spec.classes
+    noise = gen.normal(0.0, spec.noise, size=(spec.samples, spec.features))
+    samples = np.clip(protos[classes] + noise, 0.0, 1.0)
+    return Dataset("feature_csv", samples, [f"class_{c}" for c in classes])
 
 
 def make_language_corpus(spec, rng):
@@ -155,14 +149,14 @@ def make_language_corpus(spec, rng):
             chars.append(int(gen.choice(a, p=transitions[lang][chars[-1]])))
         samples.append("".join(alphabet[c] for c in chars))
         labels.append(f"lang_{lang}")
-    return Dataset("text_corpus", samples, labels, {"alphabet": alphabet})
+    return Dataset("text_corpus", samples, labels)
 
 
 def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
     """Planted hypervector blobs: each point flips at most dim * fraction bits
     of its blob center. Returns a synthetic_blobs dataset whose samples are a
-    (K * points_per_blob, dim) bit matrix, with planted labels and the (K, dim)
-    centers in the metadata."""
+    (K * points_per_blob, dim) bit matrix, with planted labels. The (K, dim)
+    centers are the first draw from rng, random_bits(K, dim, rng)."""
     gen = rng.generator
     max_flips = int(dim * max_flip_fraction)
     centers = random_bits(K, dim, rng)
@@ -172,9 +166,7 @@ def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
         if n_flips:
             bits[gen.choice(dim, size=n_flips, replace=False)] ^= 1
     labels = [k for k in range(K) for _ in range(points_per_blob)]
-    return Dataset(
-        "synthetic_blobs", points, labels, {"centers": centers, "max_flips": max_flips}
-    )
+    return Dataset("synthetic_blobs", points, labels)
 
 
 def purity(assignments, labels):

@@ -1,12 +1,12 @@
 """Item/level memories and record / n-gram MAP encoders.
 
 Item and level memories are (V, dim) and (L, dim) bit matrices, one row per
-symbol or level. Record encoding binds the item row of each feature position
-to the level row of the quantized feature value and bundles the results.
-N-gram encoding binds permuted symbol rows across a sliding window,
-permuting older symbols more, and bundles all windows. Both encoders return
-a bundle as (counts, size): the (dim,) int16 count row and the number of
-rows bundled.
+symbol or level. Record encoding binds each feature position's item row to
+the level row of the quantized value and bundles over positions, for a whole
+(n, F) batch of feature rows at once. N-gram encoding binds permuted symbol
+rows across a sliding window of one sequence, permuting older symbols more,
+and bundles all windows. Bundles are int16 counts plus the number of rows
+bundled.
 """
 
 import math
@@ -96,20 +96,30 @@ def build_level_memory(L, dim, rng):
 
 
 def quantize(x, L):
-    """Uniform bin of x over [0, 1] among L levels, clamped to [0, L-1]."""
-    return min(max(math.floor(x * L), 0), L - 1)
+    """Uniform bin of each x over [0, 1] among L levels: floor(x * L), clamped to [0, L-1]."""
+    return np.clip(np.floor(np.asarray(x, dtype=np.float64) * L), 0, L - 1).astype(np.intp)
 
 
 def encode_record(features, im, lm, ledger=None):
-    """Spatial encoding: bundle bind(item row f, level row of feature f) over features."""
-    if len(features) != len(im):
-        raise DimensionError(f"expected {len(im)} features, got {len(features)}")
-    counts = np.zeros(im.shape[1], dtype=np.int16)
-    for pos, x in enumerate(features):
-        counts = bundle_add(counts, bind(im[pos], lm[quantize(x, len(lm))]))
-    charge_to(ledger, "multiplication", len(features))
-    charge_to(ledger, "addition", len(features))
-    return counts, len(features)
+    """Spatial encoding of an (n, F) batch: row r bundles, over positions f,
+    bind(item row f, level row of features[r, f]).
+
+    Returns the (n, dim) int16 counts and the bundle size F. Charges n * F
+    multiplications, then n * F additions.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if features.ndim != 2 or features.shape[1] != len(im):
+        raise DimensionError(f"expected an (n, {len(im)}) feature batch, got shape {features.shape}")
+    if np.isnan(features).any():
+        raise ValueError("a NaN feature has no quantization level")
+    n, n_features = features.shape
+    levels = quantize(features, len(lm))
+    counts = np.zeros((n, im.shape[1]), dtype=np.int16)
+    for pos in range(n_features):
+        counts = bundle_add(counts, bind(im[pos], lm[levels[:, pos]]))
+    charge_to(ledger, "multiplication", n * n_features)
+    charge_to(ledger, "addition", n * n_features)
+    return counts, n_features
 
 
 def _permute_k(row, k, cfg, rng):

@@ -19,7 +19,7 @@ from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, pu
 from .encoder import build_item_memory, build_level_memory, encode_ngram, encode_record
 from .errors import ConfigError
 from .hvcore import Rng, derive_seed, majority
-from .learner import Encoded, SimilarityBackend, cluster, predict, retrain, train
+from .learner import QUERY_BLOCK, Encoded, SimilarityBackend, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
 
@@ -50,13 +50,14 @@ def synthesize_dataset(cfg):
 
 @dataclass
 class EncodingContext:
-    """Item (and level) memory rows plus whatever the dataset kind needs at encode time."""
+    """Item (and level) memory rows plus whatever the dataset kind needs at
+    encode time: the symbol vocabulary of a corpus, or a feature matrix
+    normalised per feature to [0, 1] over its range."""
 
     item_memory: np.ndarray
     level_memory: np.ndarray = None
     vocab: dict = None
-    feature_min: np.ndarray = None
-    feature_range: np.ndarray = None
+    features: np.ndarray = None
 
 
 # Dataset kind each encoding scheme reads.
@@ -72,29 +73,34 @@ def build_encoding_context(dataset, cfg, seed):
         chars = sorted({c for text in dataset.samples for c in text})
         im = build_item_memory(len(chars), cfg.dim, rng)
         return EncodingContext(item_memory=im, vocab={c: i for i, c in enumerate(chars)})
-    n_features = len(dataset.samples[0])
-    im = build_item_memory(n_features, cfg.dim, rng)
+    samples = dataset.samples
+    im = build_item_memory(samples.shape[1], cfg.dim, rng)
     lm = build_level_memory(enc.levels, cfg.dim, rng)
-    fmin = np.asarray(dataset.metadata["feature_min"], dtype=np.float64)
-    fmax = np.asarray(dataset.metadata["feature_max"], dtype=np.float64)
-    frange = np.where(fmax > fmin, fmax - fmin, 1.0)
-    return EncodingContext(
-        item_memory=im, level_memory=lm, feature_min=fmin, feature_range=frange
-    )
+    fmin, fmax = samples.min(axis=0), samples.max(axis=0)
+    features = (samples - fmin) / np.where(fmax > fmin, fmax - fmin, 1.0)
+    return EncodingContext(item_memory=im, level_memory=lm, features=features)
 
 
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
-    """Encoded batch of the given rows: counts filled row by row, then one majority."""
+    """Encoded batch of the given rows, then one majority.
+
+    N-gram counts are filled sequence by sequence; feature rows are encoded
+    in blocks of QUERY_BLOCK rows, which bounds the encoder's temporaries.
+    """
     enc = cfg.encoding
     counts = np.empty((len(indices), cfg.dim), dtype=np.int16)
     sizes = np.empty(len(indices), dtype=np.int64)
-    for row, i in enumerate(indices):
-        if enc.scheme == "ngram":
+    if enc.scheme == "ngram":
+        for row, i in enumerate(indices):
             seq = [ctx.vocab[c] for c in dataset.samples[i]]
             counts[row], sizes[row] = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng_encode, ledger)
-        else:
-            x = (np.asarray(dataset.samples[i]) - ctx.feature_min) / ctx.feature_range
-            counts[row], sizes[row] = encode_record(x, ctx.item_memory, ctx.level_memory, ledger)
+    else:
+        features = ctx.features[np.asarray(indices, dtype=np.intp)]
+        for start in range(0, len(indices), QUERY_BLOCK):
+            block = slice(start, start + QUERY_BLOCK)
+            counts[block], sizes[block] = encode_record(
+                features[block], ctx.item_memory, ctx.level_memory, ledger
+            )
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(majority(counts, sizes), counts, sizes, labels)
 
@@ -293,18 +299,17 @@ def run_transfer_curve(cfg, out_path=None):
     params = cfg.analog
     uniform = cam.VoltageProfile.uniform(1.0)
     calibrated = resolve_profile(cfg.with_overrides(profile="calibrated"))
-    rule = "random-seeded"
-    curves = {"uniform": cam.transfer_curve(uniform, params, rule),
-              "calibrated": cam.transfer_curve(calibrated, params, rule)}
+    curves = {"uniform": cam.transfer_curve(uniform, params),
+              "calibrated": cam.transfer_curve(calibrated, params)}
     dev_u = cam.max_line_deviation(curves["uniform"])
     dev_c = cam.max_line_deviation(curves["calibrated"])
     meta = cfg.meta("transfer-curve")
-    meta["placement_rule"] = rule
+    meta["placement_rule"] = "random-seeded"
     meta["profile.calibrated.levels"] = ",".join(f"{v:.2f}" for v in calibrated.levels)
     meta["max_deviation_uniform_a"] = dev_u
     meta["max_deviation_calibrated_a"] = dev_c
     meta["deviation_improvement"] = dev_u / dev_c if dev_c > 0 else float("inf")
-    rows = [(h, c, pid) for pid in ("uniform", "calibrated") for h, c in curves[pid]]
+    rows = [(h, c, pid) for pid in ("uniform", "calibrated") for h, c in enumerate(curves[pid].tolist())]
     if out_path is not None:
         write_csv(out_path, meta, ("hamming", "current_amperes", "profile_id"), rows)
     return curves, meta

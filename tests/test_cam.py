@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import hdcam.cam
 from hdcam.cam import (
     BLOCK_CELLS,
-    PLACEMENT_RULES,
     AnalogParams,
     VoltageProfile,
     analog_currents,
@@ -27,7 +26,7 @@ from hdcam.errors import (
     CapacityError,
     DimensionError,
 )
-from hdcam.hvcore import hamming_matrix, random_bits
+from hdcam.hvcore import BANK_COLS, hamming_matrix, random_bits
 from hdcam.learner import ClassMemory, Encoded, SimilarityBackend, predict
 
 
@@ -209,8 +208,7 @@ class TestSolveMl:
 
     def test_full_row_below_ideal_and_nonuniform_increments(self):
         params = AnalogParams()
-        curve = transfer_curve(VoltageProfile.uniform(1.0), params, "nearest-first")
-        currents = np.array([c for _, c in curve])
+        currents = transfer_curve(VoltageProfile.uniform(1.0), params)
         assert currents[128] < 128 * params.i_cell_nominal
         increments = np.diff(currents)
         assert increments.std() > 0.01 * params.i_cell_nominal
@@ -342,25 +340,35 @@ class TestSearchAnalog:
 class TestTransferCurve:
     def test_starts_at_zero(self):
         curve = transfer_curve(VoltageProfile.uniform(1.0), AnalogParams())
-        assert curve[0] == (0, 0.0)
+        assert curve.shape == (129,) and curve[0] == 0.0
 
-    @pytest.mark.parametrize("rule", PLACEMENT_RULES)
-    def test_strictly_increasing(self, rule):
-        curve = transfer_curve(VoltageProfile.uniform(1.0), AnalogParams(), rule)
-        currents = np.array([c for _, c in curve])
+    @pytest.mark.parametrize("order", ["farthest-first", "nearest-first", "random-seeded"])
+    def test_strictly_increasing(self, order):
+        # the curve rises with every added mismatch, whichever columns go first;
+        # random-seeded is transfer_curve's own order, the positional orders are
+        # solved directly from prefix masks
+        prof, params = VoltageProfile.uniform(1.0), AnalogParams()
+        if order == "random-seeded":
+            currents = transfer_curve(prof, params)
+        else:
+            cols = np.arange(BANK_COLS) if order == "nearest-first" else np.arange(BANK_COLS)[::-1]
+            masks = np.zeros((BANK_COLS + 1, BANK_COLS), dtype=bool)
+            for h in range(1, BANK_COLS + 1):
+                masks[h, cols[:h]] = True
+            currents = solve_bank_currents(masks, prof.column_voltages(), params)
+        assert currents.shape == (129,)
         assert np.all(np.diff(currents) > 0)
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            transfer_curve(VoltageProfile.uniform(1.0), AnalogParams(), "alternating")
-
     def test_monotone_under_prefix_extension(self):
-        # nearest-first and farthest-first share prefixes by construction
+        # point h + 1 adds one mismatching column to the h columns of point h
         params = AnalogParams()
-        for rule in PLACEMENT_RULES:
-            curve = transfer_curve(VoltageProfile.uniform(1.0), params, rule)
-            for (h1, c1), (h2, c2) in zip(curve, curve[1:]):
-                assert c2 >= c1
+        prof = VoltageProfile((1.1, 1.05, 1.0, 0.95))
+        curve = transfer_curve(prof, params)
+        weights = column_currents(prof.column_voltages(), params)
+        increments = np.diff(curve)
+        assert np.all(increments >= 0)
+        # every column mismatches exactly once over h = 1..128
+        assert np.allclose(np.sort(increments), np.sort(weights), rtol=1e-12, atol=0)
 
 
 class TestCalibration:
@@ -383,7 +391,7 @@ class TestCalibration:
     def test_calibrated_per_mismatch_delta_bounded(self):
         params = AnalogParams()
         prof = calibrate_profile(params)
-        currents = np.array([c for _, c in transfer_curve(prof, params)])
+        currents = transfer_curve(prof, params)
         h = np.arange(129, dtype=float)
         iu = np.triu_indices(129, 1)
         slopes = (currents[None, :] - currents[:, None])[iu] / (h[None, :] - h[:, None])[iu]

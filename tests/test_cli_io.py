@@ -28,7 +28,7 @@ from hdcam.experiments import (
     run_transfer_curve,
     synthesize_dataset,
 )
-from hdcam.hvcore import Rng
+from hdcam.hvcore import Rng, random_bits
 from hdcam.cam import VoltageProfile
 from hdcam.learner import ClusterSpec
 
@@ -40,8 +40,8 @@ class TestIngest:
         ds = ingest(p, "feature_csv")
         assert ds.n == 3
         assert ds.labels == ["a", "b", "a"]
-        assert ds.metadata["feature_min"] == [1.0, 2.0]
-        assert ds.metadata["feature_max"] == [5.0, 6.0]
+        assert ds.samples.dtype == np.float64
+        assert np.array_equal(ds.samples, [[1.0, 2.0], [3.5, 4.5], [5.0, 6.0]])
 
     def test_ragged_row_names_line(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -90,8 +90,8 @@ class TestGenerators:
         spec = SyntheticSpec(kind="records", samples=60, classes=3, features=5)
         ds = make_record_blobs(spec, Rng(1))
         assert ds.n == 60
-        assert len(ds.samples[0]) == 5
-        assert len(set(ds.labels)) == 3
+        assert ds.samples.shape == (60, 5) and ds.samples.dtype == np.float64
+        assert ds.labels[:4] == ["class_0", "class_1", "class_2", "class_0"]
 
     def test_language_corpus_shape(self):
         spec = SyntheticSpec(kind="languages", samples=40, languages=4, text_length=31)
@@ -100,10 +100,23 @@ class TestGenerators:
         assert all(len(t) == 31 for t in ds.samples)
         assert len(set(ds.labels)) == 4
 
+    @pytest.mark.parametrize("features", [1, 5, 9])
+    def test_record_blobs_one_draw_equals_per_row_draws(self, features):
+        spec = SyntheticSpec(kind="records", samples=600, classes=7, features=features, noise=0.3)
+        ds = make_record_blobs(spec, Rng(11))
+        gen = Rng(11).generator
+        protos = gen.uniform(0.0, 1.0, size=(spec.classes, features))
+        rows = [
+            np.clip(protos[i % spec.classes] + gen.normal(0.0, spec.noise, size=features), 0.0, 1.0)
+            for i in range(spec.samples)
+        ]
+        assert np.array_equal(ds.samples, np.stack(rows))
+
     def test_hv_blobs_flip_budget(self):
         ds = make_hv_blobs(2, 10, 1024, Rng(3))
-        centers = ds.metadata["centers"]
-        assert ds.samples.shape == (20, 1024) and centers.shape == (2, 1024)
+        # the centers are the generator's first draw
+        centers = random_bits(2, 1024, Rng(3))
+        assert ds.samples.shape == (20, 1024)
         for point, label in zip(ds.samples, ds.labels):
             flips = int(np.count_nonzero(point != centers[label]))
             assert flips <= 1024 // 16
@@ -112,7 +125,7 @@ class TestGenerators:
         spec = SyntheticSpec(kind="records", samples=20)
         a = make_record_blobs(spec, Rng(5))
         b = make_record_blobs(spec, Rng(5))
-        assert a.samples == b.samples
+        assert np.array_equal(a.samples, b.samples)
 
     def test_purity(self):
         assert purity([0, 0, 1, 1], ["a", "a", "b", "b"]) == 1.0

@@ -94,7 +94,7 @@ class TestScalingInvariant:
             small = CostLedger(dim, counts=dict(counts))
             assert small.hydra_energy_pj == big.hydra_energy_pj * factor
             assert small.hydra_latency_ns == big.hydra_latency_ns
-            assert small.cmos_energy_pj == big.cmos_energy_pj
+            assert small.cmos_net_energy_pj == big.cmos_net_energy_pj
 
 
 class TestMerge:

@@ -104,6 +104,23 @@ class TestQuantize:
         if x <= y:
             assert quantize(x, self.L) <= quantize(y, self.L)
 
+    @given(xs=st.lists(st.floats(-1, 2), min_size=1, max_size=24))
+    def test_elementwise_floor_clamp(self, xs):
+        x = np.reshape(xs, (len(xs), 1))
+        assert np.array_equal(quantize(x, self.L), [[_scalar_level(v, self.L)] for v in xs])
+
+
+def _scalar_level(x, L):
+    return min(max(math.floor(x * L), 0), L - 1)
+
+
+def _record_row(x, im, lm):
+    """One feature row encoded feature by feature: the per-row reference."""
+    counts = np.zeros(im.shape[1], dtype=np.int16)
+    for pos, v in enumerate(x):
+        counts = bundle_add(counts, bind(im[pos], lm[_scalar_level(v, len(lm))]))
+    return counts
+
 
 def _toy_memories(n_features, dim, rng, L=4):
     im = build_item_memory(n_features, dim, rng)
@@ -114,49 +131,61 @@ def _toy_memories(n_features, dim, rng, L=4):
 class TestEncodeRecord:
     def test_single_feature_equals_bound_vector(self, rng):
         im, lm = _toy_memories(1, 128, rng)
-        counts, size = encode_record([0.6], im, lm)
-        expected = bind(im[0], lm[quantize(0.6, 4)])
-        assert counts.dtype == np.int16
-        assert np.array_equal(counts, expected.astype(np.int16))
+        counts, size = encode_record([[0.6], [0.1]], im, lm)
+        assert counts.dtype == np.int16 and counts.shape == (2, 128)
+        assert np.array_equal(counts[0], bind(im[0], lm[quantize(0.6, 4)]))
+        assert np.array_equal(counts[1], bind(im[0], lm[quantize(0.1, 4)]))
         assert size == 1
 
     def test_identical_features_identical_basis(self, rng):
         im = np.repeat(random_bits(1, 128, rng), 2, axis=0)
         lm = build_level_memory(4, 128, rng)
-        counts, _ = encode_record([0.3, 0.3], im, lm)
+        counts, _ = encode_record([[0.3, 0.3], [0.9, 0.9]], im, lm)
         assert set(np.unique(counts)) <= {0, 2}
 
     def test_three_feature_brute_force(self, rng):
         im, lm = _toy_memories(3, 256, rng)
-        features = [0.1, 0.5, 0.9]
+        features = np.array([[0.1, 0.5, 0.9], [0.9, 0.0, 0.4], [1.0, 0.74, 0.26]])
         counts, size = encode_record(features, im, lm)
-        expected = np.zeros(256, dtype=np.int64)
-        for pos, x in enumerate(features):
-            expected += im[pos] ^ lm[quantize(x, 4)]
-        assert np.array_equal(counts, expected.astype(np.int16))
+        for row, x in zip(counts, features):
+            expected = np.zeros(256, dtype=np.int64)
+            for pos, v in enumerate(x):
+                expected += im[pos] ^ lm[quantize(v, 4)]
+            assert np.array_equal(row, expected.astype(np.int16))
         assert size == 3
 
     def test_accumulation_order_irrelevant(self, rng):
         im, lm = _toy_memories(5, 256, rng)
         features = [0.1, 0.3, 0.5, 0.7, 0.9]
-        counts, _ = encode_record(features, im, lm)
+        counts, _ = encode_record([features], im, lm)
         shuffled = np.zeros(256, dtype=np.int16)
         for pos in [3, 0, 4, 1, 2]:
             shuffled = bundle_add(shuffled, bind(im[pos], lm[quantize(features[pos], 4)]))
-        assert np.array_equal(counts, shuffled)
+        assert np.array_equal(counts[0], shuffled)
+
+    def test_rows_equal_per_row_reference(self, rng):
+        im, lm = _toy_memories(6, 256, rng, L=8)
+        features = rng.generator.uniform(-0.2, 1.2, size=(40, 6))
+        counts, _ = encode_record(features, im, lm)
+        assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
 
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)
         with pytest.raises(DimensionError):
-            encode_record([0.1, 0.2], im, lm)
+            encode_record([[0.1, 0.2]], im, lm)
+        with pytest.raises(DimensionError):
+            encode_record([0.1, 0.2, 0.3], im, lm)
+
+    def test_nan_feature_rejected(self, rng):
+        im, lm = _toy_memories(2, 128, rng)
+        with pytest.raises(ValueError):
+            encode_record([[0.1, 0.2], [0.3, float("nan")]], im, lm)
 
     def test_cost_charges(self, rng):
         im, lm = _toy_memories(4, 128, rng)
         ledger = CostLedger(128)
-        encode_record([0.1, 0.2, 0.3, 0.4], im, lm, ledger=ledger)
-        assert ledger.count("multiplication") == 4
-        assert ledger.count("addition") == 4
-        assert ledger.count("permutation") == 0
+        encode_record(np.full((3, 4), 0.2), im, lm, ledger=ledger)
+        assert list(ledger.counts.items()) == [("multiplication", 12), ("addition", 12)]
 
 
 class TestEncodeNgram:
@@ -246,7 +275,7 @@ class TestEncodeNgram:
 
 
 class TestEncodeSubset:
-    """encode_subset equals per-sample encode_* plus binarize, drop-mode RNG stream included."""
+    """encode_subset equals per-sample encoding plus binarize, drop-mode RNG stream included."""
 
     @pytest.mark.parametrize("scheme, permute_mode", [
         ("record", "shift"), ("ngram", "shift"), ("ngram", "drop"),
@@ -254,21 +283,27 @@ class TestEncodeSubset:
     def test_equals_per_sample_encoding(self, scheme, permute_mode):
         if scheme == "record":
             ds = make_record_blobs(SyntheticSpec(samples=30, classes=3, features=5), Rng(4))
+            # repeats, and more rows than one 16-row encoding block
+            indices = [5, 0, 11, 3, 3, 9, *range(29, -1, -1), 7]
         else:
             ds = make_language_corpus(SyntheticSpec(kind="languages", samples=12, text_length=20), Rng(4))
+            indices = [5, 0, 11, 3, 3, 9]
         encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
         cfg = ExperimentConfig(dim=256, encoding=encoding)
         ctx = build_encoding_context(ds, cfg, 7)
-        indices = [5, 0, 11, 3, 3, 9]
         ledger = CostLedger(256)
         batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
         rng, expected_ledger = Rng(8), CostLedger(256)
         bundles = []
-        for i in indices:
-            if scheme == "record":
-                x = (np.asarray(ds.samples[i]) - ctx.feature_min) / ctx.feature_range
-                bundles.append(encode_record(x, ctx.item_memory, ctx.level_memory, expected_ledger))
-            else:
+        if scheme == "record":
+            lo, hi = ds.samples.min(axis=0), ds.samples.max(axis=0)
+            for i in indices:
+                x = (ds.samples[i] - lo) / np.where(hi > lo, hi - lo, 1.0)
+                bundles.append((_record_row(x, ctx.item_memory, ctx.level_memory), len(x)))
+            expected_ledger.charge("multiplication", 5 * len(indices))
+            expected_ledger.charge("addition", 5 * len(indices))
+        else:
+            for i in indices:
                 seq = [ctx.vocab[c] for c in ds.samples[i]]
                 bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
         assert batch.counts.dtype == np.int16

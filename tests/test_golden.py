@@ -2,7 +2,8 @@
 
 Each case is one `hdcam` run at --dim 256 under tmp_path; the test compares
 the sha256 of the whole CSV (header block, body) with a constant recorded
-before the per-vector types were replaced by rows. A change that moves any
+before the per-vector types were replaced by rows (the ingested feature CSV
+cases: before feature data became one matrix). A change that moves any
 byte, whether an accuracy, a cost total, a profile level or one label, fails
 here. Re-record a constant only for a deliberate change of output, and say
 which and why where the change is described.
@@ -10,6 +11,7 @@ which and why where the change is described.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from hdcam.cli import main
@@ -74,3 +76,42 @@ def test_csv_bytes(tmp_path, name):
     argv = [verb, "--config", str(cfg), "--out", str(out), "--dim", "256", "--seed", "5", *flags]
     assert main(argv) == 0
     assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest
+
+
+# name -> (extra flags, sha256 of the CSV) for classify on the feature CSV below
+INGEST_CASES = {
+    "feature-csv-ideal": (
+        [], "ffb33131bb2b58fe6a220ba3b5fc620fad8799815a1751f92196738886d7c5c1",
+    ),
+    "feature-csv-analog-calibrated": (
+        ["--backend", "analog", "--profile", "calibrated"],
+        "c1d404a890e67ef1f3f2bc1f42e42322e9d7ba939d16faa12798c27d8cb09cb5",
+    ),
+}
+
+
+def _write_feature_csv(path):
+    """120 rows of 5 features in %.6f with 4 labels, drawn from a fixed numpy seed.
+
+    Centres and spreads differ per feature, so the per-feature ranges that
+    normalise the matrix differ too.
+    """
+    gen = np.random.default_rng(20251)
+    classes = np.arange(120) % 4
+    centres = gen.uniform(-5.0, 5.0, size=(4, 5))
+    rows = centres[classes] + gen.normal(0.0, 0.8, size=(120, 5)) * np.arange(1, 6)
+    path.write_text(
+        "".join(",".join(f"{v:.6f}" for v in row) + f",c{c}\n" for row, c in zip(rows, classes))
+    )
+
+
+@pytest.mark.parametrize("name", INGEST_CASES)
+def test_ingested_csv_bytes(tmp_path, name):
+    flags, digest = INGEST_CASES[name]
+    data = tmp_path / "features.csv"
+    _write_feature_csv(data)
+    out = tmp_path / "out"
+    argv = ["classify", "--data", str(data), "--kind", "feature_csv", "--out", str(out),
+            "--dim", "256", "--seed", "5", *flags]
+    assert main(argv) == 0
+    assert hashlib.sha256((out / "classify.csv").read_bytes()).hexdigest() == digest

@@ -8,7 +8,7 @@ from .cam import (
     search_analog,
     transfer_curve,
 )
-from .config import ExperimentConfig, load_cost_table, load_experiment_config, load_profile, save_profile
+from .config import ExperimentConfig, load_cost_table, load_experiment_config, save_profile
 from .cost import CostLedger, CostTable, OpCost, ratios_vs_cmos
 from .datasets import Dataset, SyntheticSpec, ingest, make_hv_blobs, make_language_corpus, make_record_blobs, purity
 from .encoder import (

@@ -7,8 +7,8 @@ is the section of its own name ([encoding], [cluster], [analog], [sensing],
 VERBS declares which of those keys each verb reads; a verb's loader accepts,
 and its CSV header records, exactly those. Every key is optional and falls
 back to the dataclass default; an unknown section or key, a key the verb does
-not read, or a value that does not cast, is an error. Voltage profiles and
-cost-table overrides use the same format ([profile] / per-op sections).
+not read, or a value that does not cast, is an error. Cost-table overrides
+(one section per op) and the profile calibrate writes ([profile]) are INI too.
 """
 
 import configparser
@@ -16,7 +16,7 @@ import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
-from .cam import AnalogParams, VoltageProfile
+from .cam import AnalogParams
 from .cost import CostTable
 from .datasets import SyntheticSpec
 from .encoder import EncodingConfig
@@ -192,16 +192,6 @@ def save_profile(profile, path):
     parser["profile"] = {"levels": ", ".join(f"{v:.2f}" for v in profile.levels)}
     with open(path, "w") as f:
         parser.write(f)
-
-
-def load_profile(path):
-    """VoltageProfile from the [profile] levels of an INI file."""
-    parser = _parse(path, ("profile",))
-    if not parser.has_option("profile", "levels"):
-        raise ConfigError(f"no [profile] levels in {path}")
-    # Files written by older versions also carry base_voltage, which nothing read.
-    parser.remove_option("profile", "base_voltage")
-    return _read(parser, "profile", VoltageProfile.uniform())
 
 
 def load_cost_table(path):

@@ -135,21 +135,24 @@ def make_record_blobs(spec, rng):
 
 
 def make_language_corpus(spec, rng):
-    """Seeded letter-Markov corpus: one transition matrix per language."""
+    """Seeded letter-Markov corpus: one transition matrix per language, line i
+    in language i mod languages. Each letter is the first whose cumulative
+    probability exceeds one uniform, as gen.choice(p=...) picks it, and the
+    one (samples, text_length) uniform draw is the same stream as one per letter."""
     gen = rng.generator
-    alphabet = string.ascii_lowercase
-    a = len(alphabet)
-    samples, labels = [], []
+    a = len(string.ascii_lowercase)
     transitions = [gen.dirichlet(np.full(a, 0.3), size=a) for _ in range(spec.languages)]
     initials = [gen.dirichlet(np.full(a, 0.3)) for _ in range(spec.languages)]
-    for i in range(spec.samples):
-        lang = i % spec.languages
-        chars = [int(gen.choice(a, p=initials[lang]))]
-        for _ in range(spec.text_length - 1):
-            chars.append(int(gen.choice(a, p=transitions[lang][chars[-1]])))
-        samples.append("".join(alphabet[c] for c in chars))
-        labels.append(f"lang_{lang}")
-    return Dataset("text_corpus", samples, labels)
+    uniforms = gen.random((spec.samples, spec.text_length))
+    # cdfs[lang, 0] starts a line; cdfs[lang, 1 + c] follows letter c
+    cdfs = np.concatenate((np.array(initials)[:, None], transitions), axis=1).cumsum(axis=2)
+    cdfs /= cdfs[..., -1:]
+    langs = np.arange(spec.samples) % spec.languages
+    chars = np.full((spec.samples, spec.text_length + 1), -1)  # column 0: before the line
+    for t in range(spec.text_length):
+        chars[:, t + 1] = (cdfs[langs, chars[:, t] + 1] <= uniforms[:, t, None]).sum(axis=1)
+    samples = ["".join(row) for row in np.array(list(string.ascii_lowercase))[chars[:, 1:]]]
+    return Dataset("text_corpus", samples, [f"lang_{lang}" for lang in langs])
 
 
 def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):

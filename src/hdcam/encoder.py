@@ -4,9 +4,9 @@ Item and level memories are (V, dim) and (L, dim) bit matrices, one row per
 symbol or level. Record encoding binds each feature position's item row to
 the level row of the quantized value and bundles over positions, for a whole
 (n, F) batch of feature rows at once. N-gram encoding binds permuted symbol
-rows across a sliding window of one sequence, permuting older symbols more,
-and bundles all windows. Bundles are int16 counts plus the number of rows
-bundled.
+rows across a sliding window, permuting older symbols more, and bundles all
+windows, for a whole (B, T) block of equal-length sequences at once. Bundles
+are int16 counts plus the number of rows bundled.
 """
 
 import math
@@ -17,6 +17,7 @@ import numpy as np
 from .cost import charge_to
 from .errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
 from .hvcore import (
+    DROP_WIDTHS,
     bind,
     bundle_add,
     check_alignment,
@@ -50,8 +51,8 @@ class EncodingConfig:
             raise ConfigError("need at least 2 quantization levels")
         if self.permute_mode not in ("shift", "drop"):
             raise ConfigError(f"unknown permute mode: {self.permute_mode!r}")
-        if self.drop_width not in (8, 16):
-            raise ConfigError("drop width must be 8 or 16")
+        if self.drop_width not in DROP_WIDTHS:
+            raise ConfigError(f"drop width must be one of {DROP_WIDTHS}, got {self.drop_width}")
         check_alignment(self.dim)
 
 
@@ -122,46 +123,44 @@ def encode_record(features, im, lm, ledger=None):
     return counts, n_features
 
 
-def _permute_k(row, k, cfg, rng):
-    """k-step permutation of a window symbol's row.
-
-    Shift mode rotates by k in one pass. Drop mode applies the batch-read
-    drop k times (drop_width bits per pass), displacing k * drop_width
-    positions with a random tail; each pass is one permutation operation.
-    """
-    if k == 0:
-        return row
-    if cfg.permute_mode == "shift":
-        return permute_shift(row, k)
-    if rng is None:
-        raise ConfigError("drop-mode permutation needs an rng for the random tail")
-    for _ in range(k):
-        row = permute_drop(row, cfg.drop_width, rng)
-    return row
-
-
-def encode_ngram(sequence, n, im, cfg, rng=None, ledger=None):
-    """Temporal encoding: bundle the bound, position-permuted symbol windows.
+def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
+    """Temporal encoding of a (B, T) block of equal-length symbol sequences
+    (a (T,) row is one): the (B, dim) int16 counts and the window count.
 
     Window (s_t, ..., s_{t+n-1}) contributes bind over k of the k-step
-    permutation of the item row of s_{t+n-1-k}: the most recent symbol is
-    unpermuted, older symbols are permuted more. Each window costs n - 1
-    multiplications, one addition and n - 1 permutations in shift mode, or
-    n(n-1)/2 in drop mode (one per drop pass).
+    permutation of the item row of s_{t+n-1-k}, so older symbols are permuted
+    more. Shift mode rotates by k in one pass; drop mode makes k drop passes,
+    each with its own random tail. Drop mode draws all tails of the block at
+    once, sequence-major: the same stream as one draw per pass. Each window
+    costs n - 1 multiplications, one addition and one permutation per pass.
     """
     if n < 1:
         raise ValueError("n-gram width must be at least 1")
-    if len(sequence) < n:
-        raise ConfigError(f"sequence of length {len(sequence)} is shorter than n={n}")
-    windows = len(sequence) - n + 1
-    counts = np.zeros(im.shape[1], dtype=np.int16)
+    symbols = np.asarray(symbols)
+    if symbols.shape[-1] < n:
+        raise ConfigError(f"sequence of length {symbols.shape[-1]} is shorter than n={n}")
+    block, windows = symbols.shape[:-1], symbols.shape[-1] - n + 1
+    drop = cfg.permute_mode == "drop"
+    passes = n * (n - 1) // 2 if drop else n - 1
+    if drop and rng is None:
+        raise ConfigError("drop-mode permutation needs an rng for the random tail")
+    if drop:
+        shape = (*block, windows, passes, cfg.drop_width)
+        tails = rng.generator.integers(0, 2, size=shape, dtype=np.uint8)
+    counts = np.zeros((*block, im.shape[1]), dtype=np.int16)
     for t in range(windows):
-        gram = im[sequence[t + n - 1]]
+        gram = im[symbols[..., t + n - 1]]
         for k in range(1, n):
-            gram = bind(gram, _permute_k(im[sequence[t + n - 1 - k]], k, cfg, rng))
+            row = im[symbols[..., t + n - 1 - k]]
+            if drop:  # step k makes the window's passes k(k-1)/2 to k(k+1)/2 - 1
+                for p in range(k * (k - 1) // 2, k * (k + 1) // 2):
+                    row = permute_drop(row, tails[..., t, p, :])
+            else:
+                row = permute_shift(row, k)
+            gram = bind(gram, row)
         counts = bundle_add(counts, gram)
-    passes = n - 1 if cfg.permute_mode == "shift" else n * (n - 1) // 2
-    charge_to(ledger, "permutation", windows * passes)
-    charge_to(ledger, "multiplication", windows * (n - 1))
-    charge_to(ledger, "addition", windows)
+    grams = math.prod(block) * windows
+    charge_to(ledger, "permutation", grams * passes)
+    charge_to(ledger, "multiplication", grams * (n - 1))
+    charge_to(ledger, "addition", grams)
     return counts, windows

@@ -81,26 +81,34 @@ def build_encoding_context(dataset, cfg, seed):
     return EncodingContext(item_memory=im, level_memory=lm, features=features)
 
 
-def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
-    """Encoded batch of the given rows, then one majority.
+def _blocks(rows):
+    """Slices of the runs of equal-length rows, in order, cut every QUERY_BLOCK rows."""
+    start = 0
+    for stop in range(1, len(rows) + 1):
+        if stop == len(rows) or stop - start == QUERY_BLOCK or len(rows[stop]) != len(rows[start]):
+            yield slice(start, stop)
+            start = stop
 
-    N-gram counts are filled sequence by sequence; feature rows are encoded
-    in blocks of QUERY_BLOCK rows, which bounds the encoder's temporaries.
-    """
+
+def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
+    """Encoded batch of the given rows, then one majority. Rows are encoded in
+    index order, which keeps the drop-mode tail stream, in blocks of at most
+    QUERY_BLOCK rows; an n-gram block is a run of equal-length sequences,
+    because an ingested corpus may be ragged."""
     enc = cfg.encoding
     counts = np.empty((len(indices), cfg.dim), dtype=np.int16)
     sizes = np.empty(len(indices), dtype=np.int64)
     if enc.scheme == "ngram":
-        for row, i in enumerate(indices):
-            seq = [ctx.vocab[c] for c in dataset.samples[i]]
-            counts[row], sizes[row] = encode_ngram(seq, enc.n, ctx.item_memory, enc, rng_encode, ledger)
+        rows = [dataset.samples[i] for i in indices]
     else:
-        features = ctx.features[np.asarray(indices, dtype=np.intp)]
-        for start in range(0, len(indices), QUERY_BLOCK):
-            block = slice(start, start + QUERY_BLOCK)
-            counts[block], sizes[block] = encode_record(
-                features[block], ctx.item_memory, ctx.level_memory, ledger
-            )
+        rows = ctx.features[np.asarray(indices, dtype=np.intp)]
+    for block in _blocks(rows):
+        if enc.scheme == "ngram":
+            symbols = np.array([[ctx.vocab[c] for c in text] for text in rows[block]])
+            encoded = encode_ngram(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)
+        else:
+            encoded = encode_record(rows[block], ctx.item_memory, ctx.level_memory, ledger)
+        counts[block], sizes[block] = encoded
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(majority(counts, sizes), counts, sizes, labels)
 

@@ -8,10 +8,12 @@ carried bit 1 at position i, and majority binarization thresholds those
 counts at half the bundle size.
 
 A hypervector is a (dim,) uint8 row of bits, a bundle is a (dim,) int16 row
-of counts plus its integer size, and sets of either are (n, dim) matrices.
+of counts plus its integer size, and sets of either are (n, dim) matrices;
+bind, bundling and permutation act on the last axis, so they take either.
 Vectors are sized in whole 128-column bank rows, at most 16 banks (2048
-bits). All operations are pure: they return new arrays and never mutate
-their inputs.
+bits). All operations are pure: they return new arrays, never mutate their
+inputs, and only random_bits draws random numbers (majority's tie bits are
+one such draw, from a fixed seed).
 """
 
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ MAX_DIM = BANK_COLS * MAX_BANKS
 COUNT_MAX = 32767
 COUNT_MIN = -32768
 
-DROP_WIDTHS = (0, 8, 16)
+DROP_WIDTHS = (8, 16)
 
 # Seed of the pseudo-random tie-break stream used by majority(); fixed so
 # that exact-majority ties resolve identically across runs.
@@ -125,9 +127,8 @@ def majority(counts, sizes):
     bits = (counts > half).astype(np.uint8)
     ties = counts == half
     if ties.any():
-        tie_rng = np.random.default_rng([TIE_BREAK_SEED, counts.shape[1]])
-        tie_bits = tie_rng.integers(0, 2, size=counts.shape[1], dtype=np.uint8)
-        bits = np.where(ties, tie_bits, bits)
+        dim = counts.shape[1]
+        bits = np.where(ties, random_bits(1, dim, Rng([TIE_BREAK_SEED, dim])), bits)
     return bits
 
 
@@ -138,24 +139,21 @@ def binarize(counts, size):
 
 
 def permute_shift(bits, s):
-    """Circular left shift of a bit row: result_i = bits_(i+s mod dim)."""
-    if not 0 <= s < len(bits):
+    """Circular left shift along the last axis: result[..., i] = bits[..., (i+s) mod dim]."""
+    if not 0 <= s < np.shape(bits)[-1]:
         raise ValueError(f"shift must satisfy 0 <= s < dim, got {s}")
-    return np.concatenate((bits[s:], bits[:s]))
+    return np.concatenate((bits[..., s:], bits[..., :s]), axis=-1)
 
 
-def permute_drop(bits, s, rng):
-    """Shift a bit row left by s without wrap-around; the freed tail gets fresh random bits.
-
-    Models a batch-wise read that skips the first s bits, so only the batch
-    widths the read mux supports are allowed (s in {0, 8, 16}).
-    """
-    if s not in DROP_WIDTHS:
-        raise ConfigError(f"drop width must be one of {DROP_WIDTHS}, got {s}")
-    if s == 0:
-        return bits.copy()
-    tail = rng.generator.integers(0, 2, size=s, dtype=np.uint8)
-    return np.concatenate((bits[s:], tail))
+def permute_drop(bits, tail):
+    """Shift bit rows left by w, the tail's width, without wrap-around: the
+    last w positions take the caller's tail, one (..., w) row of fresh random
+    bits per bit row. Models a batch-wise read that skips the first w bits,
+    so w must be a batch width the read mux supports."""
+    w = np.shape(tail)[-1]
+    if w not in DROP_WIDTHS:
+        raise ConfigError(f"drop width must be one of {DROP_WIDTHS}, got {w}")
+    return np.concatenate((bits[..., w:], tail), axis=-1)
 
 
 def _packed_words(bits):

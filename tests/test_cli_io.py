@@ -1,3 +1,5 @@
+import configparser
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from hdcam.config import (
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
-    load_profile,
     save_profile,
 )
 from hdcam.datasets import (
@@ -31,6 +32,14 @@ from hdcam.experiments import (
 from hdcam.hvcore import Rng, random_bits
 from hdcam.cam import VoltageProfile
 from hdcam.learner import ClusterSpec
+
+
+def _saved_levels(path):
+    """The levels of the one [profile] section of a profile file, read with configparser."""
+    parser = configparser.ConfigParser()
+    parser.read(path)
+    assert parser.sections() == ["profile"] and list(parser["profile"]) == ["levels"]
+    return tuple(float(v) for v in parser["profile"]["levels"].split(","))
 
 
 class TestIngest:
@@ -112,6 +121,22 @@ class TestGenerators:
         ]
         assert np.array_equal(ds.samples, np.stack(rows))
 
+    @pytest.mark.parametrize("languages, length", [(1, 1), (3, 17), (10, 61)])
+    def test_language_corpus_one_draw_equals_per_char_choice(self, languages, length):
+        spec = SyntheticSpec(kind="languages", samples=90, languages=languages, text_length=length)
+        ds = make_language_corpus(spec, Rng(13))
+        gen = Rng(13).generator
+        transitions = [gen.dirichlet(np.full(26, 0.3), size=26) for _ in range(languages)]
+        initials = [gen.dirichlet(np.full(26, 0.3)) for _ in range(languages)]
+        texts = []
+        for i in range(spec.samples):
+            chars = [int(gen.choice(26, p=initials[i % languages]))]
+            for _ in range(length - 1):
+                chars.append(int(gen.choice(26, p=transitions[i % languages][chars[-1]])))
+            texts.append("".join(chr(ord("a") + c) for c in chars))
+        assert ds.samples == texts
+        assert ds.labels == [f"lang_{i % languages}" for i in range(spec.samples)]
+
     def test_hv_blobs_flip_budget(self):
         ds = make_hv_blobs(2, 10, 1024, Rng(3))
         # the centers are the generator's first draw
@@ -184,8 +209,7 @@ class TestConfig:
     def test_profile_roundtrip(self, tmp_path):
         prof = VoltageProfile((1.1, 1.05, 1.0, 0.95))
         save_profile(prof, tmp_path / "p.ini")
-        back = load_profile(tmp_path / "p.ini")
-        assert back.levels == prof.levels
+        assert _saved_levels(tmp_path / "p.ini") == prof.levels
 
     def test_cost_table_override(self, tmp_path):
         p = tmp_path / "cost.ini"
@@ -341,15 +365,14 @@ class TestCli:
     def test_calibrate_verb(self, tmp_path):
         rc = main(["calibrate", "--out", str(tmp_path)])
         assert rc == 0
-        prof = load_profile(tmp_path / "profile.ini")
-        assert len(prof.levels) == 4
+        assert len(_saved_levels(tmp_path / "profile.ini")) == 4
 
     def test_calibrate_verb_high_resistance(self, tmp_path, capsys):
         cfgfile = tmp_path / "cfg.ini"
         cfgfile.write_text("[analog]\nr_segment = 100000\n")
         rc = main(["calibrate", "--config", str(cfgfile), "--out", str(tmp_path)])
         assert rc == 0, capsys.readouterr().err
-        assert load_profile(tmp_path / "profile.ini").levels == (1.2, 1.2, 1.2, 0.8)
+        assert _saved_levels(tmp_path / "profile.ini") == (1.2, 1.2, 1.2, 0.8)
 
     @pytest.mark.parametrize("verb", ["transfer-curve", "calibrate"])
     def test_analog_verbs_do_not_check_the_sensing_floor(self, tmp_path, verb):

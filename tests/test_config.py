@@ -11,7 +11,6 @@ from hdcam.config import (
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
-    load_profile,
     save_profile,
     verb_keys,
 )
@@ -224,25 +223,6 @@ class TestProfileFile:
         text = (tmp_path / "p.ini").read_text()
         assert "levels = 1.10, 1.05, 1.00, 0.95" in text
         assert "base_voltage" not in text
-
-    def test_loads_file_with_base_voltage(self, tmp_path):
-        p = _ini(tmp_path, "[profile]\nlevels = 1.10, 1.05, 1.00, 0.95\nbase_voltage = 1.00\n")
-        assert load_profile(p).levels == (1.1, 1.05, 1.0, 0.95)
-
-    def test_unknown_key(self, tmp_path):
-        p = _ini(tmp_path, "[profile]\nlevels = 1, 1, 1, 1\nbase = 1\n")
-        with pytest.raises(ConfigError, match=r"\[profile\] base: unknown key"):
-            load_profile(p)
-
-    @pytest.mark.parametrize("text", [
-        "[profile]\nlevels = 1.0, x, 1.0, 1.0\n",
-        "[profile]\nlevels = 1.0, 1.0\n",
-        "[profile]\nbase_voltage = 1.0\n",
-        "[other]\nlevels = 1, 1, 1, 1\n",
-    ])
-    def test_bad_profiles(self, tmp_path, text):
-        with pytest.raises(ConfigError):
-            load_profile(_ini(tmp_path, text))
 
 
 class TestCostTableLoader:

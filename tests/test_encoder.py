@@ -274,6 +274,74 @@ class TestEncodeNgram:
         assert drop_ledger.count("multiplication") == 4
 
 
+def _ngram_reference(seq, n, im, cfg, gen):
+    """One sequence's n-gram counts, window by window and pass by pass, with
+    one width-drop_width tail draw from gen per drop pass."""
+    counts = np.zeros(im.shape[1], dtype=np.int64)
+    for t in range(len(seq) - n + 1):
+        gram = im[seq[t + n - 1]].copy()
+        for k in range(1, n):
+            row = im[seq[t + n - 1 - k]]
+            if cfg.permute_mode == "shift":
+                row = np.roll(row, -k)
+            else:
+                for _ in range(k):
+                    tail = gen.integers(0, 2, size=cfg.drop_width, dtype=np.uint8)
+                    row = np.concatenate((row[cfg.drop_width :], tail))
+            gram ^= row
+        counts += gram
+    return counts
+
+
+class TestEncodeNgramBlock:
+    @given(
+        n=st.integers(1, 3),
+        mode=st.sampled_from(["shift", "drop"]),
+        width=st.sampled_from([8, 16]),
+        sequences=st.integers(1, 5),
+        extra=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_equals_per_sequence_reference(self, n, mode, width, sequences, extra, seed):
+        im = build_item_memory(5, 128, Rng(seed))
+        symbols = np.random.default_rng(seed).integers(0, 5, size=(sequences, n + extra))
+        cfg = EncodingConfig(scheme="ngram" if n > 1 else "record", n=n, permute_mode=mode,
+                             drop_width=width, dim=128)
+        rng, ref_gen = Rng(seed), Rng(seed).generator
+        counts, windows = encode_ngram(symbols, n, im, cfg, rng)
+        assert counts.dtype == np.int16 and counts.shape == (sequences, 128)
+        assert windows == extra + 1
+        expected = np.stack([_ngram_reference(seq, n, im, cfg, ref_gen) for seq in symbols])
+        assert np.array_equal(counts, expected)
+        # the block drew exactly the reference's tails, no more
+        assert rng.generator.integers(2**32) == ref_gen.integers(2**32)
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_one_tail_draw_equals_per_pass_draws(self, width):
+        # (sequences, windows, passes): the tails of one drop-mode block, sequence-major
+        shape = (16, 99, 3)
+        one = Rng(21).generator.integers(0, 2, size=(*shape, width), dtype=np.uint8)
+        gen = Rng(21).generator
+        per_pass = [gen.integers(0, 2, size=width, dtype=np.uint8) for _ in range(math.prod(shape))]
+        assert np.array_equal(one.reshape(-1, width), np.stack(per_pass))
+
+    def test_row_is_one_sequence(self, rng):
+        im = build_item_memory(4, 128, rng)
+        cfg = EncodingConfig(scheme="ngram", n=3, dim=128)
+        counts, windows = encode_ngram([0, 1, 2, 3, 1], 3, im, cfg)
+        block, _ = encode_ngram([[0, 1, 2, 3, 1], [3, 2, 1, 0, 0]], 3, im, cfg)
+        assert counts.shape == (128,) and windows == 3
+        assert np.array_equal(block[0], counts)
+
+    def test_block_charges_every_sequence(self, rng):
+        im = build_item_memory(4, 128, rng)
+        ledger = CostLedger(128)
+        cfg = EncodingConfig(scheme="ngram", n=3, permute_mode="drop", dim=128)
+        encode_ngram(np.zeros((4, 6), dtype=int), 3, im, cfg, Rng(1), ledger)
+        # 4 sequences of 4 windows: 2 binds, 1 + 2 drop passes and one add per window
+        assert ledger.counts == {"permutation": 48, "multiplication": 32, "addition": 16}
+
+
 class TestEncodeSubset:
     """encode_subset equals per-sample encoding plus binarize, drop-mode RNG stream included."""
 
@@ -283,11 +351,12 @@ class TestEncodeSubset:
     def test_equals_per_sample_encoding(self, scheme, permute_mode):
         if scheme == "record":
             ds = make_record_blobs(SyntheticSpec(samples=30, classes=3, features=5), Rng(4))
-            # repeats, and more rows than one 16-row encoding block
-            indices = [5, 0, 11, 3, 3, 9, *range(29, -1, -1), 7]
         else:
-            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=12, text_length=20), Rng(4))
-            indices = [5, 0, 11, 3, 3, 9]
+            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=30, text_length=20), Rng(4))
+            # ragged: runs of four equal-length lines, so runs and 16-row blocks both cut
+            ds.samples = [text[: 20 - (i // 4) % 2] for i, text in enumerate(ds.samples)]
+        # repeats, and more rows than one 16-row encoding block
+        indices = [5, 0, 11, 3, 3, 9, *range(29, -1, -1), 7]
         encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
         cfg = ExperimentConfig(dim=256, encoding=encoding)
         ctx = build_encoding_context(ds, cfg, 7)

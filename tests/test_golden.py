@@ -3,7 +3,8 @@
 Each case is one `hdcam` run at --dim 256 under tmp_path; the test compares
 the sha256 of the whole CSV (header block, body) with a constant recorded
 before the per-vector types were replaced by rows (the ingested feature CSV
-cases: before feature data became one matrix). A change that moves any
+cases: before feature data became one matrix; the ragged text corpus cases:
+before the n-gram encoder took blocks of sequences). A change that moves any
 byte, whether an accuracy, a cost total, a profile level or one label, fails
 here. Re-record a constant only for a deliberate change of output, and say
 which and why where the change is described.
@@ -78,14 +79,34 @@ def test_csv_bytes(tmp_path, name):
     assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest
 
 
-# name -> (extra flags, sha256 of the CSV) for classify on the feature CSV below
+# Half the ragged corpus is held out: 30 queries, enough that a drop-mode
+# tail drawn out of order moves a prediction.
+NGRAM = """
+[experiment]
+test_fraction = 0.5
+
+[encoding]
+scheme = ngram
+n = 3
+{extra}"""
+
+# name -> (kind of the data file, config text or None, extra flags, sha256 of the
+# CSV) for classify on an ingested file: the feature CSV or the ragged text corpus below
 INGEST_CASES = {
     "feature-csv-ideal": (
-        [], "ffb33131bb2b58fe6a220ba3b5fc620fad8799815a1751f92196738886d7c5c1",
+        "feature_csv", None, [], "ffb33131bb2b58fe6a220ba3b5fc620fad8799815a1751f92196738886d7c5c1",
     ),
     "feature-csv-analog-calibrated": (
-        ["--backend", "analog", "--profile", "calibrated"],
+        "feature_csv", None, ["--backend", "analog", "--profile", "calibrated"],
         "c1d404a890e67ef1f3f2bc1f42e42322e9d7ba939d16faa12798c27d8cb09cb5",
+    ),
+    "ragged-text-shift-binary": (
+        "text_corpus", NGRAM.format(extra=""), [],
+        "9b55c7af218a31a52581c5297015a92fd78f014789a71720b846025ccef4e1d6",
+    ),
+    "ragged-text-drop-multibit": (
+        "text_corpus", NGRAM.format(extra="permute_mode = drop\n"), ["--mode", "multibit"],
+        "200f1171a9ae14e1b771f758057dd41cfa12224aac106d06e58aaa0278fed40c",
     ),
 }
 
@@ -105,13 +126,36 @@ def _write_feature_csv(path):
     )
 
 
+def _write_text_corpus(path):
+    """60 label<TAB>text lines in 3 labels, drawn from a fixed numpy seed.
+
+    Each label has its own letter frequencies. Line lengths are drawn from
+    {9, 14, 23}, so each 16-row encoding block holds runs of equal-length
+    lines broken by lines of other lengths.
+    """
+    gen = np.random.default_rng(20252)
+    letters = np.array(list("abcdefgh"))
+    freqs = gen.dirichlet(np.full(len(letters), 0.5), size=3)
+    lines = []
+    for i, length in enumerate(gen.choice([9, 14, 23], size=60)):
+        text = "".join(gen.choice(letters, size=length, p=freqs[i % 3]))
+        lines.append(f"t{i % 3}\t{text}\n")
+    path.write_text("".join(lines))
+
+
+WRITERS = {"feature_csv": _write_feature_csv, "text_corpus": _write_text_corpus}
+
+
 @pytest.mark.parametrize("name", INGEST_CASES)
 def test_ingested_csv_bytes(tmp_path, name):
-    flags, digest = INGEST_CASES[name]
-    data = tmp_path / "features.csv"
-    _write_feature_csv(data)
+    kind, text, flags, digest = INGEST_CASES[name]
+    data = tmp_path / "data"
+    WRITERS[kind](data)
+    if text is not None:
+        (tmp_path / "cfg.ini").write_text(text)
+        flags = ["--config", str(tmp_path / "cfg.ini"), *flags]
     out = tmp_path / "out"
-    argv = ["classify", "--data", str(data), "--kind", "feature_csv", "--out", str(out),
+    argv = ["classify", "--data", str(data), "--kind", kind, "--out", str(out),
             "--dim", "256", "--seed", "5", *flags]
     assert main(argv) == 0
     assert hashlib.sha256((out / "classify.csv").read_bytes()).hexdigest() == digest

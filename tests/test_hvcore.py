@@ -13,6 +13,7 @@ from hdcam.errors import (
 )
 from hdcam import learner
 from hdcam.hvcore import (
+    DROP_WIDTHS,
     Rng,
     binarize,
     bind,
@@ -291,25 +292,45 @@ class TestPermute:
     def test_shift_distance_preserving(self, x, a, s):
         assert _dist(permute_shift(x, s), permute_shift(a, s)) == _dist(x, a)
 
+    def test_shift_on_matrix_moves_each_row(self, rng):
+        m = random_bits(3, 128, rng)
+        # s is checked against the width, not the row count
+        assert np.array_equal(permute_shift(m, 5), np.roll(m, -5, axis=1))
+        assert np.array_equal(permute_shift(m, 127)[1], permute_shift(m[1], 127))
+        with pytest.raises(ValueError):
+            permute_shift(m, 128)
+
     def test_drop_identity(self, rng):
-        x = _rand(128, rng)
-        y = permute_drop(x, 0, rng)
-        assert np.array_equal(y, x) and y is not x
+        # refilling the tail with the dropped head gives back the circular shift
+        x = _rand(2048, rng)
+        for w in DROP_WIDTHS:
+            assert np.array_equal(permute_drop(x, x[:w]), permute_shift(x, w))
 
     def test_drop_head_matches_shift(self, rng):
         x = _rand(2048, rng)
-        y = permute_drop(x, 8, rng)
+        tail = rng.generator.integers(0, 2, size=8, dtype=np.uint8)
+        y = permute_drop(x, tail)
         assert np.array_equal(y[: 2048 - 8], x[8:])
+        assert np.array_equal(y[2048 - 8 :], tail)
 
     def test_drop_differs_from_shift_only_in_tail(self, rng):
         x = _rand(2048, rng)
-        d = _dist(permute_drop(x, 8, rng), permute_shift(x, 8))
-        assert d <= 8
+        tail = rng.generator.integers(0, 2, size=16, dtype=np.uint8)
+        d = _dist(permute_drop(x, tail), permute_shift(x, 16))
+        assert d <= 16
+
+    def test_drop_on_matrix_takes_one_tail_per_row(self, rng):
+        m = random_bits(3, 256, rng)
+        tails = rng.generator.integers(0, 2, size=(3, 8), dtype=np.uint8)
+        y = permute_drop(m, tails)
+        for row in range(3):
+            assert np.array_equal(y[row], permute_drop(m[row], tails[row]))
 
     def test_drop_unsupported_width(self, rng):
         x = _rand(128, rng)
-        with pytest.raises(ConfigError):
-            permute_drop(x, 4, rng)
+        for width in (0, 4):
+            with pytest.raises(ConfigError):
+                permute_drop(x, np.zeros(width, dtype=np.uint8))
 
 
 class TestSimilarity:

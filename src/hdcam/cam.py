@@ -36,6 +36,7 @@ here because they justify treating per-cell search energy as negligible;
 they play no role in the ladder model.
 """
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -166,6 +167,15 @@ def search_analog(rows_bits, query_bits, profile, params):
     return analog_currents(rows_bits, query_bits, profile, params)[0]
 
 
+@functools.cache
+def _placement_order():
+    """The column shuffle of PLACEMENT_SEED, drawn on first use: a draw at
+    import would make importing this module import numpy.random."""
+    order = np.random.default_rng(PLACEMENT_SEED).permutation(BANK_COLS)
+    order.flags.writeable = False
+    return order
+
+
 def transfer_curve(profile, params):
     """Per-bank sensed current for h = 0..128 mismatches, a (129,) array indexed by h.
 
@@ -173,8 +183,7 @@ def transfer_curve(profile, params):
     fixed PLACEMENT_SEED, so each segment's cells spread over the whole range
     and successive points share a placement prefix.
     """
-    order = np.random.default_rng(PLACEMENT_SEED).permutation(BANK_COLS)
-    weights = column_currents(profile.column_voltages(), params)[order]
+    weights = column_currents(profile.column_voltages(), params)[_placement_order()]
     return np.concatenate(([0.0], np.cumsum(weights)))
 
 

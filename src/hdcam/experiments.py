@@ -19,9 +19,14 @@ from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, pu
 from .encoder import build_item_memory, build_level_memory, encode_ngram, encode_record
 from .errors import ConfigError
 from .hvcore import Rng, derive_seed, majority
-from .learner import QUERY_BLOCK, Encoded, SimilarityBackend, cluster, predict, retrain, train
+from .learner import Encoded, SimilarityBackend, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
+
+# Cells (rows x dim) of one encoder block: 64 rows at dim 2048, 512 at 256.
+# Wide enough that numpy's per-call overhead is spread over many rows, small
+# enough that a block's working rows stay in cache.
+ENCODE_BLOCK_CELLS = 2**17
 
 
 def child_seeds(master):
@@ -81,11 +86,11 @@ def build_encoding_context(dataset, cfg, seed):
     return EncodingContext(item_memory=im, level_memory=lm, features=features)
 
 
-def _blocks(rows):
-    """Slices of the runs of equal-length rows, in order, cut every QUERY_BLOCK rows."""
+def _blocks(rows, size):
+    """Slices of the runs of equal-length rows, in order, cut every `size` rows."""
     start = 0
     for stop in range(1, len(rows) + 1):
-        if stop == len(rows) or stop - start == QUERY_BLOCK or len(rows[stop]) != len(rows[start]):
+        if stop == len(rows) or stop - start == size or len(rows[stop]) != len(rows[start]):
             yield slice(start, stop)
             start = stop
 
@@ -93,8 +98,8 @@ def _blocks(rows):
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     """Encoded batch of the given rows, then one majority. Rows are encoded in
     index order, which keeps the drop-mode tail stream, in blocks of at most
-    QUERY_BLOCK rows; an n-gram block is a run of equal-length sequences,
-    because an ingested corpus may be ragged."""
+    max(1, ENCODE_BLOCK_CELLS // dim) rows; an n-gram block is a run of
+    equal-length sequences, because an ingested corpus may be ragged."""
     enc = cfg.encoding
     counts = np.empty((len(indices), cfg.dim), dtype=np.int16)
     sizes = np.empty(len(indices), dtype=np.int64)
@@ -102,7 +107,7 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
         rows = [dataset.samples[i] for i in indices]
     else:
         rows = ctx.features[np.asarray(indices, dtype=np.intp)]
-    for block in _blocks(rows):
+    for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
         if enc.scheme == "ngram":
             symbols = np.array([[ctx.vocab[c] for c in text] for text in rows[block]])
             encoded = encode_ngram(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)

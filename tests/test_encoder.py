@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hdcam import encoder as enc_mod
+from hdcam import experiments
 from hdcam.cost import CostLedger
 from hdcam.encoder import (
     EncodingConfig,
@@ -348,20 +349,18 @@ class TestEncodeSubset:
     @pytest.mark.parametrize("scheme, permute_mode", [
         ("record", "shift"), ("ngram", "shift"), ("ngram", "drop"),
     ])
-    def test_equals_per_sample_encoding(self, scheme, permute_mode):
+    def test_equals_per_sample_encoding(self, scheme, permute_mode, monkeypatch):
         if scheme == "record":
             ds = make_record_blobs(SyntheticSpec(samples=30, classes=3, features=5), Rng(4))
         else:
             ds = make_language_corpus(SyntheticSpec(kind="languages", samples=30, text_length=20), Rng(4))
             # ragged: runs of four equal-length lines, so runs and 16-row blocks both cut
             ds.samples = [text[: 20 - (i // 4) % 2] for i, text in enumerate(ds.samples)]
-        # repeats, and more rows than one 16-row encoding block
+        # repeats, and more rows than a 16-row block
         indices = [5, 0, 11, 3, 3, 9, *range(29, -1, -1), 7]
         encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
         cfg = ExperimentConfig(dim=256, encoding=encoding)
         ctx = build_encoding_context(ds, cfg, 7)
-        ledger = CostLedger(256)
-        batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
         rng, expected_ledger = Rng(8), CostLedger(256)
         bundles = []
         if scheme == "record":
@@ -375,12 +374,54 @@ class TestEncodeSubset:
             for i in indices:
                 seq = [ctx.vocab[c] for c in ds.samples[i]]
                 bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
-        assert batch.counts.dtype == np.int16
-        assert np.array_equal(batch.counts, np.stack([counts for counts, _ in bundles]))
-        assert batch.sizes.tolist() == [size for _, size in bundles]
-        assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
-        assert batch.labels == [ds.labels[i] for i in indices]
-        assert ledger.counts == expected_ledger.counts
+        # the default block (512 rows at dim 256) holds every index; blocks of
+        # 1 and 16 rows cross sample and run boundaries
+        for cells in (experiments.ENCODE_BLOCK_CELLS, 16 * 256, 256):
+            monkeypatch.setattr(experiments, "ENCODE_BLOCK_CELLS", cells)
+            ledger = CostLedger(256)
+            batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
+            assert batch.counts.dtype == np.int16
+            assert np.array_equal(batch.counts, np.stack([counts for counts, _ in bundles]))
+            assert batch.sizes.tolist() == [size for _, size in bundles]
+            assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
+            assert batch.labels == [ds.labels[i] for i in indices]
+            assert ledger.counts == expected_ledger.counts
+
+    @pytest.mark.parametrize("scheme, dim", [("record", 128), ("record", 2048), ("ngram", 128), ("ngram", 2048)])
+    def test_blocks_stay_within_the_cell_budget(self, scheme, dim, monkeypatch):
+        """Each encoder call gets at most ENCODE_BLOCK_CELLS // dim rows of one
+        sequence length, and the calls cover the indices in order."""
+        if scheme == "record":
+            ds = make_record_blobs(SyntheticSpec(samples=1100, classes=3, features=4), Rng(4))
+        else:
+            spec = SyntheticSpec(kind="languages", samples=1100, text_length=12)
+            ds = make_language_corpus(spec, Rng(4))
+            # ragged: a short run, one long run, alternating lengths, a short run
+            lengths = [5, 5, 5, *[7] * 1070, *[5, 6] * 12, 4, 4, 4]
+            ds.samples = [text[:length] for text, length in zip(ds.samples, lengths)]
+        indices = [9, 9, 0, *range(ds.n), 3]
+        cfg = ExperimentConfig(dim=dim, encoding=EncodingConfig(scheme=scheme, dim=dim))
+        ctx = build_encoding_context(ds, cfg, 7)
+        blocks = []
+
+        def spy(encode):
+            def wrapped(rows, *args, **kwargs):
+                blocks.append(np.asarray(rows))
+                return encode(rows, *args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(experiments, "encode_ngram", spy(experiments.encode_ngram))
+        monkeypatch.setattr(experiments, "encode_record", spy(experiments.encode_record))
+        encode_subset(ds, indices, ctx, cfg, Rng(8))
+        budget = experiments.ENCODE_BLOCK_CELLS // dim
+        # a 2-D block is rows of one length
+        assert all(block.ndim == 2 and 1 <= len(block) <= budget for block in blocks)
+        assert max(len(block) for block in blocks) == budget
+        if scheme == "record":
+            expected = ctx.features[indices].tolist()
+        else:
+            expected = [[ctx.vocab[c] for c in ds.samples[i]] for i in indices]
+        assert [row.tolist() for block in blocks for row in block] == expected
 
 
 class TestEncodingConfig:

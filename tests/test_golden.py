@@ -130,8 +130,8 @@ def _write_text_corpus(path):
     """60 label<TAB>text lines in 3 labels, drawn from a fixed numpy seed.
 
     Each label has its own letter frequencies. Line lengths are drawn from
-    {9, 14, 23}, so each 16-row encoding block holds runs of equal-length
-    lines broken by lines of other lengths.
+    {9, 14, 23}, so the encoder blocks are runs of equal-length lines, cut
+    wherever the line length changes.
     """
     gen = np.random.default_rng(20252)
     letters = np.array(list("abcdefgh"))

@@ -25,15 +25,16 @@ physical (smaller) root is taken in the cancellation-free form
 
 exact at r_segment = 0. The current depends only on the column and the
 search levels, so a row's sensed current is its mismatch mask dotted with
-one 128-entry weight vector per bank: a column-weighted Hamming distance.
+the 128 column weights tiled over its banks: a column-weighted Hamming
+distance, which analog_currents computes for a whole query batch at once.
 Far cells lose gate overdrive and weigh less, bending the current-vs-distance
 curve. Search-voltage scaling counteracts this: the 128 columns split into
 four 32-column segments, each driven at its own level, higher levels farther
 from the sensing node.
 
-MTJ resistances (parallel 1.25 MOhm, anti-parallel 3.44 MOhm) are recorded
-here because they justify treating per-cell search energy as negligible;
-they play no role in the ladder model.
+MTJ resistances (parallel 1.25 MOhm, anti-parallel 3.44 MOhm) justify
+treating per-cell search energy as negligible; they play no role in the
+ladder model, so no constant holds them.
 """
 
 import functools
@@ -44,9 +45,6 @@ import numpy as np
 
 from .errors import AlignmentError, CalibrationWarning, ConfigError, DimensionError
 from .hvcore import BANK_COLS
-
-MTJ_R_PARALLEL_OHM = 1.25e6
-MTJ_R_ANTIPARALLEL_OHM = 3.44e6
 
 N_SEGMENTS = 4
 SEGMENT_COLS = BANK_COLS // N_SEGMENTS
@@ -129,21 +127,22 @@ def solve_bank_currents(mismatch, v_cols, params):
     mismatch: (..., 128) boolean injector mask, one row per bank instance.
     v_cols:   search level per column, (128,) or broadcastable to mismatch.
     """
+    # Off the search path; kept as the per-bank reference the scipy-oracle
+    # tests check, and because bench/tracer.py patches it by name.
     return np.sum(np.asarray(mismatch, dtype=bool) * column_currents(v_cols, params), axis=-1)
-
-
-# Upper bound on (query, row, column) cells scored at once by analog_currents;
-# bounds the weighted mask it builds to 512 KiB whatever the batch size.
-BLOCK_CELLS = 2**16
 
 
 def analog_currents(rows_bits, queries_bits, profile, params):
     """Match-line currents of every (query, row) pair, shape (n_queries, n_rows).
 
-    rows_bits and queries_bits are (n, dim) uint8 matrices. A row's current is
-    its mismatch mask, split into 128-column banks, weighted by
-    column_currents and summed. Queries are scored in blocks of at most
-    BLOCK_CELLS cells; every current is the same as scoring alone.
+    rows_bits and queries_bits are (n, dim) uint8 bit matrices. A pair's
+    current is the column-weighted Hamming distance sum_c w[c] * (q_c != r_c),
+    with w the 128 column_currents tiled over the banks: the sum of the
+    query's ones against the row's weighted zeros and of its zeros against
+    the row's weighted ones. Both add only non-negative weights, so zero
+    mismatches read exactly 0.0 and one mismatch exactly its column weight;
+    einsum reduces each pair on its own, so a query's currents do not depend
+    on the batch it is scored in.
     """
     rows = np.atleast_2d(rows_bits)
     queries = np.atleast_2d(queries_bits)
@@ -152,18 +151,14 @@ def analog_currents(rows_bits, queries_bits, profile, params):
         raise DimensionError("row and query widths differ")
     if width == 0 or width % BANK_COLS:
         raise AlignmentError("bit length must be a positive multiple of 128")
-    v_cols = profile.column_voltages()
-    step = max(1, BLOCK_CELLS // (len(rows) * width))
-    out = np.empty((len(queries), len(rows)))
-    for start in range(0, len(queries), step):
-        mismatch = queries[start : start + step, None, :] != rows[None, :, :]
-        banks = mismatch.reshape(*mismatch.shape[:-1], width // BANK_COLS, BANK_COLS)
-        out[start : start + step] = solve_bank_currents(banks, v_cols, params).sum(axis=-1)
-    return out
+    w = np.tile(column_currents(profile.column_voltages(), params), width // BANK_COLS)
+    return np.einsum("qc,rc->qr", queries, (1 - rows) * w) + np.einsum("qc,rc->qr", 1 - queries, rows * w)
 
 
 def search_analog(rows_bits, query_bits, profile, params):
     """Match-line current of one query against every row, (n_rows,)."""
+    # Off the search path, which batches queries; kept because tests score
+    # single queries with it and bench/tracer.py patches it by name.
     return analog_currents(rows_bits, query_bits, profile, params)[0]
 
 

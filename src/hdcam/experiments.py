@@ -148,14 +148,21 @@ def write_csv(path, meta, fieldnames, rows):
         w.writerows(rows)
 
 
+def _report_meta(meta, profile, reports):
+    """Append the profile levels (analog runs) and each ledger's in-array cost to meta."""
+    if profile is not None:
+        meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
+    for name, ledger in reports.items():
+        meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
+        meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
+
+
 @dataclass
 class ClassifyResult:
     accuracy: float
     n_train: int
     n_test: int
-    predictions: list
     reports: dict
-    profile_levels: tuple
     meta: dict
 
 
@@ -197,20 +204,7 @@ def run_classify(cfg, dataset, out_path=None):
     meta["accuracy"] = accuracy
     meta["n_train"] = len(train_batch)
     meta["n_test"] = len(test_batch)
-    if profile is not None:
-        meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
-    for name, ledger in reports.items():
-        meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
-        meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
-    result = ClassifyResult(
-        accuracy=accuracy,
-        n_train=len(train_batch),
-        n_test=len(test_batch),
-        predictions=predictions,
-        reports=reports,
-        profile_levels=profile.levels if profile is not None else None,
-        meta=meta,
-    )
+    _report_meta(meta, profile, reports)
     if out_path is not None:
         rows = [(i, t, p, int(t == p), f) for i, t, p, f in predictions]
         write_csv(
@@ -219,7 +213,7 @@ def run_classify(cfg, dataset, out_path=None):
             ("sample_index", "true_label", "predicted_label", "correct", "lta_ambiguous_flags"),
             rows,
         )
-    return result
+    return ClassifyResult(accuracy, len(train_batch), len(test_batch), reports, meta)
 
 
 @dataclass
@@ -255,11 +249,7 @@ def run_cluster(cfg, dataset, out_path=None):
     meta["converged"] = converged
     meta["purity"] = score
     meta["objective_history"] = ";".join(str(v) for v in state.objective_history)
-    if profile is not None:
-        meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
-    for name, ledger in reports.items():
-        meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
-        meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
+    _report_meta(meta, profile, reports)
     result = ClusterResult(state=state, purity=score, converged=converged, reports=reports, meta=meta)
     if out_path is not None:
         labels = dataset.labels if dataset.labels is not None else [""] * dataset.n

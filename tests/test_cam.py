@@ -7,9 +7,7 @@ import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-import hdcam.cam
 from hdcam.cam import (
-    BLOCK_CELLS,
     AnalogParams,
     VoltageProfile,
     analog_currents,
@@ -252,7 +250,7 @@ class TestSolveMl:
         mism = (row != query).reshape(4, 128)
         bank_currents = solve_bank_currents(mism, prof.column_voltages(), params)
         assert bank_currents.shape == (4,)
-        assert total == float(bank_currents.sum())
+        assert total == pytest.approx(float(bank_currents.sum()), rel=1e-12)
         per_bank = [
             analog_currents(row[b * 128 : (b + 1) * 128], query[b * 128 : (b + 1) * 128], prof, params)[0, 0]
             for b in range(4)
@@ -299,13 +297,11 @@ class TestSolveMl:
         via_banks = solve_bank_currents(mism, profile.column_voltages(), params).sum(axis=-1)
         assert via_search.shape == (n_rows,)
         assert np.array_equal(via_search, via_pairs)
-        assert np.array_equal(via_search, via_banks)
+        assert via_search == pytest.approx(via_banks, rel=1e-12)
 
-    @pytest.mark.parametrize("n_rows, dim, block", [(8, 2048, BLOCK_CELLS), (3, 256, 3840), (5, 128, 100)])
-    def test_block_boundaries_match_per_query(self, rng, monkeypatch, n_rows, dim, block):
-        # 4, 5 and (for a block below one query) 1 queries per block; 23 queries
-        # leave a partial last block.
-        monkeypatch.setattr(hdcam.cam, "BLOCK_CELLS", block)
+    @pytest.mark.parametrize("n_rows, dim", [(8, 2048), (3, 256), (5, 128)])
+    def test_block_boundaries_match_per_query(self, rng, n_rows, dim):
+        # a query's currents in a 23-query batch are exactly its solo currents
         gen = rng.generator
         rows = gen.integers(0, 2, (n_rows, dim), dtype=np.uint8)
         queries = gen.integers(0, 2, (23, dim), dtype=np.uint8)
@@ -317,12 +313,15 @@ class TestSolveMl:
 
 class TestSearchAnalog:
     def test_r0_perfectly_linear(self, rng):
+        # at r_segment = 0 every column weighs i_cell_nominal, so the currents
+        # are the one Hamming kernel scaled
         params = AnalogParams(r_segment=0.0)
-        rows = [_rand(512, rng) for _ in range(5)]
-        query = _rand(512, rng)
-        for row, current in enumerate(search_analog(np.stack(rows), query, VoltageProfile.uniform(1.0), params)):
-            h = np.count_nonzero(query != rows[row])
-            assert current == pytest.approx(h * params.i_cell_nominal, rel=1e-12)
+        rows = random_bits(5, 512, rng)
+        queries = random_bits(7, 512, rng)
+        currents = analog_currents(rows, queries, VoltageProfile.uniform(1.0), params)
+        expected = params.i_cell_nominal * hamming_matrix(queries, rows)
+        assert currents.shape == (7, 5)
+        assert currents == pytest.approx(expected, rel=1e-12)
 
     def test_r0_argmin_matches_ideal(self, rng):
         params = AnalogParams(r_segment=0.0)

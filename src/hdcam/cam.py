@@ -171,6 +171,15 @@ def _placement_order():
     return order
 
 
+def _curves(level_rows, params):
+    """Transfer curves of the profiles in the rows of an (m, 4) level matrix,
+    as one C-contiguous (m, 129) array."""
+    v_cols = np.repeat(np.asarray(level_rows, dtype=np.float64)[:, ::-1], SEGMENT_COLS, axis=1)
+    curves = np.zeros((len(v_cols), BANK_COLS + 1))
+    curves[:, 1:] = np.cumsum(column_currents(v_cols, params)[:, _placement_order()], axis=1)
+    return curves
+
+
 def transfer_curve(profile, params):
     """Per-bank sensed current for h = 0..128 mismatches, a (129,) array indexed by h.
 
@@ -178,18 +187,28 @@ def transfer_curve(profile, params):
     fixed PLACEMENT_SEED, so each segment's cells spread over the whole range
     and successive points share a placement prefix.
     """
-    weights = column_currents(profile.column_voltages(), params)[_placement_order()]
-    return np.concatenate(([0.0], np.cumsum(weights)))
+    return _curves([profile.levels], params)[0]
+
+
+def _deviations(curves):
+    """max_line_deviation of each row of a C-contiguous (m, n) curve matrix.
+
+    Each row is reduced on its own, with each slope a 1-D dot on one
+    contiguous row, so a row's result does not depend on the other rows. A
+    matrix-vector slope, or a curve matrix in another memory layout, sums in
+    another order and moves the last bits.
+    """
+    h = np.arange(curves.shape[1], dtype=np.float64)
+    hc = h - h.mean()
+    cc = curves - curves.mean(axis=1, keepdims=True)
+    slopes = np.array([hc @ row for row in cc]) / (hc @ hc)
+    return np.abs(cc - slopes[:, None] * hc).max(axis=1)
 
 
 def max_line_deviation(curve):
     """Largest absolute deviation of a transfer curve, currents indexed by
     Hamming distance, from its least-squares line."""
-    c = np.asarray(curve, dtype=np.float64)
-    h = np.arange(len(c), dtype=np.float64)
-    hc, cc = h - h.mean(), c - c.mean()
-    slope = (hc @ cc) / (hc @ hc)
-    return float(np.abs(cc - slope * hc).max())
+    return float(_deviations(np.array(curve, dtype=np.float64, ndmin=2))[0])
 
 
 def calibrate_profile(params):
@@ -197,31 +216,32 @@ def calibrate_profile(params):
 
     Levels move on the calibration grid, constrained non-increasing toward
     the sensing node, minimizing the maximum deviation from the best-fit line
-    of the h = 0..128 transfer curve.
+    of the h = 0..128 transfer curve. Each coordinate step scores all of its
+    admissible grid candidates as one (candidates, 129) curve array, with
+    objectives bit-identical to max_line_deviation(transfer_curve(...)) of each
+    candidate, then takes, in grid order, each candidate that beats the best
+    so far by more than 1e-15.
     Deterministic for fixed params. Warns if nothing beats the uniform 1 V
     profile.
     """
     n_grid = int(round((CAL_V_HI - CAL_V_LO) / CAL_GRID_STEP)) + 1
     grid = [round(CAL_V_LO + i * CAL_GRID_STEP, 10) for i in range(n_grid)]
-
-    def objective(levels):
-        return max_line_deviation(transfer_curve(VoltageProfile(tuple(levels)), params))
-
     levels = [1.0] * N_SEGMENTS
-    uniform_obj = objective(levels)
+    uniform_obj = float(_deviations(_curves([levels], params))[0])
     best_obj = uniform_obj
     for _ in range(CAL_MAX_SWEEPS):
         improved = False
         for idx in range(N_SEGMENTS):
             hi = levels[idx - 1] if idx > 0 else CAL_V_HI
             lo = levels[idx + 1] if idx < N_SEGMENTS - 1 else CAL_V_LO
+            cands = [c for c in grid if lo <= c <= hi and c != levels[idx]]
+            if not cands:
+                continue
+            trials = np.array([levels] * len(cands))
+            trials[:, idx] = cands
             best_cand, best_cand_obj = levels[idx], best_obj
-            for cand in grid:
-                if cand < lo or cand > hi or cand == levels[idx]:
-                    continue
-                trial = list(levels)
-                trial[idx] = cand
-                obj = objective(trial)
+            objs = _deviations(_curves(trials, params))
+            for cand, obj in zip(cands, objs.tolist()):
                 if obj < best_cand_obj - 1e-15:
                     best_cand, best_cand_obj = cand, obj
             if best_cand != levels[idx]:

@@ -81,6 +81,10 @@ class ExperimentConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self):
+        # A seed is one unsigned 32-bit word, which derive_seed hashes into
+        # the child seeds.
+        if not 0 <= self.seed < 2**32:
+            raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         check_alignment(self.dim)
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")

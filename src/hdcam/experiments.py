@@ -190,10 +190,10 @@ def run_classify(cfg, dataset, out_path=None):
         cm = retrain(cm, train_batch, cfg.retrain_epochs, _ideal_backend(cfg.mode),
                      ledger=ledgers["train"])
 
-    labels, decisions = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
+    labels, flags = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
     predictions = [
-        (int(idx), true, predicted, decision.ambiguous_flags if decision is not None else 0)
-        for idx, true, predicted, decision in zip(test_idx, test_batch.labels, labels, decisions)
+        (int(idx), true, predicted, int(flag))
+        for idx, true, predicted, flag in zip(test_idx, test_batch.labels, labels, flags)
     ]
     accuracy = sum(true == predicted for _, true, predicted, _ in predictions) / len(test_batch)
 

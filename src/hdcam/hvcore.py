@@ -73,7 +73,7 @@ def derive_seed(master, stream):
     """Stable child seed for a named substream of a master seed."""
     import zlib
 
-    ss = np.random.SeedSequence([int(master) & 0xFFFFFFFF, zlib.crc32(stream.encode())])
+    ss = np.random.SeedSequence([int(master), zlib.crc32(stream.encode())])
     return int(ss.generate_state(1)[0])
 
 

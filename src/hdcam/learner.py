@@ -18,12 +18,13 @@ from . import cam
 from .cost import charge_to
 from .errors import CapacityError, ConfigError, SaturationError
 from .hvcore import COUNT_MAX, bundle_add, bundle_sub, hamming_matrix, majority, random_bits
-from .lta import SensingSpec, argmin_serial
+from .lta import SensingSpec, decide
 
 MAX_CLASSES = 128
 
-# Queries predict converts and scores at once; bounds the query matrix and the
-# pairwise arrays of one scoring step whatever the batch size.
+# Queries that predict, and the ideal_dot retrain, convert and score at once;
+# bounds the query matrix and the pairwise arrays of one scoring step whatever
+# the batch size.
 QUERY_BLOCK = 16
 
 BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
@@ -125,26 +126,25 @@ def _score(queries, rows, backend):
 
 
 def _decide(scores, backend):
-    """Winning row per query and the LTA decision per query (None when ideal).
+    """Winning row and LTA ambiguous-batch count per query (counts all 0 when ideal).
 
-    The analog LTA senses one query at a time, in query order, so its seeded
-    tie-break stream does not depend on how queries were batched.
+    The analog LTA's seeded tie-breaks are drawn in query order, so its
+    decisions do not depend on how queries were batched.
     """
     if backend.kind == "ideal_hamming":
-        return scores.argmin(axis=1), [None] * len(scores)
+        return scores.argmin(axis=1), np.zeros(len(scores), dtype=np.int64)
     if backend.kind == "ideal_dot":
-        return scores.argmax(axis=1), [None] * len(scores)
-    decisions = [argmin_serial(s, backend.sensing, backend.rng) for s in scores]
-    return np.array([d.winner for d in decisions], dtype=np.int64), decisions
+        return scores.argmax(axis=1), np.zeros(len(scores), dtype=np.int64)
+    return decide(scores, backend.sensing, backend.rng)
 
 
 def predict(batch, cm, backend, ledger=None):
-    """(labels, decisions): the most similar class of each sample under the backend.
+    """(labels, flags): the most similar class of each sample under the backend.
 
     ideal_dot scores the batch's centred counts against the centred class
     counts; the other backends score its bits against the deployed
-    rows. decisions holds each query's LtaDecision (analog_cam) or None, so
-    analog runs can export their comparison traces.
+    rows. flags is an int array of each query's ambiguous LTA batches
+    (analog_cam), all 0 on the ideal backends.
     """
     if not cm.labels:
         raise ValueError("class memory has no deployed vectors")
@@ -155,8 +155,48 @@ def predict(batch, cm, backend, ledger=None):
     for start in range(0, len(batch), QUERY_BLOCK):
         part = batch[start : start + QUERY_BLOCK]
         scores.append(_score(_centred(part.counts, part.sizes) if dot else part.bits, rows, backend))
-    winners, decisions = _decide(np.concatenate(scores), backend)
-    return [cm.labels[i] for i in winners], decisions
+    winners, flags = _decide(np.concatenate(scores), backend)
+    return [cm.labels[i] for i in winners], flags
+
+
+def _move(counts, sizes, bits, old, new):
+    """Move one sample's bits from class bundle old to class bundle new."""
+    counts[old] = bundle_sub(counts[old], bits, sizes[old])
+    counts[new] = bundle_add(counts[new], bits)
+    sizes[old] -= 1
+    sizes[new] += 1
+
+
+def _dot_epoch(batch, row, counts, sizes, ledger):
+    """One online ideal_dot retrain epoch over the batch, in sample order;
+    returns the number of updates.
+
+    Each sample is scored against the class counts as every earlier update
+    left them. A block of QUERY_BLOCK samples is scored at once, as predict
+    does; an update moves the sample's bits from class old to class new,
+    which changes those two centred class rows by -/+(bits - 1/2), so the
+    later samples of the block get their old and new scores moved by
+    -/+ Qc . (bits - 1/2). Every centred count is a multiple of 1/2, so every
+    product and partial sum is a multiple of 1/4 far below 2**53: the scores,
+    and so the argmax ties, equal those of predicting one sample at a time.
+    """
+    charge_to(ledger, "search", len(batch))
+    rows = _centred(counts, sizes)
+    updates = 0
+    for start in range(0, len(batch), QUERY_BLOCK):
+        part = batch[start : start + QUERY_BLOCK]
+        queries = _centred(part.counts, part.sizes)
+        scores = queries @ rows.T
+        for i, label in enumerate(part.labels):
+            old, new = int(scores[i].argmax()), row[label]
+            if old != new:
+                _move(counts, sizes, part.bits[i], old, new)
+                step = queries[i + 1 :] @ (part.bits[i] - 0.5)
+                scores[i + 1 :, old] -= step
+                scores[i + 1 :, new] += step
+                rows[[old, new]] = _centred(counts[[old, new]], sizes[[old, new]])
+                updates += 1
+    return updates
 
 
 def retrain(cm, batch, epochs, backend, ledger=None):
@@ -166,28 +206,26 @@ def retrain(cm, batch, epochs, backend, ledger=None):
     row and added to its true class's. Deployed binary rows are re-binarized
     at epoch end, not per update, so binary backends predict a whole epoch in
     one batch. ideal_dot scores the count rows themselves, which every update
-    changes, so it predicts online, one sample at a time.
+    changes, so each sample sees the updates before it: the epoch is scored
+    in blocks and each update corrects the scores of the samples after it
+    (_dot_epoch), with the same results and ledger counts as predicting one
+    sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     row = {label: k for k, label in enumerate(cm.labels)}
-    # out shares these arrays, so online predictions see every update at once.
     counts, sizes = cm.counts.copy(), cm.sizes.copy()
     out = ClassMemory(cm.labels, counts, sizes, cm.deployed)
-    online = backend.kind == "ideal_dot"
     for _ in range(epochs):
-        if len(batch) and not online:
-            predicted, _ = predict(batch, out, backend, ledger)
-        updates = 0
-        for i, label in enumerate(batch.labels):
-            guess = predict(batch[i : i + 1], out, backend, ledger)[0][0] if online else predicted[i]
-            if guess != label:
-                old, new = row[guess], row[label]
-                counts[old] = bundle_sub(counts[old], batch.bits[i], sizes[old])
-                counts[new] = bundle_add(counts[new], batch.bits[i])
-                sizes[old] -= 1
-                sizes[new] += 1
-                updates += 1
+        if backend.kind == "ideal_dot":
+            updates = _dot_epoch(batch, row, counts, sizes, ledger)
+        else:
+            predicted = predict(batch, out, backend, ledger)[0] if len(batch) else []
+            updates = 0
+            for i, (guess, label) in enumerate(zip(predicted, batch.labels)):
+                if guess != label:
+                    _move(counts, sizes, batch.bits[i], row[guess], row[label])
+                    updates += 1
         charge_to(ledger, "addition", 2 * updates)
         out = _deploy(cm.labels, counts, sizes)
     return out

@@ -6,6 +6,12 @@ with 7 fresh rows, so one block serves any class count. Finite resolution is
 modeled by treating any candidate within `resolution` of the batch minimum
 as indistinguishable; such batches resolve by a seeded uniform draw and are
 flagged ambiguous. Currents below the sensing floor read as zero.
+
+`decide` senses a whole (queries, rows) current matrix: it runs every stage
+for all queries at once and re-runs, with `argmin_serial` in query order,
+only the queries one of whose stages was ambiguous. An unambiguous stage
+draws nothing, so the tie-break stream is the one a query-by-query loop
+would draw.
 """
 
 from dataclasses import dataclass
@@ -81,3 +87,31 @@ def argmin_serial(currents, spec, rng):
         rows = [winner] + list(range(pos, min(pos + spec.batch - 1, n)))
         pos = min(pos + spec.batch - 1, n)
     return LtaDecision(winner=winner, trace=trace, ambiguous_flags=flags)
+
+
+def decide(currents, spec, rng):
+    """(winners, flags) of a (q, k) current matrix: each query's argmin_serial
+    winner and ambiguous-batch count, with the same draws from rng."""
+    raw = np.asarray(currents, dtype=np.float64)
+    q, k = raw.shape
+    flags = np.zeros(q, dtype=np.int64)
+    if k < 2:
+        return np.zeros(q, dtype=np.int64), flags
+    c = np.where(raw < spec.floor, 0.0, raw)
+
+    def stage(s):
+        """Argmin of each stage row, and whether another candidate lies within resolution."""
+        m = s.min(axis=1, keepdims=True)
+        return s.argmin(axis=1), (s <= m + spec.resolution).sum(axis=1) > 1
+
+    first = min(spec.batch, k)
+    winners, ambiguous = stage(c[:, :first])
+    for pos in range(first, k, spec.batch - 1):
+        stop = min(pos + spec.batch - 1, k)
+        idx, amb = stage(np.column_stack((c[np.arange(q), winners], c[:, pos:stop])))
+        winners = np.where(idx == 0, winners, pos + idx - 1)
+        ambiguous |= amb
+    for i in np.flatnonzero(ambiguous):
+        decision = argmin_serial(raw[i], spec, rng)
+        winners[i], flags[i] = decision.winner, decision.ambiguous_flags
+    return winners, flags

@@ -7,6 +7,7 @@ import scipy.optimize
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hdcam import cam
 from hdcam.cam import (
     AnalogParams,
     VoltageProfile,
@@ -378,7 +379,83 @@ class TestTransferCurve:
         assert np.allclose(np.sort(increments), np.sort(weights), rtol=1e-12, atol=0)
 
 
+def _scalar_objective(levels, params):
+    """The calibration objective of one level vector, as the per-candidate search
+    computed it: a concatenated 1-D transfer curve and its 1-D line fit."""
+    weights = column_currents(VoltageProfile(levels).column_voltages(), params)[cam._placement_order()]
+    c = np.concatenate(([0.0], np.cumsum(weights)))
+    h = np.arange(len(c), dtype=np.float64)
+    hc, cc = h - h.mean(), c - c.mean()
+    slope = (hc @ cc) / (hc @ hc)
+    return float(np.abs(cc - slope * hc).max())
+
+
+def _calibrate_reference(params):
+    """The coordinate search scoring one candidate at a time with _scalar_objective."""
+    n_grid = int(round((cam.CAL_V_HI - cam.CAL_V_LO) / cam.CAL_GRID_STEP)) + 1
+    grid = [round(cam.CAL_V_LO + i * cam.CAL_GRID_STEP, 10) for i in range(n_grid)]
+    levels = [1.0] * 4
+    best_obj = _scalar_objective(tuple(levels), params)
+    for _ in range(cam.CAL_MAX_SWEEPS):
+        improved = False
+        for idx in range(4):
+            hi = levels[idx - 1] if idx > 0 else cam.CAL_V_HI
+            lo = levels[idx + 1] if idx < 3 else cam.CAL_V_LO
+            best_cand, best_cand_obj = levels[idx], best_obj
+            for cand in grid:
+                if cand < lo or cand > hi or cand == levels[idx]:
+                    continue
+                trial = list(levels)
+                trial[idx] = cand
+                obj = _scalar_objective(tuple(trial), params)
+                if obj < best_cand_obj - 1e-15:
+                    best_cand, best_cand_obj = cand, obj
+            if best_cand != levels[idx]:
+                levels[idx] = best_cand
+                best_obj = best_cand_obj
+                improved = True
+        if not improved:
+            break
+    return tuple(levels)
+
+
+@st.composite
+def _analog_params(draw):
+    """Valid AnalogParams with r_segment from 0 to 1e9 ohm."""
+    r_segment = draw(st.one_of(st.just(0.0), st.floats(0, 1e9), st.floats(-3, 9).map(lambda e: 10.0**e)))
+    gamma = draw(st.floats(0.25, 1.0))
+    return AnalogParams(r_segment=r_segment, g_cell=draw(st.floats(-7, -4).map(lambda e: 10.0**e)),
+                        v_th=gamma * draw(st.floats(0.01, 0.95)), gamma=gamma)
+
+
+# Non-increasing level vectors: on the 0.01 V calibration grid, or anywhere in (0, 1.2].
+LEVELS = st.one_of(
+    st.lists(st.integers(80, 120).map(lambda i: round(0.8 + (i - 80) * 0.01, 10)), min_size=4, max_size=4),
+    st.lists(st.floats(0.05, 1.2), min_size=4, max_size=4),
+).map(lambda v: tuple(sorted(v, reverse=True)))
+
+
 class TestCalibration:
+    @given(_analog_params(), st.lists(LEVELS, min_size=1, max_size=41))
+    def test_batched_objectives_equal_scalar(self, params, level_rows):
+        objectives = cam._deviations(cam._curves(level_rows, params))
+        assert objectives.tolist() == [_scalar_objective(v, params) for v in level_rows]
+        assert objectives.tolist() == [
+            max_line_deviation(transfer_curve(VoltageProfile(v), params)) for v in level_rows
+        ]
+
+    @given(_analog_params())
+    @example(AnalogParams())
+    @example(AnalogParams(r_segment=0.0))
+    @example(AnalogParams(r_segment=1e5))
+    # Here a candidate beats the best by less than 1e-15 and must not be taken.
+    @example(AnalogParams(r_segment=412205971.6116135, g_cell=8.781831910631324e-05,
+                          v_th=0.21451989145091727, gamma=0.26102972872402697))
+    def test_levels_equal_per_candidate_search(self, params):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", CalibrationWarning)
+            assert calibrate_profile(params).levels == _calibrate_reference(params)
+
     def test_r0_returns_all_equal_levels(self):
         prof = calibrate_profile(AnalogParams(r_segment=0.0))
         assert len(set(prof.levels)) == 1

@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hdcam.hvcore import Rng
-from hdcam.lta import LtaDecision, SensingSpec, argmin_serial
+from hdcam.lta import LtaDecision, SensingSpec, argmin_serial, decide
 
 UA = 1e-6
 
@@ -75,6 +77,13 @@ class TestArgminSerial:
             decision = argmin_serial(currents, _spec(), Rng(99))
             assert decision.winner == int(np.argmin(currents))
 
+    def test_nine_rows_two_batches(self, rng):
+        # Nine rows: the first batch of 8, then its winner against the ninth.
+        currents = _separated(9, Rng(2))
+        decision = argmin_serial(currents, _spec(), rng)
+        assert decision.winner == int(np.argmin(currents))
+        assert [len(b.rows) for b in decision.trace] == [8, 2]
+
     def test_batching_structure(self, rng):
         currents = _separated(20, Rng(4))
         decision = argmin_serial(currents, _spec(), rng)
@@ -132,3 +141,57 @@ class TestArgminSerial:
 
     def test_returns_decision_type(self, rng):
         assert isinstance(argmin_serial([1 * UA, 2 * UA], _spec(), rng), LtaDecision)
+
+
+# A current on a grid of a quarter of the resolution, so that equal currents
+# and sub-resolution pairs are common; or one below the sensing floor; or any.
+CURRENT = st.one_of(
+    st.integers(0, 60).map(lambda n: n * 0.05e-6),
+    st.floats(0, 1e-9, exclude_max=True),
+    st.floats(0, 30e-6),
+)
+
+
+@st.composite
+def _matrices(draw):
+    """(currents (q, k), spec): k = 1, k <= batch, and several stages all occur."""
+    batch = draw(st.integers(2, 9))
+    k = draw(st.integers(1, 40))
+    q = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(CURRENT, min_size=k, max_size=k), min_size=q, max_size=q))
+    spec = _spec(batch=batch, resolution=draw(st.sampled_from([0.2e-6, 1e-6, 0.01e-6])))
+    return np.array(rows, dtype=np.float64).reshape(q, k), spec
+
+
+class TestDecide:
+    """decide senses a (q, k) matrix at once; it must match argmin_serial run
+    query by query, draws included."""
+
+    def _check(self, currents, spec, seed):
+        rng, reference_rng = Rng(seed), Rng(seed)
+        winners, flags = decide(currents, spec, rng)
+        reference = [argmin_serial(row, spec, reference_rng) for row in currents]
+        assert winners.tolist() == [d.winner for d in reference]
+        assert flags.tolist() == [d.ambiguous_flags for d in reference]
+        assert rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
+        return flags
+
+    @given(_matrices(), st.integers(0, 2**32 - 1))
+    @example((np.array([[3 * UA], [0.0]]), _spec()), 0)  # k = 1: nothing to compare
+    @example((np.array([[1.0 * UA, 1.1 * UA, 5 * UA], [2 * UA, 1 * UA, 5 * UA]]), _spec(batch=2)), 1)
+    @example((np.full((3, 20), 0.5e-9), _spec()), 2)  # every current below the floor
+    # A second-stage pair exactly one resolution apart is ambiguous.
+    @example((np.array([[5 * UA + n * UA for n in range(8)] + [1.0 * UA, 1.2 * UA]]), _spec()), 3)
+    def test_matches_per_query_argmin_serial(self, case, seed):
+        self._check(*case, seed)
+
+    def test_planted_ties_in_later_stages(self):
+        # Separated rows with a sub-resolution pair planted in the last stage of
+        # some queries: only those are re-run, and they draw in query order.
+        gen = np.random.default_rng(8)
+        currents = np.stack([_separated(30, Rng(s)) for s in range(50)])
+        planted = gen.choice(50, size=10, replace=False)
+        best = currents[planted].argmin(axis=1)
+        currents[planted, 29] = currents[planted, best] + 0.05e-6
+        flags = self._check(currents, _spec(), seed=4)
+        assert set(np.flatnonzero(flags)) == set(planted)

@@ -260,6 +260,14 @@ class TestCliErrors:
                                      "--kind", kind, "--dim", "128"])
         assert scheme in err and kind in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_seed_outside_32_bits(self, tmp_path, seed):
+        # Child seeds hash the seed as one 32-bit word, so a seed outside it is
+        # rejected instead of aliasing one inside (1 and 4294967297 would
+        # give the same CSV body under different headers).
+        err = self._check(tmp_path, ["classify", "--dim", "256", "--seed", seed])
+        assert "seed" in err and seed in err
+
     def test_cluster_multibit(self, tmp_path):
         # Cluster points are binary; multibit (ideal_dot) has nothing to score.
         err = self._check(tmp_path, ["cluster", "--mode", "multibit", "--dim", "256", "--seed", "1"])

@@ -24,8 +24,8 @@ physical (smaller) root is taken in the cancellation-free form
     i_j = 2 g a_j^2 / (1 + 2 g c_j a_j + sqrt(1 + 4 g c_j a_j)),
 
 exact at r_segment = 0. The current depends only on the column and the
-search levels, so a row's sensed current is its mismatch mask dotted with
-the 128 column weights tiled over its banks: a column-weighted Hamming
+search levels, so a row's sensed current is the 128 column weights dotted
+with its count of mismatching banks at each column: a column-weighted Hamming
 distance, which analog_currents computes for a whole query batch at once.
 Far cells lose gate overdrive and weigh less, bending the current-vs-distance
 curve. Search-voltage scaling counteracts this: the 128 columns split into
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AlignmentError, CalibrationWarning, ConfigError, DimensionError
-from .hvcore import BANK_COLS
+from .errors import CalibrationWarning, ConfigError, DimensionError
+from .hvcore import BANK_COLS, MAX_BANKS, check_alignment
 
 N_SEGMENTS = 4
 SEGMENT_COLS = BANK_COLS // N_SEGMENTS
@@ -111,6 +111,7 @@ class VoltageProfile:
 
 
 _K1 = np.arange(1, BANK_COLS + 1, dtype=np.float64)
+_BANK_BITS = np.uint16(1) << np.arange(MAX_BANKS, dtype=np.uint16)
 
 
 def column_currents(v_cols, params):
@@ -132,27 +133,35 @@ def solve_bank_currents(mismatch, v_cols, params):
     return np.sum(np.asarray(mismatch, dtype=bool) * column_currents(v_cols, params), axis=-1)
 
 
+def _bank_words(bits):
+    """(n, 128) uint16 words of an (n, dim) bit matrix; bit b of word j is bank b's bit j."""
+    n, dim = bits.shape
+    banks = bits.reshape(n, dim // BANK_COLS, BANK_COLS)
+    return np.einsum("nbc,b->nc", banks, _BANK_BITS[: dim // BANK_COLS])
+
+
+def _column_mismatches(rows, queries):
+    """(n_queries, n_rows, 128) uint8 count of the banks that mismatch at each column."""
+    return np.bitwise_count(_bank_words(queries)[:, None, :] ^ _bank_words(rows)[None, :, :])
+
+
 def analog_currents(rows_bits, queries_bits, profile, params):
     """Match-line currents of every (query, row) pair, shape (n_queries, n_rows).
 
     rows_bits and queries_bits are (n, dim) uint8 bit matrices. A pair's
-    current is the column-weighted Hamming distance sum_c w[c] * (q_c != r_c),
-    with w the 128 column_currents tiled over the banks: the sum of the
-    query's ones against the row's weighted zeros and of its zeros against
-    the row's weighted ones. Both add only non-negative weights, so zero
-    mismatches read exactly 0.0 and one mismatch exactly its column weight;
+    current is sum_j w[j] * H[j], with w the 128 column_currents and H[j] its
+    exact count of mismatching banks at column j. All terms are non-negative,
+    so zero mismatches read exactly 0.0 and one mismatch its column weight;
     einsum reduces each pair on its own, so a query's currents do not depend
-    on the batch it is scored in.
+    on its batch.
     """
     rows = np.atleast_2d(rows_bits)
     queries = np.atleast_2d(queries_bits)
-    width = rows.shape[1]
-    if queries.shape[1] != width:
+    if queries.shape[1] != rows.shape[1]:
         raise DimensionError("row and query widths differ")
-    if width == 0 or width % BANK_COLS:
-        raise AlignmentError("bit length must be a positive multiple of 128")
-    w = np.tile(column_currents(profile.column_voltages(), params), width // BANK_COLS)
-    return np.einsum("qc,rc->qr", queries, (1 - rows) * w) + np.einsum("qc,rc->qr", 1 - queries, rows * w)
+    check_alignment(rows.shape[1])
+    w = column_currents(profile.column_voltages(), params)
+    return np.einsum("qrc,c->qr", _column_mismatches(rows, queries), w)
 
 
 def search_analog(rows_bits, query_bits, profile, params):

@@ -109,26 +109,31 @@ def bundle_sub(counts, bits, size):
 
 
 def majority(counts, sizes):
-    """(n, dim) uint8 majority bits of n bundles with (n, dim) counts and (n,) sizes.
+    """(n, dim) uint8 majority bits of n bundles with (n, dim) integer counts and (n,) sizes.
 
-    Bit i of row r is 1 when counts[r, i] > sizes[r] / 2 and 0 when below.
-    Exact ties (possible only for even bundle sizes) take bit i of one
-    pseudo-random draw from the fixed tie-break seed, shared by every row, so
-    results are reproducible.
+    Bit i of row r is 1 when counts[r, i] > sizes[r] / 2, that is above
+    sizes[r] // 2 in the counts' own dtype, and 0 when below. Exact ties
+    (only at even sizes) take bit i of one pseudo-random draw from the fixed
+    tie-break seed, shared by every row, so results are reproducible.
     """
     counts = np.asarray(counts)
     if counts.dtype != np.int16 and counts.size and (
         counts.min() < COUNT_MIN or counts.max() > COUNT_MAX
     ):
         raise SaturationError("counts outside the signed 16-bit range")
-    half = np.asarray(sizes).reshape(-1, 1) / 2.0
-    if not half.all():
+    sizes = np.asarray(sizes).reshape(-1)
+    if not (sizes > 0).all():
         raise EmptyBundleError("cannot binarize an empty bundle")
-    bits = (counts > half).astype(np.uint8)
-    ties = counts == half
+    # No count exceeds cap, so clamping half to cap changes no bit, and a
+    # clamped half is out of reach: only even sizes with half <= cap can tie.
+    cap = min(COUNT_MAX, np.iinfo(counts.dtype).max)
+    half = np.minimum(sizes // 2, cap).astype(counts.dtype)[:, None]
+    bits = (counts > half).view(np.uint8)  # bools are 0/1 bytes: no second (n, dim) array
+    even = (sizes % 2 == 0) & (sizes // 2 <= cap)
+    ties = counts[even] == half[even]
     if ties.any():
         dim = counts.shape[1]
-        bits = np.where(ties, random_bits(1, dim, Rng([TIE_BREAK_SEED, dim])), bits)
+        bits[even] = np.where(ties, random_bits(1, dim, Rng([TIE_BREAK_SEED, dim])), bits[even])
     return bits
 
 

@@ -112,7 +112,7 @@ def train(batch, ledger=None):
 
 def _centred(counts, sizes):
     """Bundle counts centred on half their bundle sizes, as float64 rows."""
-    return counts.astype(np.float64) - np.asarray(sizes)[:, None] / 2.0
+    return counts - np.asarray(sizes)[:, None] / 2.0
 
 
 def _score(queries, rows, backend):

@@ -183,6 +183,14 @@ def _oracle_closed_form(mism_row, v_cols, params):
     return total
 
 
+def _reference_currents(rows, queries, profile, params):
+    """The column-weighted Hamming distance as two einsums over all bit columns:
+    the query's ones against the row's weighted zeros plus its zeros against
+    the row's weighted ones, with the 128 column weights tiled over the banks."""
+    w = np.tile(column_currents(profile.column_voltages(), params), rows.shape[1] // BANK_COLS)
+    return np.einsum("qc,rc->qr", queries, (1 - rows) * w) + np.einsum("qc,rc->qr", 1 - queries, rows * w)
+
+
 @st.composite
 def _analog_case(draw):
     """Valid params and profile, plus one random bank mask."""
@@ -262,7 +270,7 @@ class TestSolveMl:
         with pytest.raises(DimensionError):
             analog_currents(_rand(256, rng), _rand(128, rng), VoltageProfile.uniform(), AnalogParams())
 
-    @pytest.mark.parametrize("width", [0, 100, 200])
+    @pytest.mark.parametrize("width", [0, 100, 200, 2176])
     def test_unaligned_width(self, width):
         bits = np.zeros((2, width), dtype=np.uint8)
         with pytest.raises(AlignmentError):
@@ -299,6 +307,23 @@ class TestSolveMl:
         assert via_search.shape == (n_rows,)
         assert np.array_equal(via_search, via_pairs)
         assert via_search == pytest.approx(via_banks, rel=1e-12)
+
+    @given(_analog_case(), st.integers(1, 16), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    def test_matches_reference_currents(self, case, n_banks, n_rows, n_queries, seed):
+        params, profile, _ = case
+        gen = np.random.default_rng(seed)
+        rows = gen.integers(0, 2, (n_rows, 128 * n_banks), dtype=np.uint8)
+        queries = gen.integers(0, 2, (n_queries, 128 * n_banks), dtype=np.uint8)
+        expected = _reference_currents(rows, queries, profile, params)
+        assert analog_currents(rows, queries, profile, params) == pytest.approx(expected, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n_rows, n_queries, dim", [(32, 200, 2048), (1, 1, 128), (5, 7, 1152)])
+    def test_column_mismatches_sum_to_hamming(self, rng, n_rows, n_queries, dim):
+        rows = random_bits(n_rows, dim, rng)
+        queries = random_bits(n_queries, dim, rng)
+        counts = cam._column_mismatches(rows, queries)
+        assert counts.shape == (n_queries, n_rows, BANK_COLS)
+        assert np.array_equal(counts.sum(axis=2, dtype=np.int64), hamming_matrix(queries, rows))
 
     @pytest.mark.parametrize("n_rows, dim", [(8, 2048), (3, 256), (5, 128)])
     def test_block_boundaries_match_per_query(self, rng, n_rows, dim):

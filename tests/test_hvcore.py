@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -13,6 +13,7 @@ from hdcam.errors import (
 )
 from hdcam import learner
 from hdcam.hvcore import (
+    COUNT_MAX,
     DROP_WIDTHS,
     Rng,
     binarize,
@@ -229,16 +230,30 @@ def _reference_majority(counts, n):
 
 @st.composite
 def _bundles(draw):
+    """Counts of 1 to 5 bundles of 1 to 70 000 rows, in int16, int64 or uint64.
+
+    Half of each row's counts lie within one of half the bundle size, so ties
+    and near-ties occur; all stay inside the signed 16-bit range, so above a
+    size of 65 534 half the size is out of every count's reach.
+    """
     dim = 128 * draw(st.integers(1, 16))
-    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=5))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 70_000)), min_size=1, max_size=5))
+    dtype = draw(st.sampled_from([np.int16, np.int64, np.uint64]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    counts = np.stack([gen.integers(0, n + 1, size=dim) for n in sizes]).astype(np.int16)
-    return counts, np.array(sizes)
+    rows = []
+    for n in sizes:
+        near_half = n // 2 + gen.integers(-1, 2, size=dim)
+        uniform = gen.integers(0, n + 1, size=dim)
+        rows.append(np.where(gen.integers(0, 2, size=dim), near_half, uniform).clip(0, COUNT_MAX))
+    return np.stack(rows).astype(dtype), np.array(sizes)
 
 
 class TestMajority:
     @settings(max_examples=60, deadline=None)
     @given(_bundles())
+    @example((np.full((3, 256), COUNT_MAX, dtype=np.uint64), np.array([65534, 65535, 65536])))
+    @example((np.full((4, 128), COUNT_MAX, dtype=np.int16), np.array([65534, 65536, 65537, 70_000])))
+    @example((np.full((2, 128), 35000 // 2, dtype=np.int64), np.array([35000, 35001])))
     def test_equals_per_row_binarize(self, bundle):
         counts, sizes = bundle
         bits = majority(counts, sizes)

@@ -174,15 +174,14 @@ def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
 
 def purity(assignments, labels):
     """Fraction of points whose cluster's majority label matches their own."""
+    # Codes in order of first appearance: np.unique would import numpy.ma.
+    labels = np.asarray(labels).tolist()
+    index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+    codes = np.array([index[label] for label in labels])
     assignments = np.asarray(assignments)
-    labels = np.asarray(labels)
-    correct = 0
-    for k in np.unique(assignments):
-        members = labels[assignments == k]
-        if len(members):
-            _, counts = np.unique(members, return_counts=True)
-            correct += counts.max()
-    return correct / len(labels)
+    n_labels = len(index)
+    table = np.bincount(assignments * n_labels + codes, minlength=(assignments.max() + 1) * n_labels)
+    return table.reshape(-1, n_labels).max(axis=1).sum() / len(labels)
 
 
 def train_test_indices(n, test_fraction, seed):

@@ -17,6 +17,7 @@ import numpy as np
 from .cost import charge_to
 from .errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
 from .hvcore import (
+    COUNT_MAX,
     DROP_WIDTHS,
     bind,
     bundle_add,
@@ -117,7 +118,12 @@ def encode_record(features, im, lm, ledger=None):
     levels = quantize(features, len(lm))
     counts = np.zeros((n, im.shape[1]), dtype=np.int16)
     for pos in range(n_features):
-        counts = bundle_add(counts, bind(im[pos], lm[levels[:, pos]]))
+        bound = bind(im[pos], lm)[levels[:, pos]]  # an (L, dim) table, then one gather
+        # Counts start at 0, so none can overflow before position COUNT_MAX.
+        if pos < COUNT_MAX:
+            counts += bound
+        else:
+            counts = bundle_add(counts, bound)
     charge_to(ledger, "multiplication", n * n_features)
     charge_to(ledger, "addition", n * n_features)
     return counts, n_features

@@ -103,7 +103,7 @@ def train(batch, ledger=None):
     if len(labels) > MAX_CLASSES:
         raise CapacityError(f"more than {MAX_CLASSES} classes")
     rows = np.array([labels.index(label) for label in batch.labels])
-    counts = np.stack([batch.bits[rows == k].sum(axis=0) for k in range(len(labels))])
+    counts = np.stack([batch.bits[rows == k].sum(axis=0, dtype=np.int32) for k in range(len(labels))])
     if counts.max() > COUNT_MAX:
         raise SaturationError("class counts outside the signed 16-bit range")
     charge_to(ledger, "addition", len(batch))
@@ -298,7 +298,7 @@ def cluster(points, spec, rng, backend, ledger=None):
                 kept.append(k)
         # Re-seed the rest, in index order, to the point farthest from every kept centre.
         farthest = hamming_matrix(points, updated[kept]).min(axis=1)
-        for k in np.setdiff1d(np.arange(K), kept):
+        for k in [k for k in range(K) if k not in kept]:
             idx = int(farthest.argmax())
             updated[k] = points[idx]
             farthest = np.minimum(farthest, hamming_matrix(points, points[idx])[:, 0])

@@ -1,7 +1,14 @@
 import configparser
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hdcam.cli import main
 from hdcam.config import (
@@ -94,6 +101,19 @@ class TestIngest:
             ingest(p, "parquet")
 
 
+def _purity_reference(assignments, labels):
+    """purity through np.unique, as it was computed before the bincount table."""
+    assignments = np.asarray(assignments)
+    labels = np.asarray(labels)
+    correct = 0
+    for k in np.unique(assignments):
+        members = labels[assignments == k]
+        if len(members):
+            _, counts = np.unique(members, return_counts=True)
+            correct += counts.max()
+    return correct / len(labels)
+
+
 class TestGenerators:
     def test_record_blobs_shape(self):
         spec = SyntheticSpec(kind="records", samples=60, classes=3, features=5)
@@ -155,6 +175,19 @@ class TestGenerators:
     def test_purity(self):
         assert purity([0, 0, 1, 1], ["a", "a", "b", "b"]) == 1.0
         assert purity([0, 0, 0, 0], ["a", "a", "b", "b"]) == 0.5
+
+    @given(
+        st.integers(1, 8).flatmap(lambda k: st.lists(
+            st.tuples(st.integers(0, k - 1), st.integers(-2, 3)),
+            min_size=1, max_size=60,
+        )),
+        st.booleans(),
+    )
+    def test_purity_equals_unique_reference(self, pairs, as_strings):
+        # Cluster ids up to k - 1 leave some unused; k = 1 is a single cluster.
+        assignments = [a for a, _ in pairs]
+        labels = [f"c{label}" if as_strings else label for _, label in pairs]
+        assert purity(assignments, labels) == _purity_reference(assignments, labels)
 
 
 class TestSplit:
@@ -410,3 +443,47 @@ class TestCli:
         rc = main(["classify", "--data", str(bad), "--out", str(tmp_path)])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+# Imports hdcam.cli, then runs every verb and prints the numpy modules the runs imported.
+_AUDIT = """
+import contextlib, io, json, sys
+import hdcam.cli
+before = set(sys.modules)
+out, data = sys.argv[1], sys.argv[2]
+runs = [
+    ["classify", "--dim", "256"],
+    ["cluster", "--dim", "256", "--data", data],
+    ["dim-sweep", "--dims", "256"],
+    ["transfer-curve"],
+    ["calibrate"],
+    ["cost-report"],
+]
+codes = []
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(hdcam.cli.main([*argv, "--out", f"{out}/{argv[0]}"]))
+print(json.dumps([codes, sorted(m for m in set(sys.modules) - before if m.startswith("numpy"))]))
+"""
+
+
+def test_run_path_imports(tmp_path):
+    # numpy.random is the one numpy package the verbs may load after start-up
+    # (lazily, so it stays out of import time). np.unique and its family
+    # (setdiff1d, isin, union1d, intersect1d) import numpy.ma, about 17 ms.
+    data = tmp_path / "toy.csv"
+    gen = np.random.default_rng(0)
+    data.write_text("".join(
+        f"{0.2 + 0.6 * (i % 2) + gen.normal(0, 0.05):.4f},{0.8 - 0.6 * (i % 2):.4f},c{i % 2}\n"
+        for i in range(40)
+    ))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", _AUDIT, str(tmp_path / "out"), str(data)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    codes, imported = json.loads(done.stdout.splitlines()[-1])
+    assert codes == [0] * 6
+    assert "numpy.random" in imported  # loaded by the runs, not by the import
+    assert [m for m in imported if m != "numpy.random" and not m.startswith("numpy.random.")] == []

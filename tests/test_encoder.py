@@ -18,9 +18,9 @@ from hdcam.encoder import (
 )
 from hdcam.config import ExperimentConfig
 from hdcam.datasets import SyntheticSpec, make_language_corpus, make_record_blobs
-from hdcam.errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
+from hdcam.errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
 from hdcam.experiments import build_encoding_context, encode_subset
-from hdcam.hvcore import Rng, binarize, bind, bundle_add, hamming_matrix, permute_shift, random_bits
+from hdcam.hvcore import COUNT_MAX, Rng, binarize, bind, bundle_add, hamming_matrix, permute_shift, random_bits
 
 
 def _dist(a, b):
@@ -169,6 +169,28 @@ class TestEncodeRecord:
         features = rng.generator.uniform(-0.2, 1.2, size=(40, 6))
         counts, _ = encode_record(features, im, lm)
         assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
+
+    @given(
+        st.integers(1, 40), st.integers(2, 16), st.sampled_from([128, 256, 384, 512]),
+        st.integers(1, 12), st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_per_row_reference(self, n_features, levels, dim, n, seed):
+        rng = Rng(seed)
+        im, lm = random_bits(n_features, dim, rng), random_bits(levels, dim, rng)
+        features = rng.generator.uniform(-0.2, 1.2, size=(n, n_features))
+        counts, size = encode_record(features, im, lm)
+        assert size == n_features
+        assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
+
+    def test_saturation_at_count_max_plus_one_features(self):
+        # Every bound row is all ones, so each feature adds 1 to every counter.
+        im = np.ones((COUNT_MAX + 1, 128), dtype=np.uint8)
+        lm = np.zeros((2, 128), dtype=np.uint8)
+        features = np.zeros((1, COUNT_MAX + 1))
+        counts, _ = encode_record(features[:, :COUNT_MAX], im[:COUNT_MAX], lm)
+        assert (counts == COUNT_MAX).all()
+        with pytest.raises(SaturationError):
+            encode_record(features, im, lm)
 
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)

@@ -2,46 +2,29 @@
 """Accuracy sensitivity study: binary vs multibit vectors, shift vs bit-drop
 permutation, on the record and language tasks of presets/."""
 
-import argparse
-from dataclasses import replace
+import sys
 from pathlib import Path
 
-from hdcam.config import load_experiment_config
-from hdcam.experiments import run_classify, synthesize_dataset, write_csv
+from hdcam.experiments import write_csv
 
-PRESETS = Path(__file__).resolve().parents[1] / "presets"
+import studies
 
-
-def task_config(task, seed, dim):
-    return load_experiment_config(PRESETS / f"{task}.ini", "classify").with_overrides(
-        seed=seed, dim=dim)
+WIDTHS = (8, 16)
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--seeds", type=int, default=5)
-    ap.add_argument("--dim", type=int, default=2048)
-    ap.add_argument("--out", default="results/accuracy_study")
-    args = ap.parse_args()
-
+def main(args):
+    seeds = range(args.seeds)
     rows = []
     for task in ("records", "languages"):
-        for seed in range(args.seeds):
-            cfg = task_config(task, seed, args.dim)
-            ds = synthesize_dataset(cfg)
-            acc_b = run_classify(cfg.with_overrides(mode="binary"), ds).accuracy
-            acc_m = run_classify(cfg.with_overrides(mode="multibit"), ds).accuracy
+        accs = studies.binary_vs_multibit(task, seeds, args.dim)
+        for seed, acc_b, acc_m in zip(seeds, accs["binary"], accs["multibit"]):
             rows.append((task, "binary_vs_multibit", "binary", seed, acc_b))
             rows.append((task, "binary_vs_multibit", "multibit", seed, acc_m))
             print(f"{task} seed {seed}: binary {acc_b:.4f}  multibit {acc_m:.4f}")
 
-    for width in (8, 16):
-        for seed in range(args.seeds):
-            cfg = task_config("languages", seed, args.dim)
-            ds = synthesize_dataset(cfg)
-            acc_s = run_classify(cfg, ds).accuracy
-            enc = replace(cfg.encoding, permute_mode="drop", drop_width=width)
-            acc_d = run_classify(cfg.with_overrides(encoding=enc), ds).accuracy
+    accs = studies.shift_vs_drop(seeds, WIDTHS, args.dim)
+    for width in WIDTHS:
+        for seed, acc_s, acc_d in zip(seeds, accs["shift"], accs[f"drop{width}"]):
             rows.append(("languages", f"drop_width_{width}", "shift", seed, acc_s))
             rows.append(("languages", f"drop_width_{width}", f"drop{width}", seed, acc_d))
             print(f"drop width {width} seed {seed}: shift {acc_s:.4f}  drop {acc_d:.4f}")
@@ -53,4 +36,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(studies.run(main, __doc__, dim=2048, out="results/accuracy_study"))

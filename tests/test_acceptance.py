@@ -5,13 +5,9 @@ criteria check relative effects (ratios, gaps, orderings) rather than
 absolute benchmark accuracies.
 """
 
-from dataclasses import replace
-from pathlib import Path
-
 import numpy as np
 
 from hdcam.cam import AnalogParams, VoltageProfile, calibrate_profile, max_line_deviation, transfer_curve
-from hdcam.config import load_experiment_config
 from hdcam.cost import CostLedger, ratios_vs_cmos
 from hdcam.datasets import make_hv_blobs, purity
 from hdcam.experiments import run_classify, synthesize_dataset
@@ -19,13 +15,9 @@ from hdcam.hvcore import Rng
 from hdcam.learner import ClusterSpec, SimilarityBackend, cluster
 from hdcam.lta import SensingSpec, argmin_serial
 
+import studies
+
 SEEDS = (0, 1, 2, 3, 4)
-PRESETS = Path(__file__).resolve().parents[1] / "presets"
-
-
-def _preset(name, seed):
-    """The study config presets/<name>.ini, as classify reads it, at the given seed."""
-    return load_experiment_config(PRESETS / f"{name}.ini", "classify").with_overrides(seed=seed)
 
 
 def _report(name, ok, detail):
@@ -60,53 +52,27 @@ def test_binary_vs_multibit_gap():
     details = []
     ok = True
     for task in ("records", "languages"):
-        gaps = []
-        for seed in SEEDS:
-            cfg = _preset(task, seed)
-            ds = synthesize_dataset(cfg)
-            acc_b = run_classify(cfg.with_overrides(mode="binary"), ds).accuracy
-            acc_m = run_classify(cfg.with_overrides(mode="multibit"), ds).accuracy
-            gaps.append(acc_m - acc_b)
-        gap = _mean(gaps)
+        accs = studies.binary_vs_multibit(task, SEEDS)
+        gap = _mean([m - b for b, m in zip(accs["binary"], accs["multibit"])])
         details.append(f"{task} gap {gap * 100:+.2f} pts")
         ok = ok and gap <= 0.05
     _report("binary-vs-multibit accuracy gap <= 5 pts", ok, ", ".join(details))
 
 
 def test_bit_drop_permutation_fidelity():
-    shift_acc = {}
-    for seed in SEEDS:
-        cfg = _preset("languages", seed)
-        ds = synthesize_dataset(cfg)
-        shift_acc[seed] = run_classify(cfg, ds).accuracy
+    widths = (8, 16)
+    accs = studies.shift_vs_drop(SEEDS, widths)
     details = []
     ok = True
-    for width in (8, 16):
-        diffs = []
-        for seed in SEEDS:
-            cfg = _preset("languages", seed)
-            ds = synthesize_dataset(cfg)
-            enc = replace(cfg.encoding, permute_mode="drop", drop_width=width)
-            acc_d = run_classify(cfg.with_overrides(encoding=enc), ds).accuracy
-            diffs.append(acc_d - shift_acc[seed])
-        gap = _mean(diffs)
+    for width in widths:
+        gap = _mean([d - s for s, d in zip(accs["shift"], accs[f"drop{width}"])])
         details.append(f"width {width}: {gap * 100:+.2f} pts")
         ok = ok and abs(gap) <= 0.02
     _report("bit-drop permutation within 2 pts of shift", ok, ", ".join(details))
 
 
 def test_voltage_scaling_recovery():
-    accs = {"ideal": [], "calibrated": [], "uniform": []}
-    for seed in SEEDS:
-        cfg = _preset("languages-10", seed)
-        ds = synthesize_dataset(cfg)
-        accs["ideal"].append(run_classify(cfg, ds).accuracy)
-        accs["calibrated"].append(
-            run_classify(cfg.with_overrides(backend="analog", profile="calibrated"), ds).accuracy
-        )
-        accs["uniform"].append(
-            run_classify(cfg.with_overrides(backend="analog", profile="uniform"), ds).accuracy
-        )
+    accs = studies.voltage_backends(SEEDS)
     ideal, cal, uni = (_mean(accs[k]) for k in ("ideal", "calibrated", "uniform"))
     close_to_ideal = abs(ideal - cal) <= 0.01
     uniform_lower = uni < cal
@@ -149,7 +115,7 @@ def test_lta_oracle_equivalence():
         currents[0] = 1.0e-6
         currents[1] = 1.0e-6 + 0.5 * spec.resolution  # planted sub-resolution pair at the minimum
         decision = argmin_serial(currents, spec, Rng(trial))
-        flagged += decision.trace[0].ambiguous
+        flagged += decision.ambiguous_flags
     ok = matches == 1000 and flagged == cases
     _report(
         "LTA oracle equivalence and ambiguity flagging",
@@ -181,7 +147,7 @@ def test_dimension_scaling():
     big = CostLedger(2048, counts=dict(counts))
     small = CostLedger(512, counts=dict(counts))
     exact = small.hydra_energy_pj == big.hydra_energy_pj * (512 / 2048)
-    cfg2048 = _preset("records", 0)
+    cfg2048 = studies.preset("records", 0)
     cfg512 = cfg2048.with_overrides(dim=512)
     ds = synthesize_dataset(cfg2048)
     acc512 = run_classify(cfg512, ds).accuracy

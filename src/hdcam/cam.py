@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationWarning, ConfigError, DimensionError
-from .hvcore import BANK_COLS, MAX_BANKS, check_alignment
+from .hvcore import BANK_COLS, MAX_BANKS, Rng, check_alignment
 
 N_SEGMENTS = 4
 SEGMENT_COLS = BANK_COLS // N_SEGMENTS
@@ -180,7 +180,7 @@ def search_analog(rows_bits, query_bits, profile, params):
 def _placement_order():
     """The column shuffle of PLACEMENT_SEED, drawn on first use: a draw at
     import would make importing this module import numpy.random."""
-    order = np.random.default_rng(PLACEMENT_SEED).permutation(BANK_COLS)
+    order = Rng(PLACEMENT_SEED).permutation(BANK_COLS)
     order.flags.writeable = False
     return order
 

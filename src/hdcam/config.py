@@ -58,7 +58,6 @@ CASTS = {
     float: _finite_float,
     str: str,
     str | None: lambda raw: raw or None,
-    tuple: lambda raw: tuple(_finite_float(v) for v in raw.split(",")),
 }
 
 

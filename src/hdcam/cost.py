@@ -97,9 +97,6 @@ class CostLedger:
             self.counts[op_kind] = self.counts.get(op_kind, 0) + count
         return self
 
-    def count(self, op_kind):
-        return self.counts.get(op_kind, 0)
-
     def merge(self, other):
         if self.active_dim != other.active_dim:
             raise ConfigError("cannot merge ledgers with different active dims")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
-from .hvcore import random_bits
+from .hvcore import Rng, random_bits
 
 
 @dataclass
@@ -126,10 +126,9 @@ def make_record_blobs(spec, rng):
     """Gaussian class blobs in feature space, clipped to [0, 1]: row i belongs
     to class i mod classes. The one (samples, features) normal draw is the
     same stream as one draw per row."""
-    gen = rng.generator
-    protos = gen.uniform(0.0, 1.0, size=(spec.classes, spec.features))
+    protos = rng.uniform(0.0, 1.0, size=(spec.classes, spec.features))
     classes = np.arange(spec.samples) % spec.classes
-    noise = gen.normal(0.0, spec.noise, size=(spec.samples, spec.features))
+    noise = rng.normal(0.0, spec.noise, size=(spec.samples, spec.features))
     samples = np.clip(protos[classes] + noise, 0.0, 1.0)
     return Dataset("feature_csv", samples, [f"class_{c}" for c in classes])
 
@@ -137,13 +136,12 @@ def make_record_blobs(spec, rng):
 def make_language_corpus(spec, rng):
     """Seeded letter-Markov corpus: one transition matrix per language, line i
     in language i mod languages. Each letter is the first whose cumulative
-    probability exceeds one uniform, as gen.choice(p=...) picks it, and the
+    probability exceeds one uniform, as rng.choice(p=...) picks it, and the
     one (samples, text_length) uniform draw is the same stream as one per letter."""
-    gen = rng.generator
     a = len(string.ascii_lowercase)
-    transitions = [gen.dirichlet(np.full(a, 0.3), size=a) for _ in range(spec.languages)]
-    initials = [gen.dirichlet(np.full(a, 0.3)) for _ in range(spec.languages)]
-    uniforms = gen.random((spec.samples, spec.text_length))
+    transitions = [rng.dirichlet(np.full(a, 0.3), size=a) for _ in range(spec.languages)]
+    initials = [rng.dirichlet(np.full(a, 0.3)) for _ in range(spec.languages)]
+    uniforms = rng.random((spec.samples, spec.text_length))
     # cdfs[lang, 0] starts a line; cdfs[lang, 1 + c] follows letter c
     cdfs = np.concatenate((np.array(initials)[:, None], transitions), axis=1).cumsum(axis=2)
     cdfs /= cdfs[..., -1:]
@@ -160,14 +158,13 @@ def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
     of its blob center. Returns a synthetic_blobs dataset whose samples are a
     (K * points_per_blob, dim) bit matrix, with planted labels. The (K, dim)
     centers are the first draw from rng, random_bits(K, dim, rng)."""
-    gen = rng.generator
     max_flips = int(dim * max_flip_fraction)
     centers = random_bits(K, dim, rng)
     points = np.repeat(centers, points_per_blob, axis=0)
     for bits in points:
-        n_flips = int(gen.integers(0, max_flips + 1))
+        n_flips = int(rng.integers(0, max_flips + 1))
         if n_flips:
-            bits[gen.choice(dim, size=n_flips, replace=False)] ^= 1
+            bits[rng.choice(dim, size=n_flips, replace=False)] ^= 1
     labels = [k for k in range(K) for _ in range(points_per_blob)]
     return Dataset("synthetic_blobs", points, labels)
 
@@ -191,5 +188,5 @@ def train_test_indices(n, test_fraction, seed):
     n_test = max(1, int(round(n * test_fraction)))
     if n_test >= n:
         raise ConfigError(f"test_fraction {test_fraction} of {n} samples leaves no training sample")
-    perm = np.random.default_rng(seed).permutation(n)
+    perm = Rng(seed).permutation(n)
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])

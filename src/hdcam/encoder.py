@@ -90,7 +90,7 @@ def build_level_memory(L, dim, rng):
     check_alignment(dim)
     if dim // (2 * (L - 1)) < 1:
         raise TooManyLevelsError(f"{L} levels need at least {2 * (L - 1)} dims, got {dim}")
-    flip_order = rng.generator.permutation(dim)[: dim // 2]
+    flip_order = rng.permutation(dim)[: dim // 2]
     levels = np.repeat(random_bits(1, dim, rng), L, axis=0)
     for level, block in enumerate(np.array_split(flip_order, L - 1), 1):
         levels[level:, block] ^= 1
@@ -152,7 +152,7 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
         raise ConfigError("drop-mode permutation needs an rng for the random tail")
     if drop:
         shape = (*block, windows, passes, cfg.drop_width)
-        tails = rng.generator.integers(0, 2, size=shape, dtype=np.uint8)
+        tails = rng.integers(0, 2, size=shape, dtype=np.uint8)
     counts = np.zeros((*block, im.shape[1]), dtype=np.int16)
     for t in range(windows):
         gram = im[symbols[..., t + n - 1]]

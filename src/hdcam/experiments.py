@@ -71,6 +71,9 @@ SCHEME_KINDS = {"ngram": "text_corpus", "record": "feature_csv"}
 
 def build_encoding_context(dataset, cfg, seed):
     enc = cfg.encoding
+    if dataset.kind == "synthetic_blobs":
+        raise ConfigError("[synthetic] kind = hv_blobs plants hypervectors, which no encoding scheme "
+                          "reads: only hdcam cluster takes them")
     if dataset.kind != SCHEME_KINDS[enc.scheme]:
         raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
     rng = Rng(seed)

@@ -16,8 +16,6 @@ inputs, and only random_bits draws random numbers (majority's tie bits are
 one such draw, from a fixed seed).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -55,18 +53,11 @@ def _check_width(a, b):
         raise DimensionError(f"operand widths differ: {np.shape(a)[-1]} vs {np.shape(b)[-1]}")
 
 
-@dataclass
-class Rng:
-    """Seeded random bit source (PCG64). Same seed, same stream."""
-
-    seed: int
-
-    def __post_init__(self):
-        self._generator = np.random.Generator(np.random.PCG64(self.seed))
-
-    @property
-    def generator(self):
-        return self._generator
+def Rng(seed):
+    """The package's seeded random stream: a numpy Generator on PCG64.
+    Same seed, same stream. Nothing is drawn at import, so importing this
+    module does not import numpy.random."""
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def derive_seed(master, stream):
@@ -80,7 +71,7 @@ def derive_seed(master, stream):
 def random_bits(n, dim, rng):
     """(n, dim) i.i.d. uniform bits; row by row, the same stream as n draws of one row."""
     check_alignment(dim)
-    return rng.generator.integers(0, 2, size=(n, dim), dtype=np.uint8)
+    return rng.integers(0, 2, size=(n, dim), dtype=np.uint8)
 
 
 def bind(a, b):

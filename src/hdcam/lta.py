@@ -60,7 +60,7 @@ def _resolve(currents, spec, rng):
     m = c.min()
     candidates = np.flatnonzero(c <= m + spec.resolution)
     if len(candidates) > 1:
-        return int(rng.generator.choice(candidates)), True
+        return int(rng.choice(candidates)), True
     return int(candidates[0]), False
 
 

@@ -228,7 +228,7 @@ class TestSolveMl:
         v_cols = VoltageProfile((1.1, 1.05, 1.0, 0.95)).column_voltages()
         for n_mism in (1, 17, 64, 128):
             mask = np.zeros(128, dtype=bool)
-            mask[rng.generator.choice(128, size=n_mism, replace=False)] = True
+            mask[rng.choice(128, size=n_mism, replace=False)] = True
             mine = solve_bank_currents(mask, v_cols, params)
             oracle = _oracle_bank_current(mask, v_cols, params)
             assert mine == pytest.approx(oracle, rel=1e-6)
@@ -237,7 +237,7 @@ class TestSolveMl:
         params = AnalogParams()
         v_cols = VoltageProfile.uniform(1.0).column_voltages()
         mask = np.zeros(128, dtype=bool)
-        mask[rng.generator.choice(128, size=40, replace=False)] = True
+        mask[rng.choice(128, size=40, replace=False)] = True
         mine = solve_bank_currents(mask, v_cols, params)
         assert mine == pytest.approx(_oracle_closed_form(mask, v_cols, params), rel=1e-6)
 
@@ -328,9 +328,8 @@ class TestSolveMl:
     @pytest.mark.parametrize("n_rows, dim", [(8, 2048), (3, 256), (5, 128)])
     def test_block_boundaries_match_per_query(self, rng, n_rows, dim):
         # a query's currents in a 23-query batch are exactly its solo currents
-        gen = rng.generator
-        rows = gen.integers(0, 2, (n_rows, dim), dtype=np.uint8)
-        queries = gen.integers(0, 2, (23, dim), dtype=np.uint8)
+        rows = rng.integers(0, 2, (n_rows, dim), dtype=np.uint8)
+        queries = rng.integers(0, 2, (23, dim), dtype=np.uint8)
         prof, params = VoltageProfile((1.2, 1.1, 1.0, 0.9)), AnalogParams()
         batched = analog_currents(rows, queries, prof, params)
         for q, query in enumerate(queries):

@@ -133,7 +133,7 @@ class TestGenerators:
     def test_record_blobs_one_draw_equals_per_row_draws(self, features):
         spec = SyntheticSpec(kind="records", samples=600, classes=7, features=features, noise=0.3)
         ds = make_record_blobs(spec, Rng(11))
-        gen = Rng(11).generator
+        gen = Rng(11)
         protos = gen.uniform(0.0, 1.0, size=(spec.classes, features))
         rows = [
             np.clip(protos[i % spec.classes] + gen.normal(0.0, spec.noise, size=features), 0.0, 1.0)
@@ -145,7 +145,7 @@ class TestGenerators:
     def test_language_corpus_one_draw_equals_per_char_choice(self, languages, length):
         spec = SyntheticSpec(kind="languages", samples=90, languages=languages, text_length=length)
         ds = make_language_corpus(spec, Rng(13))
-        gen = Rng(13).generator
+        gen = Rng(13)
         transitions = [gen.dirichlet(np.full(26, 0.3), size=26) for _ in range(languages)]
         initials = [gen.dirichlet(np.full(26, 0.3)) for _ in range(languages)]
         texts = []

@@ -7,10 +7,13 @@ import pytest
 from hdcam.cam import AnalogParams, VoltageProfile
 from hdcam.cli import main, verb_flags
 from hdcam.config import (
+    CASTS,
     VERBS,
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
+    _keys,
+    _sections,
     save_profile,
     verb_keys,
 )
@@ -147,6 +150,9 @@ class TestExperimentLoader:
         assert settable == {"classify": 38, "cluster": 39, "dim-sweep": 37,
                             "transfer-curve": 6, "calibrate": 6, "cost-report": 3}
         assert "--dim" not in verb_flags("dim-sweep") and "--dims" in verb_flags("dim-sweep")
+        # every cast is the annotation of some key
+        sections = _sections(ExperimentConfig()).values()
+        assert set(CASTS) <= {f.type for obj in sections for f in _keys(obj)}
 
     def test_readme_config_block_loads(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)

@@ -64,7 +64,7 @@ class TestTally:
     def test_original_ledger_untouched(self):
         base = CostLedger(2048)
         base.merge(CostLedger(2048).charge("search", 3))
-        assert base.count("search") == 0
+        assert base.counts.get("search", 0) == 0
 
     def test_unknown_op(self):
         with pytest.raises(ConfigError):

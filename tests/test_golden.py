@@ -1,10 +1,12 @@
 """Byte-identity gate: small CLI runs must write exactly the recorded CSV bytes.
 
-Each case is one `hdcam` run at --dim 256 under tmp_path; the test compares
-the sha256 of the whole CSV (header block, body) with a constant recorded
+Each case is one small `hdcam` run under tmp_path (classify and cluster at
+--dim 256); the test compares the sha256 of the whole output file (CSV header
+block and body, or the calibrated profile.ini) with a constant recorded
 before the per-vector types were replaced by rows (the ingested feature CSV
 cases: before feature data became one matrix; the ragged text corpus cases:
-before the n-gram encoder took blocks of sequences). A change that moves any
+before the n-gram encoder took blocks of sequences; the verb cases: before
+`Rng` became a function returning a numpy Generator). A change that moves any
 byte, whether an accuracy, a cost total, a profile level or one label, fails
 here. Re-record a constant only for a deliberate change of output, and say
 which and why where the change is described.
@@ -77,6 +79,46 @@ def test_csv_bytes(tmp_path, name):
     argv = [verb, "--config", str(cfg), "--out", str(out), "--dim", "256", "--seed", "5", *flags]
     assert main(argv) == 0
     assert hashlib.sha256((out / csv_name).read_bytes()).hexdigest() == digest
+
+
+# name -> (argv without --out, config text or None, output file, sha256 of it)
+# for the verbs the cases above do not run. transfer-curve and calibrate read
+# the bank placement order; dim-sweep reads the train/test split at each width.
+VERB_CASES = {
+    "transfer-curve": (
+        ["transfer-curve"], None, "transfer_curve.csv",
+        "8cc81aa2f839aafb0fdfebbcfdb7545f328a247445fa382eff4e3ce717f66ac8",
+    ),
+    "calibrate": (
+        ["calibrate"], None, "profile.ini",
+        "6e9034be8d660f68bb024af210daf178341eec6738dfa1b8cb007d07f1aee1e1",
+    ),
+    "cost-report": (
+        ["cost-report"], None, "cost_report.csv",
+        "396865f1b9f13a72cf987c29750758d9a26f35e83fcb0730be072c3bae58fac3",
+    ),
+    "dim-sweep": (
+        ["dim-sweep", "--dims", "128,256", "--seed", "5"],
+        RECORDS.format(epochs=1), "dim_sweep.csv",
+        "1e2768d6d7956e6dec3b724742907f755a4854d3265bbb67c753d8341fb5de3c",
+    ),
+    "dim-sweep-analog": (
+        ["dim-sweep", "--dims", "128,256", "--seed", "5", "--backend", "analog"],
+        RECORDS.format(epochs=1), "dim_sweep.csv",
+        "b0e3221e9129f64c25a9822e5dc6d6b54a140bfcffe4763aac60e79d3e81b5e9",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VERB_CASES)
+def test_verb_output_bytes(tmp_path, name):
+    argv, text, out_name, digest = VERB_CASES[name]
+    if text is not None:
+        (tmp_path / "cfg.ini").write_text(text)
+        argv = [*argv, "--config", str(tmp_path / "cfg.ini")]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / out_name).read_bytes()).hexdigest() == digest
 
 
 # Half the ragged corpus is held out: 30 queries, enough that a drop-mode

@@ -323,20 +323,20 @@ class TestPermute:
 
     def test_drop_head_matches_shift(self, rng):
         x = _rand(2048, rng)
-        tail = rng.generator.integers(0, 2, size=8, dtype=np.uint8)
+        tail = rng.integers(0, 2, size=8, dtype=np.uint8)
         y = permute_drop(x, tail)
         assert np.array_equal(y[: 2048 - 8], x[8:])
         assert np.array_equal(y[2048 - 8 :], tail)
 
     def test_drop_differs_from_shift_only_in_tail(self, rng):
         x = _rand(2048, rng)
-        tail = rng.generator.integers(0, 2, size=16, dtype=np.uint8)
+        tail = rng.integers(0, 2, size=16, dtype=np.uint8)
         d = _dist(permute_drop(x, tail), permute_shift(x, 16))
         assert d <= 16
 
     def test_drop_on_matrix_takes_one_tail_per_row(self, rng):
         m = random_bits(3, 256, rng)
-        tails = rng.generator.integers(0, 2, size=(3, 8), dtype=np.uint8)
+        tails = rng.integers(0, 2, size=(3, 8), dtype=np.uint8)
         y = permute_drop(m, tails)
         for row in range(3):
             assert np.array_equal(y[row], permute_drop(m[row], tails[row]))

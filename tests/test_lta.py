@@ -17,9 +17,9 @@ def _spec(**kw):
 
 def _separated(n, rng, min_delta=0.21e-6):
     """Currents whose pairwise deltas all exceed the comparator resolution."""
-    deltas = min_delta + rng.generator.exponential(0.4e-6, size=n)
+    deltas = min_delta + rng.exponential(0.4e-6, size=n)
     values = np.cumsum(deltas)
-    rng.generator.shuffle(values)
+    rng.shuffle(values)
     return values
 
 
@@ -173,7 +173,7 @@ class TestDecide:
         reference = [argmin_serial(row, spec, reference_rng) for row in currents]
         assert winners.tolist() == [d.winner for d in reference]
         assert flags.tolist() == [d.ambiguous_flags for d in reference]
-        assert rng.generator.bit_generator.state == reference_rng.generator.bit_generator.state
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
         return flags
 
     @given(_matrices(), st.integers(0, 2**32 - 1))

@@ -260,6 +260,15 @@ class TestCliErrors:
                                      "--kind", kind, "--dim", "128"])
         assert scheme in err and kind in err
 
+    @pytest.mark.parametrize("verb", ["classify", "dim-sweep"])
+    def test_hv_blobs_outside_cluster(self, tmp_path, verb):
+        # Planted blobs are hypervectors already; no scheme encodes them.
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[synthetic]\nkind = hv_blobs\n")
+        width = "--dims" if verb == "dim-sweep" else "--dim"
+        err = self._check(tmp_path, [verb, "--config", str(cfg), width, "128"])
+        assert "hv_blobs" in err and "cluster" in err
+
     @pytest.mark.parametrize("seed", ["-1", str(2**32)])
     def test_seed_outside_32_bits(self, tmp_path, seed):
         # Child seeds hash the seed as one 32-bit word, so a seed outside it is

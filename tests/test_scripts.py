@@ -1,5 +1,5 @@
-"""The experiment scripts, run as a user runs them, and the README's table of
-the abstract's claims."""
+"""The experiment scripts, run as a user runs them, the README's library
+sketch, and its table of the abstract's claims."""
 
 import ast
 import csv
@@ -79,6 +79,15 @@ def test_bad_input_exits_2_before_writing(tmp_path, script, flags):
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not out.exists()
+
+
+def test_readme_library_sketch_runs(tmp_path):
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", blocks[0]], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _claims_table():

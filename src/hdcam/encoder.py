@@ -7,15 +7,20 @@ the level row of the quantized value and bundles over positions, for a whole
 rows across a sliding window, permuting older symbols more, and bundles all
 windows, for a whole (B, T) block of equal-length sequences at once. Bundles
 are int16 counts plus the number of rows bundled.
+
+encode_ngram_packed is the n-gram encoder of the run path: it works on packed
+grams of all windows at once. encode_ngram is the per-window definition it
+must match, kept as the reference for the tests and for bench/tracer.py.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import charge_to
-from .errors import ConfigError, DimensionError, GenerationError, TooManyLevelsError
+from .errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
 from .hvcore import (
     COUNT_MAX,
     DROP_WIDTHS,
@@ -27,6 +32,10 @@ from .hvcore import (
     permute_shift,
     random_bits,
 )
+
+# Gram bits (windows x rows x dim) that encode_ngram_packed gathers at a time:
+# 2 windows of a 64-row block at dim 2048, n * 32 KB of packed table rows.
+GRAM_CHUNK_CELLS = 2**18
 
 
 @dataclass
@@ -139,6 +148,9 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     each with its own random tail. Drop mode draws all tails of the block at
     once, sequence-major: the same stream as one draw per pass. Each window
     costs n - 1 multiplications, one addition and one permutation per pass.
+
+    This is the per-window definition, kept for the tests and bench/tracer.py;
+    runs encode with encode_ngram_packed, which gives the same results.
     """
     if n < 1:
         raise ValueError("n-gram width must be at least 1")
@@ -170,3 +182,84 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     charge_to(ledger, "multiplication", grams * (n - 1))
     charge_to(ledger, "addition", grams)
     return counts, windows
+
+
+def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
+    """encode_ngram from packed grams, all windows of the block at once: the
+    same counts, window count, charges, errors and single tail draw. This is
+    the run path's n-gram encoder; encode_ngram is its per-window definition.
+
+    Table k is the item memory after step k's permutation, packed to dim/8
+    bytes per symbol once per call: rotated by k in shift mode; in drop mode
+    shifted left by k*w/8 bytes with zeros behind, because k drop passes leave
+    the row from bit k*w on, followed by the k tails, and w is whole bytes.
+    A window's gram is the XOR of its n table rows, gathered window-major as
+    (windows, rows, dim/8); drop mode folds the gram's tails into one
+    right-aligned (n-1)*w/8-byte block and XORs it into the last bytes. Grams
+    are gathered GRAM_CHUNK_CELLS bits at a time, then unpacked window by
+    window into a uint8 partial sum of up to 255 windows. SaturationError is
+    raised when an exact count exceeds COUNT_MAX, the condition bundle_add
+    checks window by window, and IndexError for a symbol outside the item
+    memory's rows.
+    """
+    if n < 1:
+        raise ValueError("n-gram width must be at least 1")
+    symbols = np.asarray(symbols)
+    if symbols.shape[-1] < n:
+        raise ConfigError(f"sequence of length {symbols.shape[-1]} is shorter than n={n}")
+    block, windows = symbols.shape[:-1], symbols.shape[-1] - n + 1
+    drop = cfg.permute_mode == "drop"
+    passes = n * (n - 1) // 2 if drop else n - 1
+    if drop and rng is None:
+        raise ConfigError("drop-mode permutation needs an rng for the random tail")
+    rows, dim = math.prod(block), im.shape[1]
+    width = dim // 8
+    if drop:
+        step = cfg.drop_width // 8
+        tails = rng.integers(0, 2, size=(*block, windows, passes, cfg.drop_width), dtype=np.uint8)
+        # Every tail is whole bytes, so packing the flat draw packs each tail on its own.
+        tails = np.packbits(tails.reshape(-1)).reshape(rows, windows, passes * step).swapaxes(0, 1)
+        fold = np.zeros((windows, rows, (n - 1) * step), dtype=np.uint8)
+        for k in range(1, n):  # step k's tails are passes k(k-1)/2 on, and end its row
+            first = k * (k - 1) // 2 * step
+            fold[..., fold.shape[-1] - k * step :] ^= tails[..., first : first + k * step]
+        fold = fold[..., max(fold.shape[-1] - width, 0) :]
+        packed = np.packbits(im, axis=-1)
+        tables = [np.pad(packed[:, min(k * step, width) :], ((0, 0), (0, min(k * step, width))))
+                  for k in range(n)]
+    else:
+        tables = [np.packbits(permute_shift(im, k), axis=-1) for k in range(n)]
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < len(im):
+        raise IndexError(f"symbols must index the {len(im)} item memory rows")
+    # Window t's symbol j takes table n-1-j: one stacked table, one index per
+    # gathered row. Its n * V rows hold 16 bytes or more each, so int32 indexes
+    # any table that fits in memory, in half the memory of intp.
+    table = np.concatenate(tables[::-1])
+    windowed = sliding_window_view(symbols.reshape(rows, windows + n - 1), n, axis=1)
+    index = np.add(windowed.T, (np.arange(n) * len(im))[:, None, None], dtype=np.int32)
+    chunk = max(1, GRAM_CHUNK_CELLS // max(rows * dim, 1))
+    counts = None  # allocated after the first partial sum, which keeps the peak memory down
+    part = np.empty((rows, dim), dtype=np.uint8)
+    for group in range(0, windows, 255):  # a uint8 partial sum holds 255 windows
+        part[:] = 0
+        for start in range(group, min(group + 255, windows), chunk):
+            stop = min(start + chunk, group + 255, windows)
+            grams, *older = table[index[:, start:stop]]
+            for row in older:
+                grams ^= row
+            if drop:
+                grams[..., width - fold.shape[-1] :] ^= fold[start:stop]
+            for gram in grams:  # each window's bits are freed before the next window's unpack
+                part += np.unpackbits(gram.reshape(-1)).reshape(rows, dim)
+        if counts is None:
+            counts = part.astype(np.int16)
+            continue
+        # A count is at most the windows summed so far, so only long blocks can overflow.
+        if stop > COUNT_MAX and (part > COUNT_MAX - counts).any():
+            raise SaturationError("bundle_add would overflow a 16-bit counter")
+        counts += part
+    grams = rows * windows
+    charge_to(ledger, "permutation", grams * passes)
+    charge_to(ledger, "multiplication", grams * (n - 1))
+    charge_to(ledger, "addition", grams)
+    return counts.reshape(*block, dim), windows

@@ -16,7 +16,7 @@ import numpy as np
 from . import cam
 from .cost import CostLedger, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
-from .encoder import build_item_memory, build_level_memory, encode_ngram, encode_record
+from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
 from .errors import ConfigError
 from .hvcore import Rng, derive_seed, majority
 from .learner import Encoded, SimilarityBackend, cluster, predict, retrain, train
@@ -56,8 +56,9 @@ def synthesize_dataset(cfg):
 @dataclass
 class EncodingContext:
     """Item (and level) memory rows plus whatever the dataset kind needs at
-    encode time: the symbol vocabulary of a corpus, or a feature matrix
-    normalised per feature to [0, 1] over its range."""
+    encode time: the symbol vocabulary of a corpus (each character mapped to
+    its rank in code point order), or a feature matrix normalised per feature
+    to [0, 1] over its range."""
 
     item_memory: np.ndarray
     level_memory: np.ndarray = None
@@ -98,6 +99,15 @@ def _blocks(rows, size):
             start = stop
 
 
+def symbol_indices(texts, points):
+    """(len(texts), length) indices into the sorted code points of a
+    vocabulary that holds every character of the equal-length texts: one
+    searchsorted of the joined texts' UTF-32 code points, not one dict lookup
+    per character."""
+    codes = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
+    return np.searchsorted(points, codes).reshape(len(texts), len(texts[0]))
+
+
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     """Encoded batch of the given rows, then one majority. Rows are encoded in
     index order, which keeps the drop-mode tail stream, in blocks of at most
@@ -108,15 +118,17 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     sizes = np.empty(len(indices), dtype=np.int64)
     if enc.scheme == "ngram":
         rows = [dataset.samples[i] for i in indices]
+        points = np.fromiter(map(ord, ctx.vocab), dtype=np.uint32, count=len(ctx.vocab))
     else:
         rows = ctx.features[np.asarray(indices, dtype=np.intp)]
     for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
         if enc.scheme == "ngram":
-            symbols = np.array([[ctx.vocab[c] for c in text] for text in rows[block]])
-            encoded = encode_ngram(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)
+            symbols = symbol_indices(rows[block], points)
+            counts[block], sizes[block] = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc,
+                                                              rng_encode, ledger)
         else:
             encoded = encode_record(rows[block], ctx.item_memory, ctx.level_memory, ledger)
-        counts[block], sizes[block] = encoded
+            counts[block], sizes[block] = encoded
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(majority(counts, sizes), counts, sizes, labels)
 

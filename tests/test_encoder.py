@@ -13,11 +13,12 @@ from hdcam.encoder import (
     build_item_memory,
     build_level_memory,
     encode_ngram,
+    encode_ngram_packed,
     encode_record,
     quantize,
 )
 from hdcam.config import ExperimentConfig
-from hdcam.datasets import SyntheticSpec, make_language_corpus, make_record_blobs
+from hdcam.datasets import Dataset, SyntheticSpec, make_language_corpus, make_record_blobs
 from hdcam.errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
 from hdcam.experiments import build_encoding_context, encode_subset
 from hdcam.hvcore import COUNT_MAX, Rng, binarize, bind, bundle_add, hamming_matrix, permute_shift, random_bits
@@ -316,28 +317,59 @@ def _ngram_reference(seq, n, im, cfg, gen):
     return counts
 
 
+NGRAM_ENCODERS = [encode_ngram, encode_ngram_packed]
+
+
 class TestEncodeNgramBlock:
+    """encode_ngram, the per-window definition, and encode_ngram_packed, the
+    run path's kernel, against the per-sequence reference."""
+
+    @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
     @given(
-        n=st.integers(1, 3),
+        n=st.integers(1, 5),
         mode=st.sampled_from(["shift", "drop"]),
         width=st.sampled_from([8, 16]),
-        sequences=st.integers(1, 5),
+        dim=st.sampled_from([128, 256, 1024, 2048]),
+        sequences=st.sampled_from([None, 0, 1, 2, 5]),  # None: one (T,) row
         extra=st.integers(0, 9),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_block_equals_per_sequence_reference(self, n, mode, width, sequences, extra, seed):
-        im = build_item_memory(5, 128, Rng(seed))
-        symbols = np.random.default_rng(seed).integers(0, 5, size=(sequences, n + extra))
+    def test_block_equals_per_sequence_reference(self, encode, n, mode, width, dim, sequences,
+                                                 extra, seed):
+        im = build_item_memory(5, dim, Rng(seed))
+        shape = (n + extra,) if sequences is None else (sequences, n + extra)
+        symbols = np.random.default_rng(seed).integers(0, 5, size=shape)
         cfg = EncodingConfig(scheme="ngram" if n > 1 else "record", n=n, permute_mode=mode,
-                             drop_width=width, dim=128)
-        rng, ref_gen = Rng(seed), Rng(seed)
-        counts, windows = encode_ngram(symbols, n, im, cfg, rng)
-        assert counts.dtype == np.int16 and counts.shape == (sequences, 128)
+                             drop_width=width, dim=dim)
+        rng, ref_gen, ledger = Rng(seed), Rng(seed), CostLedger(dim)
+        counts, windows = encode(symbols, n, im, cfg, rng, ledger)
+        assert counts.dtype == np.int16 and counts.shape == (*shape[:-1], dim)
         assert windows == extra + 1
-        expected = np.stack([_ngram_reference(seq, n, im, cfg, ref_gen) for seq in symbols])
-        assert np.array_equal(counts, expected)
+        expected = [_ngram_reference(seq, n, im, cfg, ref_gen) for seq in symbols.reshape(-1, n + extra)]
+        assert np.array_equal(counts, np.reshape(expected, counts.shape))
         # the block drew exactly the reference's tails, no more
         assert rng.integers(2**32) == ref_gen.integers(2**32)
+        grams = len(expected) * windows
+        passes = n * (n - 1) // 2 if mode == "drop" else n - 1
+        charges = {"permutation": grams * passes, "multiplication": grams * (n - 1), "addition": grams}
+        assert ledger.counts == {op: count for op, count in charges.items() if count}
+
+    @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
+    def test_saturation_past_count_max_windows(self, encode):
+        # All-ones item rows: every gram is all ones, so each window adds 1 to every counter.
+        im = np.ones((2, 128), dtype=np.uint8)
+        cfg = EncodingConfig(scheme="ngram", n=3, dim=128)
+        counts, windows = encode(np.zeros(COUNT_MAX + 2, dtype=int), 3, im, cfg)
+        assert windows == COUNT_MAX and (counts == COUNT_MAX).all()
+        with pytest.raises(SaturationError):
+            encode(np.zeros(COUNT_MAX + 3, dtype=int), 3, im, cfg)
+
+    def test_packed_rejects_symbols_outside_the_item_memory(self, rng):
+        im = build_item_memory(4, 128, rng)
+        cfg = EncodingConfig(scheme="ngram", n=2, dim=128)
+        for bad in ([0, 4, 1], [0, -1, 1]):
+            with pytest.raises(IndexError):
+                encode_ngram_packed(bad, 2, im, cfg)
 
     @pytest.mark.parametrize("width", [8, 16])
     def test_one_tail_draw_equals_per_pass_draws(self, width):
@@ -432,7 +464,7 @@ class TestEncodeSubset:
                 return encode(rows, *args, **kwargs)
             return wrapped
 
-        monkeypatch.setattr(experiments, "encode_ngram", spy(experiments.encode_ngram))
+        monkeypatch.setattr(experiments, "encode_ngram_packed", spy(experiments.encode_ngram_packed))
         monkeypatch.setattr(experiments, "encode_record", spy(experiments.encode_record))
         encode_subset(ds, indices, ctx, cfg, Rng(8))
         budget = experiments.ENCODE_BLOCK_CELLS // dim
@@ -444,6 +476,28 @@ class TestEncodeSubset:
         else:
             expected = [[ctx.vocab[c] for c in ds.samples[i]] for i in indices]
         assert [row.tolist() for block in blocks for row in block] == expected
+
+
+class TestSymbolIndices:
+    # two- and three-byte UTF-8 characters, non-BMP ones (four bytes) and a NUL among ASCII
+    TEXTS = ["aé𝄞b", "𝄞𝄞z中", "中😀ab", "é\x00a😀"]
+
+    def test_equals_one_dict_lookup_per_character(self):
+        chars = sorted({c for text in self.TEXTS for c in text})
+        vocab = {c: i for i, c in enumerate(chars)}
+        expected = np.array([[vocab[c] for c in text] for text in self.TEXTS])
+        got = experiments.symbol_indices(self.TEXTS, np.array([ord(c) for c in chars], dtype=np.uint32))
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_encode_subset_of_a_non_ascii_corpus(self):
+        ds = Dataset("text_corpus", self.TEXTS * 3, ["x", "y"] * 6)
+        encoding = EncodingConfig(scheme="ngram", dim=256)
+        cfg = ExperimentConfig(dim=256, encoding=encoding)
+        ctx = build_encoding_context(ds, cfg, 7)
+        batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
+        for text, counts in zip(ds.samples, batch.counts):
+            seq = [ctx.vocab[c] for c in text]
+            assert np.array_equal(counts, encode_ngram(seq, 3, ctx.item_memory, encoding)[0])
 
 
 class TestEncodingConfig:

@@ -17,10 +17,11 @@ def main(args):
     # The classification runs first, so a bad --dim fails before any file is written.
     accs = studies.voltage_backends(seeds, args.dim)
 
-    _, meta = run_transfer_curve(studies.preset("languages-10", 0), out / "transfer_curve.csv")
-    print(f"max deviation: uniform {meta['max_deviation_uniform_a']:.3e} A, "
-          f"calibrated {meta['max_deviation_calibrated_a']:.3e} A "
-          f"({meta['deviation_improvement']:.2f}x)")
+    curve = run_transfer_curve(studies.preset("languages-10", 0))
+    write_csv(out / "transfer_curve.csv", curve.meta, curve.columns, curve.rows)
+    print(f"max deviation: uniform {curve.meta['max_deviation_uniform_a']:.3e} A, "
+          f"calibrated {curve.meta['max_deviation_calibrated_a']:.3e} A "
+          f"({curve.meta['deviation_improvement']:.2f}x)")
 
     for i, seed in enumerate(seeds):
         print(f"seed {seed}: " + "  ".join(f"{k} {v[i]:.4f}" for k, v in accs.items()))

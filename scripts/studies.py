@@ -29,7 +29,7 @@ def _study(name, seeds, dim, variants):
         cfg = preset(name, seed, dim)
         ds = synthesize_dataset(cfg)
         for variant, overrides in variants.items():
-            accs[variant].append(run_classify(cfg.with_overrides(**overrides), ds).accuracy)
+            accs[variant].append(run_classify(cfg.with_overrides(**overrides), ds).meta["accuracy"])
     return accs
 
 

@@ -34,6 +34,7 @@ from .experiments import (
     run_dim_sweep,
     run_transfer_curve,
     synthesize_dataset,
+    write_csv,
 )
 
 # [experiment] keys that a flag of the same name overrides.
@@ -99,56 +100,62 @@ def _load_dataset(args, cfg):
     return synthesize_dataset(cfg)
 
 
+def _run(args, cfg):
+    """The Run of a verb that writes a CSV."""
+    if args.verb == "transfer-curve":
+        return run_transfer_curve(cfg)
+    if args.verb == "cost-report":
+        return run_cost_report(cfg)
+    if args.verb == "dim-sweep":
+        try:
+            dims = [int(d) for d in args.dims.split(",")]
+        except ValueError:
+            raise ConfigError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
+        return run_dim_sweep(cfg, _load_dataset(args, cfg), dims)
+    runner = {"classify": run_classify, "cluster": run_cluster}[args.verb]
+    return runner(cfg, _load_dataset(args, cfg))
+
+
+def _summary(verb, run):
+    """The lines a verb prints about its Run once the CSV is written."""
+    meta = run.meta
+    if verb == "classify":
+        return [f"accuracy = {meta['accuracy']:.4f} over {meta['n_test']} held-out samples",
+                f"in-array energy/query (search) = "
+                f"{meta['cost.infer_search.hydra_energy_pj'] / meta['n_test']:.3f} pJ"]
+    if verb == "cluster":
+        return [f"epochs = {meta['epochs']}, converged = {meta['converged']}, "
+                f"purity = {meta['purity']:.4f}"]
+    if verb == "dim-sweep":
+        return [f"dim {row[0]:5d}: accuracy {row[1]:.4f}, search energy/query {row[2]:.3f} pJ"
+                for row in run.rows]
+    if verb == "transfer-curve":
+        return [f"max deviation uniform = {meta['max_deviation_uniform_a']:.3e} A, "
+                f"calibrated = {meta['max_deviation_calibrated_a']:.3e} A "
+                f"({meta['deviation_improvement']:.2f}x better)"]
+    return [f"{row[0]:>14}: {row[2]:8.3f} pJ in-array vs {row[5]:9.3f} pJ CMOS net ({row[7]:.2f}x)"
+            for row in run.rows]
+
+
 def main(argv=None):
     try:
         args, extra = build_parser().parse_known_args(argv)
         if extra:
             raise ConfigError(f"hdcam {args.verb} does not take {' '.join(extra)}")
         cfg = _load_config(args)
-        out = Path(args.out)
-        if args.verb == "classify":
-            dataset = _load_dataset(args, cfg)
-            res = run_classify(cfg, dataset, out / "classify.csv")
-            print(f"accuracy = {res.accuracy:.4f} over {res.n_test} held-out samples")
-            print(f"in-array energy/query (search) = "
-                  f"{res.reports['infer_search'].hydra_energy_pj / res.n_test:.3f} pJ")
-            print(f"wrote {out / 'classify.csv'}")
-        elif args.verb == "cluster":
-            dataset = _load_dataset(args, cfg)
-            res = run_cluster(cfg, dataset, out / "cluster.csv")
-            print(f"epochs = {res.state.epoch}, converged = {res.converged}, "
-                  f"purity = {res.purity:.4f}")
-            print(f"wrote {out / 'cluster.csv'}")
-        elif args.verb == "dim-sweep":
-            try:
-                dims = [int(d) for d in args.dims.split(",")]
-            except ValueError:
-                raise ConfigError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
-            dataset = _load_dataset(args, cfg)
-            rows, _ = run_dim_sweep(cfg, dataset, dims, out / "dim_sweep.csv")
-            for row in rows:
-                print(f"dim {row[0]:5d}: accuracy {row[1]:.4f}, "
-                      f"search energy/query {row[2]:.3f} pJ")
-            print(f"wrote {out / 'dim_sweep.csv'}")
-        elif args.verb == "transfer-curve":
-            _, meta = run_transfer_curve(cfg, out / "transfer_curve.csv")
-            print(f"max deviation uniform = {meta['max_deviation_uniform_a']:.3e} A, "
-                  f"calibrated = {meta['max_deviation_calibrated_a']:.3e} A "
-                  f"({meta['deviation_improvement']:.2f}x better)")
-            print(f"wrote {out / 'transfer_curve.csv'}")
-        elif args.verb == "calibrate":
+        if args.verb == "calibrate":
             profile = resolve_profile(cfg.with_overrides(profile="calibrated"))
-            out.mkdir(parents=True, exist_ok=True)
-            save_profile(profile, out / "profile.ini")
+            path = Path(args.out) / "profile.ini"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_profile(profile, path)
             print("calibrated levels (far to near): "
                   + ", ".join(f"{v:.2f} V" for v in profile.levels))
-            print(f"wrote {out / 'profile.ini'}")
-        elif args.verb == "cost-report":
-            rows, meta = run_cost_report(cfg, out / "cost_report.csv")
-            for row in rows:
-                print(f"{row[0]:>14}: {row[2]:8.3f} pJ in-array vs {row[5]:9.3f} pJ CMOS net "
-                      f"({row[7]:.2f}x)")
-            print(f"wrote {out / 'cost_report.csv'}")
+        else:
+            run = _run(args, cfg)
+            path = Path(args.out) / f"{args.verb.replace('-', '_')}.csv"
+            write_csv(path, run.meta, run.columns, run.rows)
+            print("\n".join(_summary(args.verb, run)))
+        print(f"wrote {path}")
     except (HdcError, OSError) as exc:
         # OSError: an output could not be written, e.g. --out names a file.
         print(f"error: {exc}", file=sys.stderr)

@@ -138,6 +138,24 @@ def encode_record(features, im, lm, ledger=None):
     return counts, n_features
 
 
+def _ngram_block(symbols, n, im, cfg, rng):
+    """Check an n-gram block before any tail is drawn: IndexError for a symbol
+    outside the item memory's rows. Returns the symbols as an array, the block
+    shape, the window count, whether drop mode is on and the passes per window."""
+    if n < 1:
+        raise ValueError("n-gram width must be at least 1")
+    symbols = np.asarray(symbols)
+    if symbols.shape[-1] < n:
+        raise ConfigError(f"sequence of length {symbols.shape[-1]} is shorter than n={n}")
+    drop = cfg.permute_mode == "drop"
+    if drop and rng is None:
+        raise ConfigError("drop-mode permutation needs an rng for the random tail")
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < len(im):
+        raise IndexError(f"symbols must index the {len(im)} item memory rows")
+    passes = n * (n - 1) // 2 if drop else n - 1
+    return symbols, symbols.shape[:-1], symbols.shape[-1] - n + 1, drop, passes
+
+
 def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     """Temporal encoding of a (B, T) block of equal-length symbol sequences
     (a (T,) row is one): the (B, dim) int16 counts and the window count.
@@ -148,20 +166,12 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     each with its own random tail. Drop mode draws all tails of the block at
     once, sequence-major: the same stream as one draw per pass. Each window
     costs n - 1 multiplications, one addition and one permutation per pass.
+    A symbol outside the item memory's rows raises IndexError before any draw.
 
     This is the per-window definition, kept for the tests and bench/tracer.py;
     runs encode with encode_ngram_packed, which gives the same results.
     """
-    if n < 1:
-        raise ValueError("n-gram width must be at least 1")
-    symbols = np.asarray(symbols)
-    if symbols.shape[-1] < n:
-        raise ConfigError(f"sequence of length {symbols.shape[-1]} is shorter than n={n}")
-    block, windows = symbols.shape[:-1], symbols.shape[-1] - n + 1
-    drop = cfg.permute_mode == "drop"
-    passes = n * (n - 1) // 2 if drop else n - 1
-    if drop and rng is None:
-        raise ConfigError("drop-mode permutation needs an rng for the random tail")
+    symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
     if drop:
         shape = (*block, windows, passes, cfg.drop_width)
         tails = rng.integers(0, 2, size=shape, dtype=np.uint8)
@@ -199,19 +209,9 @@ def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
     are gathered GRAM_CHUNK_CELLS bits at a time, then unpacked window by
     window into a uint8 partial sum of up to 255 windows. SaturationError is
     raised when an exact count exceeds COUNT_MAX, the condition bundle_add
-    checks window by window, and IndexError for a symbol outside the item
-    memory's rows.
+    checks window by window.
     """
-    if n < 1:
-        raise ValueError("n-gram width must be at least 1")
-    symbols = np.asarray(symbols)
-    if symbols.shape[-1] < n:
-        raise ConfigError(f"sequence of length {symbols.shape[-1]} is shorter than n={n}")
-    block, windows = symbols.shape[:-1], symbols.shape[-1] - n + 1
-    drop = cfg.permute_mode == "drop"
-    passes = n * (n - 1) // 2 if drop else n - 1
-    if drop and rng is None:
-        raise ConfigError("drop-mode permutation needs an rng for the random tail")
+    symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
     rows, dim = math.prod(block), im.shape[1]
     width = dim // 8
     if drop:
@@ -229,8 +229,6 @@ def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
                   for k in range(n)]
     else:
         tables = [np.packbits(permute_shift(im, k), axis=-1) for k in range(n)]
-    if symbols.size and not 0 <= symbols.min() <= symbols.max() < len(im):
-        raise IndexError(f"symbols must index the {len(im)} item memory rows")
     # Window t's symbol j takes table n-1-j: one stacked table, one index per
     # gathered row. Its n * V rows hold 16 bytes or more each, so int32 indexes
     # any table that fits in memory, in half the memory of intp.

@@ -2,9 +2,9 @@
 
 Every runner derives named child seeds from the master seed, charges phase
 ledgers (training, query encoding, query search) against the cost table, and
-can emit a CSV whose header comment block records the fully resolved
-configuration and all derived seeds, so identical configs give identical
-output bytes.
+returns its CSV as one Run: a header block that records the fully resolved
+configuration and all derived seeds, the column names and the rows. The CLI
+writes it with write_csv, so identical configs give identical output bytes.
 """
 
 import csv
@@ -56,13 +56,13 @@ def synthesize_dataset(cfg):
 @dataclass
 class EncodingContext:
     """Item (and level) memory rows plus whatever the dataset kind needs at
-    encode time: the symbol vocabulary of a corpus (each character mapped to
-    its rank in code point order), or a feature matrix normalised per feature
-    to [0, 1] over its range."""
+    encode time: the sorted uint32 code points of a corpus's characters (item
+    row i is the character points[i]), or a feature matrix normalised per
+    feature to [0, 1] over its range."""
 
     item_memory: np.ndarray
     level_memory: np.ndarray = None
-    vocab: dict = None
+    points: np.ndarray = None
     features: np.ndarray = None
 
 
@@ -79,9 +79,9 @@ def build_encoding_context(dataset, cfg, seed):
         raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
     rng = Rng(seed)
     if enc.scheme == "ngram":
-        chars = sorted({c for text in dataset.samples for c in text})
-        im = build_item_memory(len(chars), cfg.dim, rng)
-        return EncodingContext(item_memory=im, vocab={c: i for i, c in enumerate(chars)})
+        points = np.array(sorted({ord(c) for text in dataset.samples for c in text}), dtype=np.uint32)
+        im = build_item_memory(len(points), cfg.dim, rng)
+        return EncodingContext(item_memory=im, points=points)
     samples = dataset.samples
     im = build_item_memory(samples.shape[1], cfg.dim, rng)
     lm = build_level_memory(enc.levels, cfg.dim, rng)
@@ -118,12 +118,11 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     sizes = np.empty(len(indices), dtype=np.int64)
     if enc.scheme == "ngram":
         rows = [dataset.samples[i] for i in indices]
-        points = np.fromiter(map(ord, ctx.vocab), dtype=np.uint32, count=len(ctx.vocab))
     else:
         rows = ctx.features[np.asarray(indices, dtype=np.intp)]
     for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
         if enc.scheme == "ngram":
-            symbols = symbol_indices(rows[block], points)
+            symbols = symbol_indices(rows[block], ctx.points)
             counts[block], sizes[block] = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc,
                                                               rng_encode, ledger)
         else:
@@ -152,6 +151,17 @@ def inference_backend(cfg):
     return backend, profile
 
 
+@dataclass
+class Run:
+    """A runner's CSV: the header block, the column names and the rows; for
+    classify and cluster also the phase ledgers by name."""
+
+    meta: dict
+    columns: tuple
+    rows: list
+    reports: dict = None
+
+
 def write_csv(path, meta, fieldnames, rows):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -172,16 +182,7 @@ def _report_meta(meta, profile, reports):
         meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
 
 
-@dataclass
-class ClassifyResult:
-    accuracy: float
-    n_train: int
-    n_test: int
-    reports: dict
-    meta: dict
-
-
-def run_classify(cfg, dataset, out_path=None):
+def run_classify(cfg, dataset):
     """Train (optionally retrain), then evaluate on a held-out seeded split."""
     if dataset.labels is None:
         raise ConfigError("classification needs a labeled dataset")
@@ -206,41 +207,24 @@ def run_classify(cfg, dataset, out_path=None):
                      ledger=ledgers["train"])
 
     labels, flags = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
-    predictions = [
-        (int(idx), true, predicted, int(flag))
+    rows = [
+        (int(idx), true, predicted, int(true == predicted), int(flag))
         for idx, true, predicted, flag in zip(test_idx, test_batch.labels, labels, flags)
     ]
-    accuracy = sum(true == predicted for _, true, predicted, _ in predictions) / len(test_batch)
 
     reports = dict(ledgers)
     reports["total"] = ledgers["train"].merge(ledgers["infer_encode"]).merge(ledgers["infer_search"])
     meta = cfg.meta("classify")
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
-    meta["accuracy"] = accuracy
+    meta["accuracy"] = sum(correct for _, _, _, correct, _ in rows) / len(test_batch)
     meta["n_train"] = len(train_batch)
     meta["n_test"] = len(test_batch)
     _report_meta(meta, profile, reports)
-    if out_path is not None:
-        rows = [(i, t, p, int(t == p), f) for i, t, p, f in predictions]
-        write_csv(
-            out_path,
-            meta,
-            ("sample_index", "true_label", "predicted_label", "correct", "lta_ambiguous_flags"),
-            rows,
-        )
-    return ClassifyResult(accuracy, len(train_batch), len(test_batch), reports, meta)
+    columns = ("sample_index", "true_label", "predicted_label", "correct", "lta_ambiguous_flags")
+    return Run(meta, columns, rows, reports)
 
 
-@dataclass
-class ClusterResult:
-    state: object
-    purity: float
-    converged: bool
-    reports: dict
-    meta: dict
-
-
-def run_cluster(cfg, dataset, out_path=None):
+def run_cluster(cfg, dataset):
     """Cluster encoded points; labels, when present, only score purity."""
     seeds = child_seeds(cfg.seed)
     table = cfg.cost_table()
@@ -254,65 +238,53 @@ def run_cluster(cfg, dataset, out_path=None):
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
         ).bits
     state = cluster(points, cfg.cluster, Rng(seeds["cluster"]), backend, ledger=ledgers["cluster"])
-    converged = state.epoch < cfg.cluster.max_epochs
-    score = purity(state.assignments, dataset.labels) if dataset.labels is not None else float("nan")
     reports = dict(ledgers)
     reports["total"] = ledgers["encode"].merge(ledgers["cluster"])
     meta = cfg.meta("cluster")
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["epochs"] = state.epoch
-    meta["converged"] = converged
-    meta["purity"] = score
+    meta["converged"] = state.epoch < cfg.cluster.max_epochs
+    meta["purity"] = float("nan") if dataset.labels is None else purity(state.assignments, dataset.labels)
     meta["objective_history"] = ";".join(str(v) for v in state.objective_history)
     _report_meta(meta, profile, reports)
-    result = ClusterResult(state=state, purity=score, converged=converged, reports=reports, meta=meta)
-    if out_path is not None:
-        labels = dataset.labels if dataset.labels is not None else [""] * dataset.n
-        rows = [(i, labels[i], int(state.assignments[i])) for i in range(len(points))]
-        write_csv(out_path, meta, ("point_index", "label", "cluster"), rows)
-    return result
+    labels = dataset.labels if dataset.labels is not None else [""] * dataset.n
+    rows = [(i, labels[i], int(state.assignments[i])) for i in range(len(points))]
+    return Run(meta, ("point_index", "label", "cluster"), rows, reports)
 
 
-def run_dim_sweep(cfg, dataset, dims, out_path=None):
+def run_dim_sweep(cfg, dataset, dims):
     """Classification accuracy and per-query cost across vector widths."""
     rows = []
-    results = {}
     for dim in dims:
         sub = cfg.with_overrides(dim=dim)
-        res = run_classify(sub, dataset)
-        results[dim] = res
-        search_rep = res.reports["infer_search"]
-        encode_rep = res.reports["infer_encode"]
+        run = run_classify(sub, dataset)
+        n_test = run.meta["n_test"]
+        search_rep = run.reports["infer_search"]
+        encode_rep = run.reports["infer_encode"]
         rows.append(
             (
                 dim,
-                res.accuracy,
-                search_rep.hydra_energy_pj / res.n_test,
-                (search_rep.hydra_energy_pj + encode_rep.hydra_energy_pj) / res.n_test,
-                search_rep.hydra_latency_ns / res.n_test,
-                search_rep.cmos_net_energy_pj / res.n_test,
+                run.meta["accuracy"],
+                search_rep.hydra_energy_pj / n_test,
+                (search_rep.hydra_energy_pj + encode_rep.hydra_energy_pj) / n_test,
+                search_rep.hydra_latency_ns / n_test,
+                search_rep.cmos_net_energy_pj / n_test,
             )
         )
     meta = cfg.meta("dim-sweep")
     meta["dims"] = ",".join(str(d) for d in dims)
-    if out_path is not None:
-        write_csv(
-            out_path,
-            meta,
-            (
-                "dim",
-                "accuracy",
-                "energy_per_query_search_pj",
-                "energy_per_query_total_pj",
-                "latency_per_query_search_ns",
-                "cmos_net_energy_per_query_pj",
-            ),
-            rows,
-        )
-    return rows, results
+    columns = (
+        "dim",
+        "accuracy",
+        "energy_per_query_search_pj",
+        "energy_per_query_total_pj",
+        "latency_per_query_search_ns",
+        "cmos_net_energy_per_query_pj",
+    )
+    return Run(meta, columns, rows)
 
 
-def run_transfer_curve(cfg, out_path=None):
+def run_transfer_curve(cfg):
     """Current-vs-distance curves for the uniform and calibrated profiles."""
     params = cfg.analog
     uniform = cam.VoltageProfile.uniform(1.0)
@@ -328,12 +300,10 @@ def run_transfer_curve(cfg, out_path=None):
     meta["max_deviation_calibrated_a"] = dev_c
     meta["deviation_improvement"] = dev_u / dev_c if dev_c > 0 else float("inf")
     rows = [(h, c, pid) for pid in ("uniform", "calibrated") for h, c in enumerate(curves[pid].tolist())]
-    if out_path is not None:
-        write_csv(out_path, meta, ("hamming", "current_amperes", "profile_id"), rows)
-    return curves, meta
+    return Run(meta, ("hamming", "current_amperes", "profile_id"), rows)
 
 
-def run_cost_report(cfg, out_path=None):
+def run_cost_report(cfg):
     """Constants and CMOS-vs-in-array ratios of the active cost table."""
     table = cfg.cost_table()
     ratios = ratios_vs_cmos(table)
@@ -357,20 +327,14 @@ def run_cost_report(cfg, out_path=None):
         "reference_dim": table.reference_dim,
         **cfg.meta("cost-report"),
     }
-    if out_path is not None:
-        write_csv(
-            out_path,
-            meta,
-            (
-                "op",
-                "hydra_latency_ns",
-                "hydra_energy_pj",
-                "cmos_cycles",
-                "cmos_energy_pj",
-                "cmos_net_energy_pj",
-                "energy_ratio",
-                "net_energy_ratio",
-            ),
-            rows,
-        )
-    return rows, meta
+    columns = (
+        "op",
+        "hydra_latency_ns",
+        "hydra_energy_pj",
+        "cmos_cycles",
+        "cmos_energy_pj",
+        "cmos_net_energy_pj",
+        "energy_ratio",
+        "net_energy_ratio",
+    )
+    return Run(meta, columns, rows)

@@ -150,8 +150,8 @@ def test_dimension_scaling():
     cfg2048 = studies.preset("records", 0)
     cfg512 = cfg2048.with_overrides(dim=512)
     ds = synthesize_dataset(cfg2048)
-    acc512 = run_classify(cfg512, ds).accuracy
-    acc2048 = run_classify(cfg2048, ds).accuracy
+    acc512 = run_classify(cfg512, ds).meta["accuracy"]
+    acc2048 = run_classify(cfg2048, ds).meta["accuracy"]
     within = abs(acc512 - acc2048) <= 0.10
     _report(
         "dimension scaling (exact energy, accuracy within 10 pts)",

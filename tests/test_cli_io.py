@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hdcam.cli import main
+from hdcam.cli import main, verb_flags
 from hdcam.config import (
+    VERBS,
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
@@ -35,6 +36,7 @@ from hdcam.experiments import (
     run_dim_sweep,
     run_transfer_curve,
     synthesize_dataset,
+    write_csv,
 )
 from hdcam.hvcore import Rng, random_bits
 from hdcam.cam import VoltageProfile
@@ -268,9 +270,10 @@ class TestRunners:
         cfg = _small_records_cfg()
         ds = synthesize_dataset(cfg)
         out = tmp_path / "classify.csv"
-        res = run_classify(cfg, ds, out)
-        assert 0.5 <= res.accuracy <= 1.0
-        assert res.n_train + res.n_test == ds.n
+        run = run_classify(cfg, ds)
+        write_csv(out, run.meta, run.columns, run.rows)
+        assert 0.5 <= run.meta["accuracy"] <= 1.0
+        assert run.meta["n_train"] + run.meta["n_test"] == ds.n
         text = out.read_text()
         assert text.startswith("# experiment.seed = 0")
         assert "# accuracy =" in text
@@ -280,21 +283,23 @@ class TestRunners:
         cfg = _small_records_cfg(seed=4)
         ds = synthesize_dataset(cfg)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run_classify(cfg, ds, a)
-        run_classify(cfg, ds, b)
+        for path in (a, b):
+            run = run_classify(cfg, ds)
+            write_csv(path, run.meta, run.columns, run.rows)
         assert a.read_bytes() == b.read_bytes()
 
     def test_classify_charges_search_per_query(self):
         cfg = _small_records_cfg()
         ds = synthesize_dataset(cfg)
-        res = run_classify(cfg, ds)
-        assert res.reports["infer_search"].counts["search"] == res.n_test
+        run = run_classify(cfg, ds)
+        assert run.reports["infer_search"].counts["search"] == run.meta["n_test"]
 
     def test_classify_exports_lta_trace_column(self, tmp_path):
         cfg = _small_records_cfg(backend="analog", profile="uniform")
         ds = synthesize_dataset(cfg)
         out = tmp_path / "analog.csv"
-        run_classify(cfg, ds, out)
+        run = run_classify(cfg, ds)
+        write_csv(out, run.meta, run.columns, run.rows)
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0].endswith(",lta_ambiguous_flags")
         flags = [int(l.rsplit(",", 1)[1]) for l in lines[1:]]
@@ -308,20 +313,23 @@ class TestRunners:
             synthetic=SyntheticSpec(kind="hv_blobs", classes=2, blob_points=15),
         )
         ds = synthesize_dataset(cfg)
-        res = run_cluster(cfg, ds, tmp_path / "cluster.csv")
-        assert res.purity >= 0.95
-        assert res.converged
-        hist = res.state.objective_history
+        run = run_cluster(cfg, ds)
+        write_csv(tmp_path / "cluster.csv", run.meta, run.columns, run.rows)
+        assert run.meta["purity"] >= 0.95
+        assert run.meta["converged"]
+        hist = [float(v) for v in run.meta["objective_history"].split(";")]
         assert all(b <= a for a, b in zip(hist, hist[1:]))
         assert (tmp_path / "cluster.csv").read_text().count("\n") > 10
 
     def test_dim_sweep_exact_energy_scaling(self, tmp_path):
         cfg = _small_records_cfg()
         ds = synthesize_dataset(cfg)
-        rows, results = run_dim_sweep(cfg, ds, [1024, 2048], tmp_path / "sweep.csv")
-        r1024 = {row[0]: row for row in rows}[1024]
-        r2048 = {row[0]: row for row in rows}[2048]
-        assert results[1024].reports["total"].counts == results[2048].reports["total"].counts
+        run = run_dim_sweep(cfg, ds, [1024, 2048])
+        write_csv(tmp_path / "sweep.csv", run.meta, run.columns, run.rows)
+        r1024 = {row[0]: row for row in run.rows}[1024]
+        r2048 = {row[0]: row for row in run.rows}[2048]
+        totals = [run_classify(cfg.with_overrides(dim=dim), ds).reports["total"] for dim in (1024, 2048)]
+        assert totals[0].counts == totals[1].counts
         assert r1024[2] == r2048[2] * 0.5
         assert r1024[3] == r2048[3] * 0.5
         header = (tmp_path / "sweep.csv").read_text().splitlines()
@@ -330,16 +338,17 @@ class TestRunners:
     def test_transfer_curve_csv_columns(self, tmp_path):
         cfg = ExperimentConfig()
         out = tmp_path / "tc.csv"
-        curves, meta = run_transfer_curve(cfg, out)
+        run = run_transfer_curve(cfg)
+        write_csv(out, run.meta, run.columns, run.rows)
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert lines[0] == "hamming,current_amperes,profile_id"
         assert len(lines) == 1 + 2 * 129
-        assert meta["max_deviation_uniform_a"] > meta["max_deviation_calibrated_a"]
+        assert run.meta["max_deviation_uniform_a"] > run.meta["max_deviation_calibrated_a"]
 
-    def test_cost_report_rows(self, tmp_path):
-        rows, meta = run_cost_report(ExperimentConfig(), tmp_path / "cost.csv")
-        assert len(rows) == 4
-        assert meta["mem_read_energy_nj"] == 0.411
+    def test_cost_report_rows(self):
+        run = run_cost_report(ExperimentConfig())
+        assert len(run.rows) == 4
+        assert run.meta["mem_read_energy_nj"] == 0.411
 
     def test_text_corpus_pipeline(self):
         cfg = ExperimentConfig(
@@ -349,11 +358,18 @@ class TestRunners:
             synthetic=SyntheticSpec(kind="languages", samples=60, languages=3, text_length=21),
         )
         ds = synthesize_dataset(cfg)
-        res = run_classify(cfg, ds)
-        assert res.accuracy >= 0.5
+        assert run_classify(cfg, ds).meta["accuracy"] >= 0.5
 
 
 class TestCli:
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_every_verb_writes_one_file(self, tmp_path, verb):
+        # A verb that main does not run would write nothing, or fail.
+        widths = [arg for flag in ("--dim", "--dims") if flag in verb_flags(verb) for arg in (flag, "256")]
+        assert main([verb, "--out", str(tmp_path), *widths]) == 0
+        name = "profile.ini" if verb == "calibrate" else f"{verb.replace('-', '_')}.csv"
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+
     def test_classify_verb(self, tmp_path, capsys):
         rc = main(["classify", "--out", str(tmp_path), "--seed", "3", "--dim", "256"])
         assert rc == 0

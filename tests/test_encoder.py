@@ -320,6 +320,12 @@ def _ngram_reference(seq, n, im, cfg, gen):
 NGRAM_ENCODERS = [encode_ngram, encode_ngram_packed]
 
 
+def _ranks(ctx, text):
+    """The item memory row of each character of text: its rank in ctx.points."""
+    points = ctx.points.tolist()
+    return [points.index(ord(c)) for c in text]
+
+
 class TestEncodeNgramBlock:
     """encode_ngram, the per-window definition, and encode_ngram_packed, the
     run path's kernel, against the per-sequence reference."""
@@ -364,12 +370,16 @@ class TestEncodeNgramBlock:
         with pytest.raises(SaturationError):
             encode(np.zeros(COUNT_MAX + 3, dtype=int), 3, im, cfg)
 
-    def test_packed_rejects_symbols_outside_the_item_memory(self, rng):
+    @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
+    def test_packed_rejects_symbols_outside_the_item_memory(self, encode, rng):
         im = build_item_memory(4, 128, rng)
-        cfg = EncodingConfig(scheme="ngram", n=2, dim=128)
+        cfg = EncodingConfig(scheme="ngram", n=2, permute_mode="drop", dim=128)
         for bad in ([0, 4, 1], [0, -1, 1]):
+            state = rng.bit_generator.state
             with pytest.raises(IndexError):
-                encode_ngram_packed(bad, 2, im, cfg)
+                encode(bad, 2, im, cfg, rng)
+            # rejected before any drop tail was drawn
+            assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("width", [8, 16])
     def test_one_tail_draw_equals_per_pass_draws(self, width):
@@ -426,7 +436,7 @@ class TestEncodeSubset:
             expected_ledger.charge("addition", 5 * len(indices))
         else:
             for i in indices:
-                seq = [ctx.vocab[c] for c in ds.samples[i]]
+                seq = _ranks(ctx, ds.samples[i])
                 bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
         # the default block (512 rows at dim 256) holds every index; blocks of
         # 1 and 16 rows cross sample and run boundaries
@@ -474,7 +484,7 @@ class TestEncodeSubset:
         if scheme == "record":
             expected = ctx.features[indices].tolist()
         else:
-            expected = [[ctx.vocab[c] for c in ds.samples[i]] for i in indices]
+            expected = [_ranks(ctx, ds.samples[i]) for i in indices]
         assert [row.tolist() for block in blocks for row in block] == expected
 
 
@@ -496,7 +506,7 @@ class TestSymbolIndices:
         ctx = build_encoding_context(ds, cfg, 7)
         batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
         for text, counts in zip(ds.samples, batch.counts):
-            seq = [ctx.vocab[c] for c in text]
+            seq = _ranks(ctx, text)
             assert np.array_equal(counts, encode_ngram(seq, 3, ctx.item_memory, encoding)[0])
 
 

@@ -201,3 +201,46 @@ def test_ingested_csv_bytes(tmp_path, name):
             "--dim", "256", "--seed", "5", *flags]
     assert main(argv) == 0
     assert hashlib.sha256((out / "classify.csv").read_bytes()).hexdigest() == digest
+
+
+# name of a case above -> what the verb prints, with its --out directory as <out>.
+STDOUT = {
+    "ngram-shift-binary": "accuracy = 0.7368 over 19 held-out samples\n"
+                          "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "ngram-drop-multibit": "accuracy = 0.7895 over 19 held-out samples\n"
+                           "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "record-analog-calibrated": "accuracy = 0.8333 over 30 held-out samples\n"
+                                "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "record-retrain-2": "accuracy = 0.8000 over 30 held-out samples\n"
+                        "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "cluster-analog": "epochs = 2, converged = True, purity = 1.0000\nwrote <out>/cluster.csv\n",
+    "transfer-curve": "max deviation uniform = 8.108e-07 A, calibrated = 1.999e-07 A (4.06x better)\n"
+                      "wrote <out>/transfer_curve.csv\n",
+    "calibrate": "calibrated levels (far to near): 1.10 V, 1.06 V, 1.01 V, 0.97 V\n"
+                 "wrote <out>/profile.ini\n",
+    "cost-report": "      addition:   41.080 pJ in-array vs   883.900 pJ CMOS net (21.52x)\n"
+                   "   permutation:    0.752 pJ in-array vs   415.660 pJ CMOS net (552.74x)\n"
+                   "multiplication:  569.000 pJ in-array vs   828.470 pJ CMOS net (1.46x)\n"
+                   "        search:   14.650 pJ in-array vs  4139.700 pJ CMOS net (282.57x)\n"
+                   "wrote <out>/cost_report.csv\n",
+    "dim-sweep": "dim   128: accuracy 0.8333, search energy/query 0.916 pJ\n"
+                 "dim   256: accuracy 0.9000, search energy/query 1.831 pJ\nwrote <out>/dim_sweep.csv\n",
+    "dim-sweep-analog": "dim   128: accuracy 0.8333, search energy/query 0.916 pJ\n"
+                        "dim   256: accuracy 0.9000, search energy/query 1.831 pJ\n"
+                        "wrote <out>/dim_sweep.csv\n",
+}
+
+
+@pytest.mark.parametrize("name", [*CASES, *VERB_CASES])
+def test_verb_stdout(tmp_path, capsys, name):
+    out = tmp_path / "out"
+    if name in CASES:
+        verb, text, flags, _, _ = CASES[name]
+        argv = [verb, "--dim", "256", "--seed", "5", *flags]
+    else:
+        argv, text, _, _ = VERB_CASES[name]
+    if text is not None:
+        (tmp_path / "cfg.ini").write_text(text)
+        argv = [*argv, "--config", str(tmp_path / "cfg.ini")]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "<out>") == STDOUT[name]

@@ -79,7 +79,8 @@ def build_encoding_context(dataset, cfg, seed):
         raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
     rng = Rng(seed)
     if enc.scheme == "ngram":
-        points = np.array(sorted({ord(c) for text in dataset.samples for c in text}), dtype=np.uint32)
+        chars = "".join(sorted(set("".join(dataset.samples))))
+        points = np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
         im = build_item_memory(len(points), cfg.dim, rng)
         return EncodingContext(item_memory=im, points=points)
     samples = dataset.samples
@@ -109,12 +110,16 @@ def symbol_indices(texts, points):
 
 
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
-    """Encoded batch of the given rows, then one majority. Rows are encoded in
-    index order, which keeps the drop-mode tail stream, in blocks of at most
+    """Encoded batch of the given rows. Rows are encoded in index order, which
+    keeps the drop-mode tail stream, in blocks of at most
     max(1, ENCODE_BLOCK_CELLS // dim) rows; an n-gram block is a run of
-    equal-length sequences, because an ingested corpus may be ragged."""
+    equal-length sequences, because an ingested corpus may be ragged. Each
+    block is binarized as soon as it is encoded. Its counts are kept only in
+    multibit mode, whose ideal_dot backend scores them; a binary batch's
+    counts are None."""
     enc = cfg.encoding
-    counts = np.empty((len(indices), cfg.dim), dtype=np.int16)
+    bits = np.empty((len(indices), cfg.dim), dtype=np.uint8)
+    counts = np.empty(bits.shape, dtype=np.int16) if cfg.mode == "multibit" else None
     sizes = np.empty(len(indices), dtype=np.int64)
     if enc.scheme == "ngram":
         rows = [dataset.samples[i] for i in indices]
@@ -123,13 +128,17 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
         if enc.scheme == "ngram":
             symbols = symbol_indices(rows[block], ctx.points)
-            counts[block], sizes[block] = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc,
-                                                              rng_encode, ledger)
+            block_counts, sizes[block] = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc,
+                                                             rng_encode, ledger)
         else:
-            encoded = encode_record(rows[block], ctx.item_memory, ctx.level_memory, ledger)
-            counts[block], sizes[block] = encoded
+            block_counts, sizes[block] = encode_record(rows[block], ctx.item_memory, ctx.level_memory,
+                                                       ledger)
+        bits[block] = majority(block_counts, sizes[block])
+        if counts is not None:
+            counts[block] = block_counts
+        del block_counts  # not held while the next block encodes
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
-    return Encoded(majority(counts, sizes), counts, sizes, labels)
+    return Encoded(bits, counts, sizes, labels)
 
 
 def _ideal_backend(mode):
@@ -197,14 +206,17 @@ def run_classify(cfg, dataset):
     ctx = build_encoding_context(dataset, cfg, seeds["memories"])
     rng_encode = Rng(seeds["encode"])
     train_batch = encode_subset(dataset, train_idx, ctx, cfg, rng_encode, ledgers["train"])
-    test_batch = encode_subset(dataset, test_idx, ctx, cfg, rng_encode, ledgers["infer_encode"])
-
     cm = train(train_batch, ledger=ledgers["train"])
     if cfg.retrain_epochs:
         # Retraining always runs against the ideal backend of the configured
         # mode; the configured (possibly analog) backend applies to inference.
         cm = retrain(cm, train_batch, cfg.retrain_epochs, _ideal_backend(cfg.mode),
                      ledger=ledgers["train"])
+    # Released before the queries are encoded, so the two batches are never
+    # held at once. Retraining draws nothing from rng_encode, so the queries'
+    # drop-mode tails do not depend on this order.
+    del train_batch
+    test_batch = encode_subset(dataset, test_idx, ctx, cfg, rng_encode, ledgers["infer_encode"])
 
     labels, flags = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
     rows = [
@@ -217,7 +229,7 @@ def run_classify(cfg, dataset):
     meta = cfg.meta("classify")
     meta.update({f"seeds.{k}": v for k, v in seeds.items()})
     meta["accuracy"] = sum(correct for _, _, _, correct, _ in rows) / len(test_batch)
-    meta["n_train"] = len(train_batch)
+    meta["n_train"] = len(train_idx)
     meta["n_test"] = len(test_batch)
     _report_meta(meta, profile, reports)
     columns = ("sample_index", "true_label", "predicted_label", "correct", "lta_ambiguous_flags")

@@ -16,6 +16,8 @@ inputs, and only random_bits draws random numbers (majority's tie bits are
 one such draw, from a fixed seed).
 """
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -99,6 +101,15 @@ def bundle_sub(counts, bits, size):
     return counts - bits
 
 
+@functools.cache
+def _tie_bits(dim):
+    """The (dim,) tie-break row of majority(), drawn on first use: a draw at
+    import would make importing this module import numpy.random."""
+    row = random_bits(1, dim, Rng([TIE_BREAK_SEED, dim]))[0]
+    row.flags.writeable = False
+    return row
+
+
 def majority(counts, sizes):
     """(n, dim) uint8 majority bits of n bundles with (n, dim) integer counts and (n,) sizes.
 
@@ -123,8 +134,7 @@ def majority(counts, sizes):
     even = (sizes % 2 == 0) & (sizes // 2 <= cap)
     ties = counts[even] == half[even]
     if ties.any():
-        dim = counts.shape[1]
-        bits[even] = np.where(ties, random_bits(1, dim, Rng([TIE_BREAK_SEED, dim])), bits[even])
+        bits[even] = np.where(ties, _tie_bits(counts.shape[1]), bits[even])
     return bits
 
 

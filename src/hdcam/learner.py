@@ -33,7 +33,8 @@ BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
 @dataclass
 class Encoded:
     """A batch of encoded inputs: (n, dim) majority bits, (n, dim) int16 bundle
-    counts, (n,) bundle sizes and n labels."""
+    counts, (n,) bundle sizes and n labels. counts is None in a bits-only
+    batch, which every backend but ideal_dot scores."""
 
     bits: np.ndarray
     counts: np.ndarray
@@ -45,7 +46,8 @@ class Encoded:
 
     def __getitem__(self, rows):
         """The samples of a slice, as a batch."""
-        return Encoded(self.bits[rows], self.counts[rows], self.sizes[rows], self.labels[rows])
+        counts = None if self.counts is None else self.counts[rows]
+        return Encoded(self.bits[rows], counts, self.sizes[rows], self.labels[rows])
 
 
 @dataclass
@@ -110,6 +112,13 @@ def train(batch, ledger=None):
     return _deploy(labels, counts.astype(np.int16), np.bincount(rows))
 
 
+def _check_scorable(batch, backend):
+    """Raise ConfigError when ideal_dot, which scores bundle counts, gets a bits-only batch."""
+    if backend.kind == "ideal_dot" and batch.counts is None:
+        raise ConfigError("ideal_dot scores bundle counts, and this batch keeps only bits "
+                          "(counts are kept in multibit mode)")
+
+
 def _centred(counts, sizes):
     """Bundle counts centred on half their bundle sizes, as float64 rows."""
     return counts - np.asarray(sizes)[:, None] / 2.0
@@ -148,6 +157,7 @@ def predict(batch, cm, backend, ledger=None):
     """
     if not cm.labels:
         raise ValueError("class memory has no deployed vectors")
+    _check_scorable(batch, backend)
     charge_to(ledger, "search", len(batch))
     dot = backend.kind == "ideal_dot"
     rows = _centred(cm.counts, cm.sizes) if dot else cm.deployed
@@ -213,6 +223,7 @@ def retrain(cm, batch, epochs, backend, ledger=None):
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
+    _check_scorable(batch, backend)
     row = {label: k for k, label in enumerate(cm.labels)}
     counts, sizes = cm.counts.copy(), cm.sizes.copy()
     out = ClassMemory(cm.labels, counts, sizes, cm.deployed)

@@ -145,7 +145,10 @@ def _oracle_bank_current(mism_row, v_cols, params):
     Each current is solved in units of its zero-drop value g*a^2, so the
     system stays well scaled when r_segment shrinks currents by decades.
     The cells do not load each other, so each is a scalar root, bracketed
-    on [0, 1]: the residual is -1 at 0 and non-negative at 1. A bracketing
+    on [0, 2]: the residual is -1 at 0 and at least 1 - ulp at 2. At 1 it is
+    non-negative only up to rounding: with r_segment = 0 the root is exactly
+    1, and a scalar's overdrive**2 may round one ulp above the array's a**2
+    that i_zero_drop holds, so [0, 1] need not bracket it. A bracketing
     solver cannot stall where MINPACK's hybrid method does (r_segment near
     6e8 with one low segment level). Convergence is judged by the size of
     one more Newton step.
@@ -163,7 +166,7 @@ def _oracle_bank_current(mism_row, v_cols, params):
         return x - params.g_cell * overdrive**2 / i_zero_drop
 
     x = np.array([
-        scipy.optimize.brentq(residual, 0.0, 1.0, args=cell, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        scipy.optimize.brentq(residual, 0.0, 2.0, args=cell, xtol=1e-300, rtol=4 * np.finfo(float).eps)
         for cell in zip(a, c, i_zero_drop)
     ])
     slope = 1.0 + 2.0 * params.g_cell * c * np.clip(a - c * x * i_zero_drop, 0.0, None)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,9 @@ from hdcam.datasets import (
 )
 from hdcam.encoder import EncodingConfig
 from hdcam.errors import ConfigError, EmptyDatasetError, ParseError
+from hdcam import experiments
 from hdcam.experiments import (
+    encode_subset,
     run_classify,
     run_cluster,
     run_cost_report,
@@ -293,6 +296,22 @@ class TestRunners:
         ds = synthesize_dataset(cfg)
         run = run_classify(cfg, ds)
         assert run.reports["infer_search"].counts["search"] == run.meta["n_test"]
+
+    @pytest.mark.parametrize("mode", ["binary", "multibit"])
+    def test_classify_releases_the_training_batch_before_encoding_queries(self, mode, monkeypatch):
+        cfg = _small_records_cfg(mode=mode)
+        ds = synthesize_dataset(cfg)
+        batches, alive = [], []
+
+        def spy(*args, **kwargs):
+            alive.extend(ref() is not None for ref in batches)
+            batch = encode_subset(*args, **kwargs)
+            batches.append(weakref.ref(batch))
+            return batch
+
+        monkeypatch.setattr(experiments, "encode_subset", spy)
+        run_classify(cfg, ds)
+        assert len(batches) == 2 and alive == [False]
 
     def test_classify_exports_lta_trace_column(self, tmp_path):
         cfg = _small_records_cfg(backend="analog", profile="uniform")

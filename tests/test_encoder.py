@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -407,13 +408,26 @@ class TestEncodeNgramBlock:
         assert ledger.counts == {"permutation": 48, "multiplication": 32, "addition": 16}
 
 
+def _check_batch_mode(batch, mode, expected_counts):
+    """A binary batch keeps no counts; a multibit one keeps the expected int16 counts."""
+    if mode == "binary":
+        assert batch.counts is None
+    else:
+        assert batch.counts.dtype == np.int16
+        assert np.array_equal(batch.counts, expected_counts)
+
+
 class TestEncodeSubset:
     """encode_subset equals per-sample encoding plus binarize, drop-mode RNG stream included."""
 
-    @pytest.mark.parametrize("scheme, permute_mode", [
-        ("record", "shift"), ("ngram", "shift"), ("ngram", "drop"),
+    ENCODINGS = (("record", "shift"), ("ngram", "shift"), ("ngram", "drop"))
+
+    @pytest.mark.parametrize("scheme, permute_mode, mode", [
+        *(pytest.param(scheme, permute, "binary", id=f"{scheme}-{permute}") for scheme, permute in ENCODINGS),
+        *(pytest.param(scheme, permute, "multibit", id=f"{scheme}-{permute}-multibit")
+          for scheme, permute in ENCODINGS),
     ])
-    def test_equals_per_sample_encoding(self, scheme, permute_mode, monkeypatch):
+    def test_equals_per_sample_encoding(self, scheme, permute_mode, mode, monkeypatch):
         if scheme == "record":
             ds = make_record_blobs(SyntheticSpec(samples=30, classes=3, features=5), Rng(4))
         else:
@@ -423,7 +437,7 @@ class TestEncodeSubset:
         # repeats, and more rows than a 16-row block
         indices = [5, 0, 11, 3, 3, 9, *range(29, -1, -1), 7]
         encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
-        cfg = ExperimentConfig(dim=256, encoding=encoding)
+        cfg = ExperimentConfig(dim=256, mode=mode, encoding=encoding)
         ctx = build_encoding_context(ds, cfg, 7)
         rng, expected_ledger = Rng(8), CostLedger(256)
         bundles = []
@@ -444,8 +458,7 @@ class TestEncodeSubset:
             monkeypatch.setattr(experiments, "ENCODE_BLOCK_CELLS", cells)
             ledger = CostLedger(256)
             batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
-            assert batch.counts.dtype == np.int16
-            assert np.array_equal(batch.counts, np.stack([counts for counts, _ in bundles]))
+            _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
             assert batch.sizes.tolist() == [size for _, size in bundles]
             assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
             assert batch.labels == [ds.labels[i] for i in indices]
@@ -487,6 +500,30 @@ class TestEncodeSubset:
             expected = [_ranks(ctx, ds.samples[i]) for i in indices]
         assert [row.tolist() for block in blocks for row in block] == expected
 
+    @pytest.mark.parametrize("scheme", ["record", "ngram"])
+    def test_binary_batch_holds_bits_and_a_few_blocks(self, scheme):
+        """A binary encode_subset's tracemalloc peak is its bits matrix plus a
+        few blocks: no (n, dim) counts, no whole-batch majority temporaries."""
+        if scheme == "record":
+            ds = make_record_blobs(SyntheticSpec(samples=800, classes=4, features=9), Rng(4))
+        else:
+            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=800, text_length=40), Rng(4))
+        cfg = ExperimentConfig(dim=2048, encoding=EncodingConfig(scheme=scheme, dim=2048))
+        ctx = build_encoding_context(ds, cfg, 7)
+        encode_subset(ds, range(8), ctx, cfg, Rng(8))  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            batch = encode_subset(ds, range(ds.n), ctx, cfg, Rng(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One block's int16 counts are 2 * ENCODE_BLOCK_CELLS bytes; the
+        # encoder's working arrays take a few more. The (800, 2048) counts
+        # alone would be 3.3 MB.
+        block = 2 * experiments.ENCODE_BLOCK_CELLS
+        assert peak < batch.bits.nbytes + 6 * block
+        assert batch.counts is None
+
 
 class TestSymbolIndices:
     # two- and three-byte UTF-8 characters, non-BMP ones (four bytes) and a NUL among ASCII
@@ -502,12 +539,13 @@ class TestSymbolIndices:
     def test_encode_subset_of_a_non_ascii_corpus(self):
         ds = Dataset("text_corpus", self.TEXTS * 3, ["x", "y"] * 6)
         encoding = EncodingConfig(scheme="ngram", dim=256)
-        cfg = ExperimentConfig(dim=256, encoding=encoding)
-        ctx = build_encoding_context(ds, cfg, 7)
-        batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
-        for text, counts in zip(ds.samples, batch.counts):
-            seq = _ranks(ctx, text)
-            assert np.array_equal(counts, encode_ngram(seq, 3, ctx.item_memory, encoding)[0])
+        for mode in ("binary", "multibit"):
+            cfg = ExperimentConfig(dim=256, mode=mode, encoding=encoding)
+            ctx = build_encoding_context(ds, cfg, 7)
+            batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
+            bundles = [encode_ngram(_ranks(ctx, text), 3, ctx.item_memory, encoding) for text in ds.samples]
+            _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
+            assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
 
 
 class TestEncodingConfig:

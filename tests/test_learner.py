@@ -180,6 +180,28 @@ class TestPredict:
         assert predict(query, cm, SimilarityBackend(kind="ideal_dot"))[0] == ["b"]
         assert predict(query, cm, IDEAL)[0] == ["a"]
 
+    def test_bits_only_batch(self):
+        # Binary-mode batches keep no counts: a slice keeps none either, and
+        # the bit-scoring backends predict and retrain as with counts.
+        cm, batch = _noisy_task(Rng(11))
+        bits_only = replace(batch, counts=None)
+        part = bits_only[2:5]
+        assert part.counts is None and np.array_equal(part.bits, batch.bits[2:5])
+        assert part.sizes.tolist() == batch.sizes[2:5].tolist() and part.labels == batch.labels[2:5]
+        for make in (lambda: IDEAL, _analog_backend):
+            assert predict(bits_only, cm, make())[0] == predict(batch, cm, make())[0]
+            assert _bundles(retrain(cm, bits_only, 2, make())) == _bundles(retrain(cm, batch, 2, make()))
+
+    def test_ideal_dot_rejects_a_bits_only_batch(self, rng):
+        batch = _batch([_rand(256, rng) for _ in range(3)], range(3))
+        cm = train(batch)
+        dot, ledger = SimilarityBackend(kind="ideal_dot"), CostLedger(256)
+        with pytest.raises(ConfigError, match="counts"):
+            predict(replace(batch, counts=None), cm, dot, ledger)
+        with pytest.raises(ConfigError, match="counts"):
+            retrain(cm, replace(batch, counts=None)[1:], 1, dot, ledger)
+        assert ledger.counts == {}
+
     def test_ideal_dot_recovers_class(self, rng):
         batch = _batch([_rand(512, rng) for _ in range(3)], range(3))
         cm = train(batch)

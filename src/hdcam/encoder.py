@@ -24,12 +24,15 @@ from .errors import ConfigError, DimensionError, GenerationError, SaturationErro
 from .hvcore import (
     COUNT_MAX,
     DROP_WIDTHS,
+    PlaneCounter,
     bind,
     bundle_add,
     check_alignment,
     hamming_matrix,
     permute_drop,
     permute_shift,
+    plane_compare,
+    plane_sum,
     random_bits,
 )
 
@@ -195,21 +198,25 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
 
 
 def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
-    """encode_ngram from packed grams, all windows of the block at once: the
-    same counts, window count, charges, errors and single tail draw. This is
-    the run path's n-gram encoder; encode_ngram is its per-window definition.
+    """encode_ngram from packed grams, all windows of the block at once, with
+    the counts left bit-sliced: the (levels, *block, dim/64) uint64 count
+    planes and the window count. levels is windows.bit_length(), and plane k
+    packs bit k of every count; hvcore.plane_majority binarizes them and
+    hvcore.plane_counts rebuilds encode_ngram's int16 counts. Charges, errors
+    and the single tail draw are encode_ngram's. This is the run path's
+    n-gram encoder; encode_ngram is its per-window definition.
 
     Table k is the item memory after step k's permutation, packed to dim/8
     bytes per symbol once per call: rotated by k in shift mode; in drop mode
     shifted left by k*w/8 bytes with zeros behind, because k drop passes leave
     the row from bit k*w on, followed by the k tails, and w is whole bytes.
     A window's gram is the XOR of its n table rows, gathered window-major as
-    (windows, rows, dim/8); drop mode folds the gram's tails into one
-    right-aligned (n-1)*w/8-byte block and XORs it into the last bytes. Grams
-    are gathered GRAM_CHUNK_CELLS bits at a time, then unpacked window by
-    window into a uint8 partial sum of up to 255 windows. SaturationError is
-    raised when an exact count exceeds COUNT_MAX, the condition bundle_add
-    checks window by window.
+    (windows, rows, dim/8), GRAM_CHUNK_CELLS bits (and an even number of
+    windows) at a time; drop mode folds the gram's tails into one
+    right-aligned (n-1)*w/8-byte block and XORs it into the last bytes.
+    Grams are never unpacked: an hvcore.PlaneCounter counts them as uint64
+    words, in pairs. SaturationError is raised when an exact count
+    exceeds COUNT_MAX, the condition bundle_add checks window by window.
     """
     symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
     rows, dim = math.prod(block), im.shape[1]
@@ -235,29 +242,30 @@ def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
     table = np.concatenate(tables[::-1])
     windowed = sliding_window_view(symbols.reshape(rows, windows + n - 1), n, axis=1)
     index = np.add(windowed.T, (np.arange(n) * len(im))[:, None, None], dtype=np.int32)
-    chunk = max(1, GRAM_CHUNK_CELLS // max(rows * dim, 1))
-    counts = None  # allocated after the first partial sum, which keeps the peak memory down
-    part = np.empty((rows, dim), dtype=np.uint8)
-    for group in range(0, windows, 255):  # a uint8 partial sum holds 255 windows
-        part[:] = 0
-        for start in range(group, min(group + 255, windows), chunk):
-            stop = min(start + chunk, group + 255, windows)
-            grams, *older = table[index[:, start:stop]]
-            for row in older:
-                grams ^= row
-            if drop:
-                grams[..., width - fold.shape[-1] :] ^= fold[start:stop]
-            for gram in grams:  # each window's bits are freed before the next window's unpack
-                part += np.unpackbits(gram.reshape(-1)).reshape(rows, dim)
-        if counts is None:
-            counts = part.astype(np.int16)
-            continue
-        # A count is at most the windows summed so far, so only long blocks can overflow.
-        if stop > COUNT_MAX and (part > COUNT_MAX - counts).any():
-            raise SaturationError("bundle_add would overflow a 16-bit counter")
-        counts += part
+    # A chunk's windows are counted as pairs in lanes: lane j counts windows
+    # start + j and start + lanes + j, all lanes in one ufunc call.
+    lanes = min(max(1, GRAM_CHUNK_CELLS // max(2 * rows * dim, 1)), (windows + 1) // 2)
+    chunk = 2 * lanes
+    gathered = np.empty((n, chunk, rows, width), dtype=np.uint8)
+    pair = gathered[0].view(np.uint64).reshape(2, lanes, rows, dim // 64)  # the grams, as words
+    counter = PlaneCounter(2 * -(-windows // chunk), pair.shape[1:])
+    for start in range(0, windows, chunk):
+        stop = min(start + chunk, windows)
+        # The symbols were checked against the table's rows, so no index needs clipping.
+        grams, *older = table.take(index[:, start:stop], axis=0, out=gathered[:, : stop - start],
+                                   mode="clip")
+        for row in older:
+            grams ^= row
+        if drop:
+            grams[..., width - fold.shape[-1] :] ^= fold[start:stop]
+        if stop - start < chunk:  # a short last chunk pairs the rest with zero grams
+            gathered[0, stop - start :] = 0
+        counter.add(*pair)
+    planes = plane_sum(counter.finish())[: windows.bit_length()]
+    if windows > COUNT_MAX and plane_compare(planes, COUNT_MAX)[0].any():
+        raise SaturationError("bundle_add would overflow a 16-bit counter")
     grams = rows * windows
     charge_to(ledger, "permutation", grams * passes)
     charge_to(ledger, "multiplication", grams * (n - 1))
     charge_to(ledger, "addition", grams)
-    return counts.reshape(*block, dim), windows
+    return planes.reshape(len(planes), *block, dim // 64), windows

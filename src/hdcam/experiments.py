@@ -18,8 +18,8 @@ from .cost import CostLedger, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
 from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
 from .errors import ConfigError
-from .hvcore import Rng, derive_seed, majority
-from .learner import Encoded, SimilarityBackend, cluster, predict, retrain, train
+from .hvcore import Rng, derive_seed, majority, plane_counts, plane_majority
+from .learner import Encoded, SimilarityBackend, check_cluster_backend, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
 
@@ -56,13 +56,13 @@ def synthesize_dataset(cfg):
 @dataclass
 class EncodingContext:
     """Item (and level) memory rows plus whatever the dataset kind needs at
-    encode time: the sorted uint32 code points of a corpus's characters (item
-    row i is the character points[i]), or a feature matrix normalised per
-    feature to [0, 1] over its range."""
+    encode time: the code_point_table of a corpus's characters (item row i is
+    the i-th character in code point order), or a feature matrix normalised
+    per feature to [0, 1] over its range."""
 
     item_memory: np.ndarray
     level_memory: np.ndarray = None
-    points: np.ndarray = None
+    symbol_table: np.ndarray = None
     features: np.ndarray = None
 
 
@@ -82,7 +82,7 @@ def build_encoding_context(dataset, cfg, seed):
         chars = "".join(sorted(set("".join(dataset.samples))))
         points = np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
         im = build_item_memory(len(points), cfg.dim, rng)
-        return EncodingContext(item_memory=im, points=points)
+        return EncodingContext(item_memory=im, symbol_table=code_point_table(points))
     samples = dataset.samples
     im = build_item_memory(samples.shape[1], cfg.dim, rng)
     lm = build_level_memory(enc.levels, cfg.dim, rng)
@@ -100,13 +100,23 @@ def _blocks(rows, size):
             start = stop
 
 
-def symbol_indices(texts, points):
-    """(len(texts), length) indices into the sorted code points of a
-    vocabulary that holds every character of the equal-length texts: one
-    searchsorted of the joined texts' UTF-32 code points, not one dict lookup
-    per character."""
+def code_point_table(points):
+    """Lookup table from code point to the index of that point in the sorted
+    code points of a vocabulary: entry points[i] holds i, and the table ends
+    at the largest point. Its dtype is the smallest unsigned one that holds
+    every index, so an ASCII vocabulary takes one byte per entry."""
+    table = np.zeros(int(points[-1]) + 1, dtype=np.min_scalar_type(len(points) - 1))
+    table[points] = np.arange(len(points))
+    return table
+
+
+def symbol_indices(texts, table):
+    """(len(texts), length) intp indices of the characters of equal-length
+    texts, through the code_point_table of a vocabulary that holds every one
+    of them: one gather of the joined texts' UTF-32 code points, not one dict
+    lookup per character."""
     codes = np.frombuffer("".join(texts).encode("utf-32-le"), dtype=np.uint32)
-    return np.searchsorted(points, codes).reshape(len(texts), len(texts[0]))
+    return table[codes].astype(np.intp).reshape(len(texts), len(texts[0]))
 
 
 def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
@@ -116,7 +126,8 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     equal-length sequences, because an ingested corpus may be ragged. Each
     block is binarized as soon as it is encoded. Its counts are kept only in
     multibit mode, whose ideal_dot backend scores them; a binary batch's
-    counts are None."""
+    counts are None. An n-gram block's count planes give its majority bits
+    directly, and are turned into int16 counts only in multibit mode."""
     enc = cfg.encoding
     bits = np.empty((len(indices), cfg.dim), dtype=np.uint8)
     counts = np.empty(bits.shape, dtype=np.int16) if cfg.mode == "multibit" else None
@@ -127,16 +138,20 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
         rows = ctx.features[np.asarray(indices, dtype=np.intp)]
     for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
         if enc.scheme == "ngram":
-            symbols = symbol_indices(rows[block], ctx.points)
-            block_counts, sizes[block] = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc,
-                                                             rng_encode, ledger)
+            symbols = symbol_indices(rows[block], ctx.symbol_table)
+            planes, size = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)
+            sizes[block] = size
+            bits[block] = plane_majority(planes, size)
+            if counts is not None:
+                plane_counts(planes, out=counts[block])
+            del planes  # not held while the next block encodes
         else:
             block_counts, sizes[block] = encode_record(rows[block], ctx.item_memory, ctx.level_memory,
                                                        ledger)
-        bits[block] = majority(block_counts, sizes[block])
-        if counts is not None:
-            counts[block] = block_counts
-        del block_counts  # not held while the next block encodes
+            bits[block] = majority(block_counts, sizes[block])
+            if counts is not None:
+                counts[block] = block_counts
+            del block_counts
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(bits, counts, sizes, labels)
 
@@ -241,7 +256,9 @@ def run_cluster(cfg, dataset):
     seeds = child_seeds(cfg.seed)
     table = cfg.cost_table()
     ledgers = {name: CostLedger(cfg.dim, table) for name in ("encode", "cluster")}
+    # Checked first, so a backend that cannot cluster fails before any encoding.
     backend, profile = inference_backend(cfg)
+    check_cluster_backend(backend)
     if dataset.kind == "synthetic_blobs":
         points = dataset.samples
     else:

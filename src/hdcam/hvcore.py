@@ -11,9 +11,15 @@ A hypervector is a (dim,) uint8 row of bits, a bundle is a (dim,) int16 row
 of counts plus its integer size, and sets of either are (n, dim) matrices;
 bind, bundling and permutation act on the last axis, so they take either.
 Vectors are sized in whole 128-column bank rows, at most 16 banks (2048
-bits). All operations are pure: they return new arrays, never mutate their
+bits). All functions are pure: they return new arrays, never mutate their
 inputs, and only random_bits draws random numbers (majority's tie bits are
 one such draw, from a fixed seed).
+
+Counts can also be bit-sliced, as the n-gram encoder keeps them: count
+planes are a (levels, ..., dim/64) uint64 array whose plane k packs bit k of
+every count. A PlaneCounter counts packed rows into them, plane_sum adds
+lanes of them, plane_majority binarizes them and plane_counts rebuilds the
+int16 counts.
 """
 
 import functools
@@ -136,6 +142,147 @@ def majority(counts, sizes):
     if ties.any():
         bits[even] = np.where(ties, _tie_bits(counts.shape[1]), bits[even])
     return bits
+
+
+def plane_compare(planes, value):
+    """Packed masks of the counts held in bit-sliced count planes, (gt, eq):
+    bit i of gt is 1 where count i exceeds value, of eq where it equals it.
+
+    planes is (levels, ..., words) uint64, plane k holding bit k of every
+    count; the comparison runs from the top plane down, as a comparator
+    does, on whole words.
+    """
+    gt = np.zeros(planes.shape[1:], dtype=np.uint64)
+    if value >> len(planes):  # every count is below 2**levels <= value
+        return gt, np.zeros_like(gt)
+    eq = np.full(gt.shape, np.uint64(2**64 - 1))
+    hit = np.empty_like(gt)
+    for k in range(len(planes) - 1, -1, -1):
+        if value >> k & 1:  # a 0 bit here leaves the count below value
+            eq &= planes[k]
+        else:  # a 1 bit here puts the still-equal counts above value
+            np.bitwise_and(eq, planes[k], out=hit)
+            gt |= hit
+            eq ^= hit
+    return gt, eq
+
+
+@functools.cache
+def _tie_words(dim):
+    """majority()'s tie-break row, packed into uint64 words as the planes are."""
+    words = np.packbits(_tie_bits(dim)).view(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+def _unpack_words(words):
+    """(..., words) uint64 packed rows as (..., 64 * words) uint8 bits."""
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1))
+    return bits.reshape(*words.shape[:-1], 64 * words.shape[-1])
+
+
+def plane_majority(planes, size):
+    """Majority bits of bundles of size rows from their count planes, as
+    majority() gives them for the same counts: above size // 2 is 1, and an
+    exact tie at an even size takes the tie-break bit. Only the result is
+    unpacked."""
+    if size < 1:
+        raise EmptyBundleError("cannot binarize an empty bundle")
+    gt, eq = plane_compare(planes, size // 2)
+    if size % 2 == 0:
+        eq &= _tie_words(64 * planes.shape[-1])
+        gt |= eq
+    return _unpack_words(gt)
+
+
+def plane_counts(planes, out=None):
+    """The int16 counts that count planes hold, rebuilt top plane first:
+    counts = 2 * counts + plane, one unpacked plane at a time. Writes into
+    out when given. The counts must fit in int16."""
+    if out is None:
+        out = np.empty((*planes.shape[1:-1], 64 * planes.shape[-1]), dtype=np.int16)
+    out[...] = _unpack_words(planes[-1]) if len(planes) else 0
+    for plane in planes[-2::-1]:
+        out <<= 1
+        out += _unpack_words(plane)
+    return out
+
+
+def _full_add(plane, a, b, spare, out):
+    """plane + a + b = plane' + 2 * out, bitwise on packed words, in five
+    ufuncs; overwrites b, and out may be a."""
+    np.bitwise_xor(a, b, out=spare)
+    np.bitwise_and(a, b, out=out)
+    np.bitwise_and(spare, plane, out=b)
+    out |= b
+    plane ^= spare
+
+
+def _ripple(planes, carry, free, level, top):
+    """Add a carry of weight 2**level to planes[level:top] by half adders;
+    carry and free are both overwritten."""
+    for plane in planes[level:top]:
+        np.bitwise_and(plane, carry, out=free)
+        plane ^= carry
+        carry, free = free, carry
+
+
+class PlaneCounter:
+    """A carry-save counter of packed rows: the count planes of up to `most`
+    rows of shape (..., words), (levels, ..., words) uint64 with levels
+    most.bit_length() but at least 2.
+
+    add(a, b) counts a pair of rows and overwrites both: one full adder with
+    plane 0. The carry of every odd pair waits in one held buffer; the next
+    pair's carry meets it in a full adder with plane 1, whose carry ripples
+    up by half adders, no further than the rows counted so far can reach.
+    finish() adds a carry still held and returns the planes.
+    """
+
+    def __init__(self, most, shape):
+        self.planes = np.zeros((max(most, 2).bit_length(), *shape), dtype=np.uint64)
+        self.levels = list(self.planes)  # one view per plane, made once
+        self.held = np.empty(shape, dtype=np.uint64)
+        self.spare = np.empty(shape, dtype=np.uint64)
+        self.pairs = 0
+
+    def add(self, a, b):
+        self.pairs += 1
+        if self.pairs % 2:
+            _full_add(self.levels[0], a, b, self.spare, out=self.held)
+            return
+        _full_add(self.levels[0], a, b, self.spare, out=a)
+        _full_add(self.levels[1], self.held, a, self.spare, out=b)
+        _ripple(self.levels, b, a, 2, (2 * self.pairs).bit_length())
+
+    def finish(self):
+        if self.pairs % 2:
+            _ripple(self.levels, self.held, self.spare, 1, len(self.levels))
+        return self.planes
+
+
+def plane_sum(planes):
+    """The counts of (levels, lanes, ...) count planes summed over the lanes:
+    (levels + ceil(log2(lanes)), ...) planes. Lanes are added pairwise by
+    ripple-carry adders (five bitwise ufuncs per plane), halving the lanes
+    at each step; the top planes of the result may be all zero."""
+    while planes.shape[1] > 1:
+        half, lanes = planes.shape[1] // 2, planes.shape[1]
+        out = np.empty((len(planes) + 1, lanes - half, *planes.shape[2:]), dtype=np.uint64)
+        if lanes % 2:  # the odd lane out passes through
+            out[:-1, half] = planes[:, -1]
+            out[-1, half] = 0
+        carry = np.zeros((half, *planes.shape[2:]), dtype=np.uint64)
+        spare = np.empty_like(carry)
+        for k, (x, y) in enumerate(zip(planes[:, :half], planes[:, half : 2 * half])):
+            np.bitwise_xor(x, y, out=spare)
+            np.bitwise_xor(spare, carry, out=out[k, :half])
+            spare &= carry
+            np.bitwise_and(x, y, out=carry)
+            carry |= spare
+        out[-1, :half] = carry
+        planes = out
+    return planes[:, 0]
 
 
 def binarize(counts, size):

@@ -265,6 +265,12 @@ class ClusterState:
     objective_history: list
 
 
+def check_cluster_backend(backend):
+    """ConfigError unless the backend compares binary points."""
+    if backend.kind == "ideal_dot":
+        raise ConfigError("clustering compares binary points; multibit (ideal_dot) cannot cluster")
+
+
 def cluster(points, spec, rng, backend, ledger=None):
     """K-center clustering of an (n, dim) bit matrix in Hamming space.
 
@@ -279,8 +285,7 @@ def cluster(points, spec, rng, backend, ledger=None):
     Points and centers are binary, so the backend must be ideal_hamming or
     analog_cam.
     """
-    if backend.kind == "ideal_dot":
-        raise ConfigError("clustering compares binary points; multibit (ideal_dot) cannot cluster")
+    check_cluster_backend(backend)
     K = spec.k
     if K > MAX_CLASSES:
         raise CapacityError(f"{K} clusters exceed the {MAX_CLASSES}-row capacity")

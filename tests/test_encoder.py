@@ -22,7 +22,17 @@ from hdcam.config import ExperimentConfig
 from hdcam.datasets import Dataset, SyntheticSpec, make_language_corpus, make_record_blobs
 from hdcam.errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
 from hdcam.experiments import build_encoding_context, encode_subset
-from hdcam.hvcore import COUNT_MAX, Rng, binarize, bind, bundle_add, hamming_matrix, permute_shift, random_bits
+from hdcam.hvcore import (
+    COUNT_MAX,
+    Rng,
+    binarize,
+    bind,
+    bundle_add,
+    hamming_matrix,
+    permute_shift,
+    plane_counts,
+    random_bits,
+)
 
 
 def _dist(a, b):
@@ -318,18 +328,29 @@ def _ngram_reference(seq, n, im, cfg, gen):
     return counts
 
 
-NGRAM_ENCODERS = [encode_ngram, encode_ngram_packed]
+def _packed_counts(symbols, n, im, cfg, rng=None, ledger=None):
+    """encode_ngram_packed's counts, rebuilt from its count planes."""
+    planes, windows = encode_ngram_packed(symbols, n, im, cfg, rng, ledger)
+    block = np.shape(symbols)[:-1]
+    assert planes.dtype == np.uint64 and planes.shape == (windows.bit_length(), *block, im.shape[1] // 64)
+    return plane_counts(planes), windows
 
 
-def _ranks(ctx, text):
-    """The item memory row of each character of text: its rank in ctx.points."""
-    points = ctx.points.tolist()
-    return [points.index(ord(c)) for c in text]
+NGRAM_ENCODERS = [pytest.param(encode_ngram, id="encode_ngram"),
+                  pytest.param(_packed_counts, id="encode_ngram_packed")]
+
+
+def _ranks(ds, text):
+    """The item memory row of each character of text: its rank among the
+    corpus's characters in code point order."""
+    chars = sorted(set("".join(ds.samples)))
+    return [chars.index(c) for c in text]
 
 
 class TestEncodeNgramBlock:
     """encode_ngram, the per-window definition, and encode_ngram_packed, the
-    run path's kernel, against the per-sequence reference."""
+    run path's kernel (its counts rebuilt from the planes), against the
+    per-sequence reference."""
 
     @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
     @given(
@@ -450,7 +471,7 @@ class TestEncodeSubset:
             expected_ledger.charge("addition", 5 * len(indices))
         else:
             for i in indices:
-                seq = _ranks(ctx, ds.samples[i])
+                seq = _ranks(ds, ds.samples[i])
                 bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
         # the default block (512 rows at dim 256) holds every index; blocks of
         # 1 and 16 rows cross sample and run boundaries
@@ -497,7 +518,7 @@ class TestEncodeSubset:
         if scheme == "record":
             expected = ctx.features[indices].tolist()
         else:
-            expected = [_ranks(ctx, ds.samples[i]) for i in indices]
+            expected = [_ranks(ds, ds.samples[i]) for i in indices]
         assert [row.tolist() for block in blocks for row in block] == expected
 
     @pytest.mark.parametrize("scheme", ["record", "ngram"])
@@ -533,8 +554,17 @@ class TestSymbolIndices:
         chars = sorted({c for text in self.TEXTS for c in text})
         vocab = {c: i for i, c in enumerate(chars)}
         expected = np.array([[vocab[c] for c in text] for text in self.TEXTS])
-        got = experiments.symbol_indices(self.TEXTS, np.array([ord(c) for c in chars], dtype=np.uint32))
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        table = experiments.code_point_table(np.array([ord(c) for c in chars], dtype=np.uint32))
+        # seven symbols index in one byte; the indices come out as intp
+        assert table.dtype == np.uint8 and len(table) == ord("😀") + 1
+        got = experiments.symbol_indices(self.TEXTS, table)
+        assert got.dtype == np.intp and np.array_equal(got, expected)
+
+    def test_table_dtype_fits_the_vocabulary(self):
+        for size, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16)):
+            points = np.arange(100, 100 + 2 * size, 2, dtype=np.uint32)
+            table = experiments.code_point_table(points)
+            assert table.dtype == dtype and table[points].tolist() == list(range(size))
 
     def test_encode_subset_of_a_non_ascii_corpus(self):
         ds = Dataset("text_corpus", self.TEXTS * 3, ["x", "y"] * 6)
@@ -543,7 +573,7 @@ class TestSymbolIndices:
             cfg = ExperimentConfig(dim=256, mode=mode, encoding=encoding)
             ctx = build_encoding_context(ds, cfg, 7)
             batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
-            bundles = [encode_ngram(_ranks(ctx, text), 3, ctx.item_memory, encoding) for text in ds.samples]
+            bundles = [encode_ngram(_ranks(ds, text), 3, ctx.item_memory, encoding) for text in ds.samples]
             _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
             assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
 

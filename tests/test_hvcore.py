@@ -24,6 +24,11 @@ from hdcam.hvcore import (
     majority,
     permute_drop,
     permute_shift,
+    PlaneCounter,
+    plane_compare,
+    plane_counts,
+    plane_majority,
+    plane_sum,
     random_bits,
 )
 from hdcam.learner import Encoded, SimilarityBackend, train
@@ -276,6 +281,60 @@ class TestMajority:
         counts = np.full((1, 128), 40000, dtype=np.int64)
         with pytest.raises(SaturationError):
             majority(counts, [50000])
+
+
+# Window counts across the uint8 partial sum's 255 and every power of two up to 512.
+_PLANE_BOUNDARIES = sorted({w + d for w in (255, *(2**k for k in range(1, 10))) for d in (-1, 0, 1)})
+
+
+class TestCountPlanes:
+    """PlaneCounter and plane_sum against the unpacked sum of the same rows."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        windows=st.one_of(st.integers(0, 600), st.sampled_from(_PLANE_BOUNDARIES)),
+        lanes=st.integers(1, 3),
+        rows=st.integers(1, 2),
+        words=st.sampled_from([2, 4]),
+        ones=st.sampled_from([0.5, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planes_give_the_unpacked_sum_and_its_majority(self, windows, lanes, rows, words, ones, seed):
+        gen = np.random.default_rng(seed)
+        bits = (gen.random((windows, lanes, rows, 64 * words)) < ones).astype(np.uint8)
+        # an odd window count is paired with a zero row, as the n-gram encoder pairs them
+        packed = np.zeros((windows + windows % 2, lanes, rows, words), dtype=np.uint64)
+        packed[:windows] = np.packbits(bits, axis=-1).view(np.uint64)
+        counter = PlaneCounter(len(packed), (lanes, rows, words))
+        for a, b in zip(packed[0::2], packed[1::2]):
+            counter.add(a, b)
+        size = windows * lanes
+        planes = plane_sum(counter.finish())[: size.bit_length()]
+        counts = bits.sum(axis=(0, 1), dtype=np.int16)
+        assert planes.shape == (size.bit_length(), rows, words)
+        assert np.array_equal(plane_counts(planes), counts)
+        if size == 0:
+            with pytest.raises(EmptyBundleError):
+                plane_majority(planes, size)
+            return
+        # odd and even sizes: ties (even sizes only) take majority's tie bits
+        assert np.array_equal(plane_majority(planes, size), majority(counts, [size] * rows))
+
+    @given(value=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
+    def test_compare_equals_unpacked_compare(self, value, seed):
+        counts = np.random.default_rng(seed).integers(0, 40, size=(2, 128))
+        planes = np.stack([np.packbits((counts >> k) & 1, axis=-1).view(np.uint64) for k in range(6)])
+        gt, eq = plane_compare(planes, value)
+        unpack = lambda words: np.unpackbits(words.view(np.uint8), axis=-1)
+        assert np.array_equal(unpack(gt), counts > value)
+        assert np.array_equal(unpack(eq), counts == value)
+
+    def test_counts_into_out(self):
+        counter = PlaneCounter(6, (2, 2))
+        for _ in range(3):
+            counter.add(*np.full((2, 2, 2), 2**64 - 1, dtype=np.uint64))
+        out = np.empty((2, 128), dtype=np.int16)
+        assert plane_counts(counter.finish(), out=out) is out and (out == 6).all()
 
 
 class TestPermute:

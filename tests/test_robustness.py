@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdcam import experiments
 from hdcam.cli import main, verb_flags
 from hdcam.config import VERBS, ExperimentConfig, verb_keys
 from hdcam.datasets import ingest, train_test_indices
@@ -281,6 +282,15 @@ class TestCliErrors:
         # Cluster points are binary; multibit (ideal_dot) has nothing to score.
         err = self._check(tmp_path, ["cluster", "--mode", "multibit", "--dim", "256", "--seed", "1"])
         assert "multibit" in err
+
+    def test_cluster_multibit_fails_before_encoding(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "encode_subset", lambda *args, **kwargs: calls.append(args))
+        p = tmp_path / "d.csv"
+        p.write_text("".join(f"0.{i},0.{9 - i},{'ab'[i % 2]}\n" for i in range(10)))
+        err = self._check(tmp_path, ["cluster", "--mode", "multibit", "--dim", "256", "--data", str(p)])
+        assert "multibit (ideal_dot) cannot cluster" in err
+        assert calls == []
 
     def test_out_is_a_file(self, tmp_path):
         out = tmp_path / "afile"

@@ -93,6 +93,8 @@ def ingest(path, kind):
                 raise ParseError(f"line {lineno}: non-numeric feature", line=lineno)
             if not all(map(math.isfinite, row)):
                 raise ParseError(f"line {lineno}: non-finite feature", line=lineno)
+            if not parts[-1].strip():
+                raise ParseError(f"line {lineno}: empty label", line=lineno)
             samples.append(row)
             labels.append(parts[-1].strip())
         if not samples:

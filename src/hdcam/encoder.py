@@ -5,12 +5,11 @@ symbol or level. Record encoding binds each feature position's item row to
 the level row of the quantized value and bundles over positions, for a whole
 (n, F) batch of feature rows at once. N-gram encoding binds permuted symbol
 rows across a sliding window, permuting older symbols more, and bundles all
-windows, for a whole (B, T) block of equal-length sequences at once. Bundles
-are int16 counts plus the number of rows bundled.
+windows, for a whole (B, T) block of equal-length sequences at once.
 
-encode_ngram_packed is the n-gram encoder of the run path: it works on packed
-grams of all windows at once. encode_ngram is the per-window definition it
-must match, kept as the reference for the tests and for bench/tracer.py.
+The run path's encoders, encode_record and encode_ngram_packed, both bundle
+with _count_grams into count planes (see hvcore). encode_ngram is the
+per-window n-gram definition, kept as the reference for tests and bench.
 """
 
 import math
@@ -36,7 +35,7 @@ from .hvcore import (
     random_bits,
 )
 
-# Gram bits (windows x rows x dim) that encode_ngram_packed gathers at a time:
+# Gram bits (windows x rows x dim) that _count_grams gathers at a time:
 # 2 windows of a 64-row block at dim 2048, n * 32 KB of packed table rows.
 GRAM_CHUNK_CELLS = 2**18
 
@@ -71,11 +70,9 @@ class EncodingConfig:
 
 def _pairwise_quasi_orthogonal(rows):
     dim = rows.shape[1]
-    dists = hamming_matrix(rows, rows)
-    lo = dim / 2 - 4 * math.sqrt(dim)
-    hi = dim / 2 + 4 * math.sqrt(dim)
-    off = ~np.eye(len(rows), dtype=bool)
-    return bool(np.all((dists[off] >= lo) & (dists[off] <= hi)))
+    spread = np.abs(hamming_matrix(rows, rows) - dim // 2)
+    np.fill_diagonal(spread, 0)
+    return bool((spread <= 4 * math.sqrt(dim)).all())
 
 
 def build_item_memory(num_symbols, dim, rng):
@@ -118,8 +115,9 @@ def encode_record(features, im, lm, ledger=None):
     """Spatial encoding of an (n, F) batch: row r bundles, over positions f,
     bind(item row f, level row of features[r, f]).
 
-    Returns the (n, dim) int16 counts and the bundle size F. Charges n * F
-    multiplications, then n * F additions.
+    Returns the (levels, n, dim/64) count planes and the bundle size F: each
+    row counts row f*L + level of a table of every position's packed (L, dim)
+    bound rows. Charges n * F multiplications, then n * F additions.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[1] != len(im):
@@ -127,18 +125,12 @@ def encode_record(features, im, lm, ledger=None):
     if np.isnan(features).any():
         raise ValueError("a NaN feature has no quantization level")
     n, n_features = features.shape
-    levels = quantize(features, len(lm))
-    counts = np.zeros((n, im.shape[1]), dtype=np.int16)
-    for pos in range(n_features):
-        bound = bind(im[pos], lm)[levels[:, pos]]  # an (L, dim) table, then one gather
-        # Counts start at 0, so none can overflow before position COUNT_MAX.
-        if pos < COUNT_MAX:
-            counts += bound
-        else:
-            counts = bundle_add(counts, bound)
+    table = np.concatenate([np.packbits(bind(row, lm), axis=-1) for row in im])
+    index = np.add(quantize(features, len(lm)).T, np.arange(n_features)[:, None] * len(lm), dtype=np.int32)
+    planes = _count_grams(table, index[None])
     charge_to(ledger, "multiplication", n * n_features)
     charge_to(ledger, "addition", n * n_features)
-    return counts, n_features
+    return planes, n_features
 
 
 def _ngram_block(symbols, n, im, cfg, rng):
@@ -198,29 +190,20 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
 
 
 def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
-    """encode_ngram from packed grams, all windows of the block at once, with
-    the counts left bit-sliced: the (levels, *block, dim/64) uint64 count
-    planes and the window count. levels is windows.bit_length(), and plane k
-    packs bit k of every count; hvcore.plane_majority binarizes them and
-    hvcore.plane_counts rebuilds encode_ngram's int16 counts. Charges, errors
-    and the single tail draw are encode_ngram's. This is the run path's
-    n-gram encoder; encode_ngram is its per-window definition.
+    """encode_ngram from packed grams, all windows of the block at once: the
+    (levels, *block, dim/64) count planes of its counts and the window count.
+    Charges, errors and the single tail draw are encode_ngram's.
 
     Table k is the item memory after step k's permutation, packed to dim/8
     bytes per symbol once per call: rotated by k in shift mode; in drop mode
     shifted left by k*w/8 bytes with zeros behind, because k drop passes leave
     the row from bit k*w on, followed by the k tails, and w is whole bytes.
-    A window's gram is the XOR of its n table rows, gathered window-major as
-    (windows, rows, dim/8), GRAM_CHUNK_CELLS bits (and an even number of
-    windows) at a time; drop mode folds the gram's tails into one
-    right-aligned (n-1)*w/8-byte block and XORs it into the last bytes.
-    Grams are never unpacked: an hvcore.PlaneCounter counts them as uint64
-    words, in pairs. SaturationError is raised when an exact count
-    exceeds COUNT_MAX, the condition bundle_add checks window by window.
+    A window's gram is the XOR of its n table rows; drop mode XORs its tails,
+    folded into one right-aligned (n-1)*w/8-byte block, into its last bytes.
     """
     symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
-    rows, dim = math.prod(block), im.shape[1]
-    width = dim // 8
+    rows, width = math.prod(block), im.shape[1] // 8
+    fold = None
     if drop:
         step = cfg.drop_width // 8
         tails = rng.integers(0, 2, size=(*block, windows, passes, cfg.drop_width), dtype=np.uint8)
@@ -242,21 +225,37 @@ def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
     table = np.concatenate(tables[::-1])
     windowed = sliding_window_view(symbols.reshape(rows, windows + n - 1), n, axis=1)
     index = np.add(windowed.T, (np.arange(n) * len(im))[:, None, None], dtype=np.int32)
+    planes = _count_grams(table, index, fold)
+    grams = rows * windows
+    charge_to(ledger, "permutation", grams * passes)
+    charge_to(ledger, "multiplication", grams * (n - 1))
+    charge_to(ledger, "addition", grams)
+    return planes.reshape(len(planes), *block, width // 8), windows
+
+
+def _count_grams(table, index, fold=None):
+    """(windows.bit_length(), rows, dim/64) count planes of the grams of a
+    (terms, windows, rows) index into a packed (N, dim/8) table: gram (t, r)
+    is the XOR of rows index[:, t, r], its last bytes XORed with fold[t, r]
+    when fold is given. An hvcore.PlaneCounter counts the grams, gathered
+    GRAM_CHUNK_CELLS bits at a time and never unpacked. SaturationError is
+    raised when a count exceeds COUNT_MAX, as bundle_add does."""
+    (terms, windows, rows), width = index.shape, table.shape[1]
     # A chunk's windows are counted as pairs in lanes: lane j counts windows
     # start + j and start + lanes + j, all lanes in one ufunc call.
-    lanes = min(max(1, GRAM_CHUNK_CELLS // max(2 * rows * dim, 1)), (windows + 1) // 2)
+    lanes = min(max(1, GRAM_CHUNK_CELLS // max(16 * rows * width, 1)), (windows + 1) // 2)
     chunk = 2 * lanes
-    gathered = np.empty((n, chunk, rows, width), dtype=np.uint8)
-    pair = gathered[0].view(np.uint64).reshape(2, lanes, rows, dim // 64)  # the grams, as words
+    gathered = np.empty((terms, chunk, rows, width), dtype=np.uint8)
+    pair = gathered[0].view(np.uint64).reshape(2, lanes, rows, width // 8)  # the grams, as words
     counter = PlaneCounter(2 * -(-windows // chunk), pair.shape[1:])
     for start in range(0, windows, chunk):
         stop = min(start + chunk, windows)
-        # The symbols were checked against the table's rows, so no index needs clipping.
+        # Every index is below the table's rows, so none needs clipping.
         grams, *older = table.take(index[:, start:stop], axis=0, out=gathered[:, : stop - start],
                                    mode="clip")
         for row in older:
             grams ^= row
-        if drop:
+        if fold is not None:
             grams[..., width - fold.shape[-1] :] ^= fold[start:stop]
         if stop - start < chunk:  # a short last chunk pairs the rest with zero grams
             gathered[0, stop - start :] = 0
@@ -264,8 +263,4 @@ def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
     planes = plane_sum(counter.finish())[: windows.bit_length()]
     if windows > COUNT_MAX and plane_compare(planes, COUNT_MAX)[0].any():
         raise SaturationError("bundle_add would overflow a 16-bit counter")
-    grams = rows * windows
-    charge_to(ledger, "permutation", grams * passes)
-    charge_to(ledger, "multiplication", grams * (n - 1))
-    charge_to(ledger, "addition", grams)
-    return planes.reshape(len(planes), *block, dim // 64), windows
+    return planes

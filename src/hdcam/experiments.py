@@ -18,7 +18,7 @@ from .cost import CostLedger, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
 from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
 from .errors import ConfigError
-from .hvcore import Rng, derive_seed, majority, plane_counts, plane_majority
+from .hvcore import Rng, derive_seed, plane_counts, plane_majority
 from .learner import Encoded, SimilarityBackend, check_cluster_backend, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
@@ -123,11 +123,11 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     """Encoded batch of the given rows. Rows are encoded in index order, which
     keeps the drop-mode tail stream, in blocks of at most
     max(1, ENCODE_BLOCK_CELLS // dim) rows; an n-gram block is a run of
-    equal-length sequences, because an ingested corpus may be ragged. Each
-    block is binarized as soon as it is encoded. Its counts are kept only in
+    equal-length sequences, because an ingested corpus may be ragged. Both
+    encoders return a block's count planes, which give its majority bits as
+    soon as it is encoded. They are turned into int16 counts only in
     multibit mode, whose ideal_dot backend scores them; a binary batch's
-    counts are None. An n-gram block's count planes give its majority bits
-    directly, and are turned into int16 counts only in multibit mode."""
+    counts are None."""
     enc = cfg.encoding
     bits = np.empty((len(indices), cfg.dim), dtype=np.uint8)
     counts = np.empty(bits.shape, dtype=np.int16) if cfg.mode == "multibit" else None
@@ -140,18 +140,13 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
         if enc.scheme == "ngram":
             symbols = symbol_indices(rows[block], ctx.symbol_table)
             planes, size = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)
-            sizes[block] = size
-            bits[block] = plane_majority(planes, size)
-            if counts is not None:
-                plane_counts(planes, out=counts[block])
-            del planes  # not held while the next block encodes
         else:
-            block_counts, sizes[block] = encode_record(rows[block], ctx.item_memory, ctx.level_memory,
-                                                       ledger)
-            bits[block] = majority(block_counts, sizes[block])
-            if counts is not None:
-                counts[block] = block_counts
-            del block_counts
+            planes, size = encode_record(rows[block], ctx.item_memory, ctx.level_memory, ledger)
+        sizes[block] = size
+        bits[block] = plane_majority(planes, size)
+        if counts is not None:
+            plane_counts(planes, out=counts[block])
+        del planes  # not held while the next block encodes
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
     return Encoded(bits, counts, sizes, labels)
 

@@ -49,6 +49,18 @@ class TestItemMemory:
             for j in range(i + 1, 26):
                 assert lo <= dists[i, j] <= hi
 
+    def test_memory_of_800_symbols_is_bounded(self, rng):
+        """The quasi-orthogonality check of 800 rows at dim 2048 peaks well
+        below its 164 MB of pairwise XOR words."""
+        build_item_memory(2, 2048, rng)
+        tracemalloc.start()
+        try:
+            build_item_memory(800, 2048, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_single_symbol(self, rng):
         assert len(build_item_memory(1, 128, rng)) == 1
 
@@ -135,6 +147,14 @@ def _record_row(x, im, lm):
     return counts
 
 
+def _record_counts(features, im, lm):
+    """encode_record's counts, rebuilt from its count planes."""
+    planes, size = encode_record(features, im, lm)
+    assert planes.dtype == np.uint64
+    assert planes.shape == (size.bit_length(), len(features), im.shape[1] // 64)
+    return plane_counts(planes), size
+
+
 def _toy_memories(n_features, dim, rng, L=4):
     im = build_item_memory(n_features, dim, rng)
     lm = build_level_memory(L, dim, rng)
@@ -144,7 +164,7 @@ def _toy_memories(n_features, dim, rng, L=4):
 class TestEncodeRecord:
     def test_single_feature_equals_bound_vector(self, rng):
         im, lm = _toy_memories(1, 128, rng)
-        counts, size = encode_record([[0.6], [0.1]], im, lm)
+        counts, size = _record_counts([[0.6], [0.1]], im, lm)
         assert counts.dtype == np.int16 and counts.shape == (2, 128)
         assert np.array_equal(counts[0], bind(im[0], lm[quantize(0.6, 4)]))
         assert np.array_equal(counts[1], bind(im[0], lm[quantize(0.1, 4)]))
@@ -153,13 +173,13 @@ class TestEncodeRecord:
     def test_identical_features_identical_basis(self, rng):
         im = np.repeat(random_bits(1, 128, rng), 2, axis=0)
         lm = build_level_memory(4, 128, rng)
-        counts, _ = encode_record([[0.3, 0.3], [0.9, 0.9]], im, lm)
+        counts, _ = _record_counts([[0.3, 0.3], [0.9, 0.9]], im, lm)
         assert set(np.unique(counts)) <= {0, 2}
 
     def test_three_feature_brute_force(self, rng):
         im, lm = _toy_memories(3, 256, rng)
         features = np.array([[0.1, 0.5, 0.9], [0.9, 0.0, 0.4], [1.0, 0.74, 0.26]])
-        counts, size = encode_record(features, im, lm)
+        counts, size = _record_counts(features, im, lm)
         for row, x in zip(counts, features):
             expected = np.zeros(256, dtype=np.int64)
             for pos, v in enumerate(x):
@@ -170,7 +190,7 @@ class TestEncodeRecord:
     def test_accumulation_order_irrelevant(self, rng):
         im, lm = _toy_memories(5, 256, rng)
         features = [0.1, 0.3, 0.5, 0.7, 0.9]
-        counts, _ = encode_record([features], im, lm)
+        counts, _ = _record_counts([features], im, lm)
         shuffled = np.zeros(256, dtype=np.int16)
         for pos in [3, 0, 4, 1, 2]:
             shuffled = bundle_add(shuffled, bind(im[pos], lm[quantize(features[pos], 4)]))
@@ -179,7 +199,7 @@ class TestEncodeRecord:
     def test_rows_equal_per_row_reference(self, rng):
         im, lm = _toy_memories(6, 256, rng, L=8)
         features = rng.uniform(-0.2, 1.2, size=(40, 6))
-        counts, _ = encode_record(features, im, lm)
+        counts, _ = _record_counts(features, im, lm)
         assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
 
     @given(
@@ -190,7 +210,7 @@ class TestEncodeRecord:
         rng = Rng(seed)
         im, lm = random_bits(n_features, dim, rng), random_bits(levels, dim, rng)
         features = rng.uniform(-0.2, 1.2, size=(n, n_features))
-        counts, size = encode_record(features, im, lm)
+        counts, size = _record_counts(features, im, lm)
         assert size == n_features
         assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
 
@@ -199,10 +219,10 @@ class TestEncodeRecord:
         im = np.ones((COUNT_MAX + 1, 128), dtype=np.uint8)
         lm = np.zeros((2, 128), dtype=np.uint8)
         features = np.zeros((1, COUNT_MAX + 1))
-        counts, _ = encode_record(features[:, :COUNT_MAX], im[:COUNT_MAX], lm)
+        counts, _ = _record_counts(features[:, :COUNT_MAX], im[:COUNT_MAX], lm)
         assert (counts == COUNT_MAX).all()
         with pytest.raises(SaturationError):
-            encode_record(features, im, lm)
+            _record_counts(features, im, lm)
 
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)

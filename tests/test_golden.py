@@ -63,6 +63,10 @@ CASES = {
         "classify", RECORDS.format(epochs=2), [], "classify.csv",
         "55aac1f3811c9caddeb42dd79cee4a2c89903b74d2e4cde07fa466cd9349028c",
     ),
+    "record-multibit": (
+        "classify", RECORDS.format(epochs=1), ["--mode", "multibit"], "classify.csv",
+        "b30cface351c918aaf67601e1a5a163de6881880ed9568a6a1bec9584ee5f1f8",
+    ),
     "cluster-analog": (
         "cluster", "[cluster]\nk = 3\nmax_epochs = 4\n", ["--backend", "analog"], "cluster.csv",
         "3f0a314103a757cecba0722e28d157b42f9b49bf5cdc9f0d33f0edb72800c52c",
@@ -213,6 +217,8 @@ STDOUT = {
                                 "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "record-retrain-2": "accuracy = 0.8000 over 30 held-out samples\n"
                         "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "record-multibit": "accuracy = 0.7667 over 30 held-out samples\n"
+                       "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "cluster-analog": "epochs = 2, converged = True, purity = 1.0000\nwrote <out>/cluster.csv\n",
     "transfer-curve": "max deviation uniform = 8.108e-07 A, calibrated = 1.999e-07 A (4.06x better)\n"
                       "wrote <out>/transfer_curve.csv\n",

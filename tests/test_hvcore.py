@@ -11,7 +11,7 @@ from hdcam.errors import (
     EmptyBundleError,
     SaturationError,
 )
-from hdcam import learner
+from hdcam import hvcore, learner
 from hdcam.hvcore import (
     COUNT_MAX,
     DROP_WIDTHS,
@@ -431,6 +431,18 @@ class TestSimilarity:
         for i in range(n_a):
             for j in range(n_b):
                 assert dists[i, j] == np.count_nonzero(a[i] != b[j])
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 7])
+    def test_hamming_matrix_blocks_equal_one_block(self, block_rows, monkeypatch):
+        """Blocks of 1, 2 (the last one short) and all 7 of a's rows give the
+        distances of one whole block; b is 3 rows of 32 words."""
+        gen = np.random.default_rng(11)
+        a = gen.integers(0, 2, (7, 2048), dtype=np.uint8)
+        b = gen.integers(0, 2, (3, 2048), dtype=np.uint8)
+        expected = hamming_matrix(a, b)
+        monkeypatch.setattr(hvcore, "HAMMING_BLOCK_WORDS", block_rows * 3 * 32)
+        assert np.array_equal(hamming_matrix(a, b), expected)
+        assert np.array_equal(hamming_matrix(a[:0], b), np.zeros((0, 3)))
 
     def test_dot_self(self, rng):
         x = _rand(512, rng)

@@ -210,6 +210,14 @@ class TestCliErrors:
         p.write_text("0.5,0.5,a\n0.5,nan,b\n")
         assert "line 2" in self._check(tmp_path, ["classify", "--data", str(p)])
 
+    def test_empty_feature_label(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("0.5,0.5,a\n3,4,\n0.1,0.2,b\n")
+        assert "line 2: empty label" in self._check(tmp_path, ["classify", "--data", str(p)])
+        with pytest.raises(ParseError) as err:
+            ingest(p, "feature_csv")
+        assert err.value.line == 2
+
     @pytest.mark.parametrize("argv", [
         ["transfer-curve", "--seed", "3"],
         ["cost-report", "--data", "x"],

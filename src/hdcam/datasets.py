@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, ParseError
-from .hvcore import Rng, random_bits
+from .hvcore import Rng, pack_rows, random_bits
 
 
 @dataclass
@@ -21,8 +21,8 @@ class Dataset:
     """Samples plus optional labels, one per sample.
 
     The samples of a feature_csv dataset are one (n, F) float64 matrix, those
-    of a text_corpus a list of strings, and those of synthetic_blobs an
-    (n, dim) uint8 bit matrix.
+    of a text_corpus a list of strings, and those of synthetic_blobs
+    (n, dim/64) uint64 packed rows (see hvcore).
     """
 
     kind: str
@@ -157,9 +157,9 @@ def make_language_corpus(spec, rng):
 
 def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
     """Planted hypervector blobs: each point flips at most dim * fraction bits
-    of its blob center. Returns a synthetic_blobs dataset whose samples are a
-    (K * points_per_blob, dim) bit matrix, with planted labels. The (K, dim)
-    centers are the first draw from rng, random_bits(K, dim, rng)."""
+    of its blob center. Returns a synthetic_blobs dataset whose samples are
+    (K * points_per_blob, dim/64) packed rows, with planted labels. The
+    (K, dim) centers are the first draw from rng, random_bits(K, dim, rng)."""
     max_flips = int(dim * max_flip_fraction)
     centers = random_bits(K, dim, rng)
     points = np.repeat(centers, points_per_blob, axis=0)
@@ -168,7 +168,7 @@ def make_hv_blobs(K, points_per_blob, dim, rng, max_flip_fraction=1 / 16):
         if n_flips:
             bits[rng.choice(dim, size=n_flips, replace=False)] ^= 1
     labels = [k for k in range(K) for _ in range(points_per_blob)]
-    return Dataset("synthetic_blobs", points, labels)
+    return Dataset("synthetic_blobs", pack_rows(points), labels)
 
 
 def purity(assignments, labels):

@@ -28,6 +28,7 @@ from .hvcore import (
     bundle_add,
     check_alignment,
     hamming_matrix,
+    pack_rows,
     permute_drop,
     permute_shift,
     plane_compare,
@@ -70,7 +71,8 @@ class EncodingConfig:
 
 def _pairwise_quasi_orthogonal(rows):
     dim = rows.shape[1]
-    spread = np.abs(hamming_matrix(rows, rows) - dim // 2)
+    packed = pack_rows(rows)
+    spread = np.abs(hamming_matrix(packed, packed) - dim // 2)
     np.fill_diagonal(spread, 0)
     return bool((spread <= 4 * math.sqrt(dim)).all())
 

@@ -91,11 +91,11 @@ def build_encoding_context(dataset, cfg, seed):
     return EncodingContext(item_memory=im, level_memory=lm, features=features)
 
 
-def _blocks(rows, size):
-    """Slices of the runs of equal-length rows, in order, cut every `size` rows."""
+def _runs(texts, size):
+    """Slices of the runs of equal-length texts, in order, cut every `size` texts."""
     start = 0
-    for stop in range(1, len(rows) + 1):
-        if stop == len(rows) or stop - start == size or len(rows[stop]) != len(rows[start]):
+    for stop in range(1, len(texts) + 1):
+        if stop == len(texts) or stop - start == size or len(texts[stop]) != len(texts[start]):
             yield slice(start, stop)
             start = stop
 
@@ -124,19 +124,22 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     keeps the drop-mode tail stream, in blocks of at most
     max(1, ENCODE_BLOCK_CELLS // dim) rows; an n-gram block is a run of
     equal-length sequences, because an ingested corpus may be ragged. Both
-    encoders return a block's count planes, which give its majority bits as
-    soon as it is encoded. They are turned into int16 counts only in
+    encoders return a block's count planes, which give its packed majority
+    rows as soon as it is encoded. They are turned into int16 counts only in
     multibit mode, whose ideal_dot backend scores them; a binary batch's
     counts are None."""
     enc = cfg.encoding
-    bits = np.empty((len(indices), cfg.dim), dtype=np.uint8)
-    counts = np.empty(bits.shape, dtype=np.int16) if cfg.mode == "multibit" else None
+    block_rows = max(1, ENCODE_BLOCK_CELLS // cfg.dim)
+    bits = np.empty((len(indices), cfg.dim // 64), dtype=np.uint64)
+    counts = np.empty((len(indices), cfg.dim), dtype=np.int16) if cfg.mode == "multibit" else None
     sizes = np.empty(len(indices), dtype=np.int64)
     if enc.scheme == "ngram":
         rows = [dataset.samples[i] for i in indices]
+        blocks = _runs(rows, block_rows)
     else:
         rows = ctx.features[np.asarray(indices, dtype=np.intp)]
-    for block in _blocks(rows, max(1, ENCODE_BLOCK_CELLS // cfg.dim)):
+        blocks = [slice(start, start + block_rows) for start in range(0, len(rows), block_rows)]
+    for block in blocks:
         if enc.scheme == "ngram":
             symbols = symbol_indices(rows[block], ctx.symbol_table)
             planes, size = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)

@@ -10,10 +10,12 @@ counts at half the bundle size.
 A hypervector is a (dim,) uint8 row of bits, a bundle is a (dim,) int16 row
 of counts plus its integer size, and sets of either are (n, dim) matrices;
 bind, bundling and permutation act on the last axis, so they take either.
-Vectors are sized in whole 128-column bank rows, at most 16 banks (2048
-bits). All functions are pure: they return new arrays, never mutate their
-inputs, and only random_bits draws random numbers (majority's tie bits are
-one such draw, from a fixed seed).
+Once encoded, a row is packed, (dim/64,) uint64 words in np.packbits order:
+majority returns packed rows, hamming_matrix counts them, pack_rows and
+unpack_rows convert. Vectors are sized in whole 128-column bank rows, at
+most 16 banks (2048 bits). All functions are pure: they return new arrays,
+never mutate their inputs, and only random_bits draws random numbers
+(majority's tie bits are one such draw, from a fixed seed).
 
 Counts can also be bit-sliced, as both run-path encoders return them: count
 planes are a (levels, ..., dim/64) uint64 array whose plane k packs bit k of
@@ -109,17 +111,28 @@ def bundle_sub(counts, bits, size):
     return counts - bits
 
 
+def pack_rows(bits):
+    """(..., dim) bit rows as (..., dim/64) uint64 packed rows: dim is whole banks, so whole words."""
+    return np.packbits(bits, axis=-1).view(np.uint64)
+
+
+def unpack_rows(words):
+    """(..., words) uint64 packed rows as (..., 64 * words) uint8 bits."""
+    bits = np.unpackbits(words.view(np.uint8).reshape(-1))
+    return bits.reshape(*words.shape[:-1], 64 * words.shape[-1])
+
+
 @functools.cache
-def _tie_bits(dim):
-    """The (dim,) tie-break row of majority(), drawn on first use: a draw at
-    import would make importing this module import numpy.random."""
-    row = random_bits(1, dim, Rng([TIE_BREAK_SEED, dim]))[0]
-    row.flags.writeable = False
-    return row
+def _tie_words(dim):
+    """majority()'s packed (dim/64,) tie-break row, drawn on first use: a draw
+    at import would make importing this module import numpy.random."""
+    words = pack_rows(random_bits(1, dim, Rng([TIE_BREAK_SEED, dim]))[0])
+    words.flags.writeable = False
+    return words
 
 
 def majority(counts, sizes):
-    """(n, dim) uint8 majority bits of n bundles with (n, dim) integer counts and (n,) sizes.
+    """(n, dim/64) packed majority rows of n bundles with (n, dim) integer counts and (n,) sizes.
 
     Bit i of row r is 1 when counts[r, i] > sizes[r] / 2, that is above
     sizes[r] // 2 in the counts' own dtype, and 0 when below. Exact ties
@@ -127,9 +140,7 @@ def majority(counts, sizes):
     tie-break seed, shared by every row, so results are reproducible.
     """
     counts = np.asarray(counts)
-    if counts.dtype != np.int16 and counts.size and (
-        counts.min() < COUNT_MIN or counts.max() > COUNT_MAX
-    ):
+    if counts.dtype != np.int16 and counts.size and (counts.min() < COUNT_MIN or counts.max() > COUNT_MAX):
         raise SaturationError("counts outside the signed 16-bit range")
     sizes = np.asarray(sizes).reshape(-1)
     if not (sizes > 0).all():
@@ -138,12 +149,12 @@ def majority(counts, sizes):
     # clamped half is out of reach: only even sizes with half <= cap can tie.
     cap = min(COUNT_MAX, np.iinfo(counts.dtype).max)
     half = np.minimum(sizes // 2, cap).astype(counts.dtype)[:, None]
-    bits = (counts > half).view(np.uint8)  # bools are 0/1 bytes: no second (n, dim) array
+    words = pack_rows(counts > half)
     even = (sizes % 2 == 0) & (sizes // 2 <= cap)
     ties = counts[even] == half[even]
-    if ties.any():
-        bits[even] = np.where(ties, _tie_bits(counts.shape[1]), bits[even])
-    return bits
+    if ties.any():  # a tied count is not above half, so its bit is 0 until the tie sets it
+        words[even] |= pack_rows(ties) & _tie_words(counts.shape[1])
+    return words
 
 
 def plane_compare(planes, value):
@@ -169,32 +180,16 @@ def plane_compare(planes, value):
     return gt, eq
 
 
-@functools.cache
-def _tie_words(dim):
-    """majority()'s tie-break row, packed into uint64 words as the planes are."""
-    words = np.packbits(_tie_bits(dim)).view(np.uint64)
-    words.flags.writeable = False
-    return words
-
-
-def _unpack_words(words):
-    """(..., words) uint64 packed rows as (..., 64 * words) uint8 bits."""
-    bits = np.unpackbits(words.view(np.uint8).reshape(-1))
-    return bits.reshape(*words.shape[:-1], 64 * words.shape[-1])
-
-
 def plane_majority(planes, size):
-    """Majority bits of bundles of size rows from their count planes, as
-    majority() gives them for the same counts: above size // 2 is 1, and an
-    exact tie at an even size takes the tie-break bit. Only the result is
-    unpacked."""
+    """Packed majority rows of bundles of size rows from their count planes,
+    as majority() gives them for the same counts: above size // 2 is 1, and
+    an exact tie at an even size takes the tie-break bit."""
     if size < 1:
         raise EmptyBundleError("cannot binarize an empty bundle")
     gt, eq = plane_compare(planes, size // 2)
     if size % 2 == 0:
-        eq &= _tie_words(64 * planes.shape[-1])
-        gt |= eq
-    return _unpack_words(gt)
+        gt |= eq & _tie_words(64 * planes.shape[-1])
+    return gt
 
 
 def plane_counts(planes, out=None):
@@ -203,10 +198,10 @@ def plane_counts(planes, out=None):
     out when given. The counts must fit in int16."""
     if out is None:
         out = np.empty((*planes.shape[1:-1], 64 * planes.shape[-1]), dtype=np.int16)
-    out[...] = _unpack_words(planes[-1]) if len(planes) else 0
+    out[...] = unpack_rows(planes[-1]) if len(planes) else 0
     for plane in planes[-2::-1]:
         out += out  # doubles the counts: faster than an int16 shift here
-        out += _unpack_words(plane)
+        out += unpack_rows(plane)
     return out
 
 
@@ -288,7 +283,7 @@ def plane_sum(planes):
 
 
 def binarize(counts, size):
-    """Majority bits of one bundle, as majority() gives them."""
+    """Packed majority row of one bundle, as majority() gives it."""
     # Kept as a name of its own because bench/tracer.py counts its calls.
     return majority(counts[None], [size])[0]
 
@@ -311,23 +306,12 @@ def permute_drop(bits, tail):
     return np.concatenate((bits[..., w:], tail), axis=-1)
 
 
-def _packed_words(bits):
-    """(n, dim) bit matrix packed into uint64 words, zero-padded to whole words."""
-    packed = np.packbits(np.atleast_2d(bits), axis=1)
-    pad = -packed.shape[1] % 8
-    if pad:
-        packed = np.pad(packed, ((0, 0), (0, pad)))
-    return packed.view(np.uint64)
-
-
 def hamming_matrix(a, b):
-    """Hamming distances between the rows of two (n, dim) bit matrices, (n_a, n_b) int64.
-
-    Rows are packed into 64-bit words first, and the pairwise XOR is taken
-    for HAMMING_BLOCK_WORDS words of a's rows at a time.
-    """
+    """Hamming distances between the rows of two matrices of packed rows, (n_a, n_b) int64:
+    popcounts of their XOR, so bit rows (or single rows) work too, taken for
+    HAMMING_BLOCK_WORDS words of a's rows at a time."""
     _check_width(a, b)
-    a, b = _packed_words(a), _packed_words(b)
+    a, b = np.atleast_2d(a, b)
     out = np.empty((len(a), len(b)), dtype=np.int64)
     step = max(1, HAMMING_BLOCK_WORDS // max(b.size, 1))
     for i in range(0, len(a), step):

@@ -1,13 +1,14 @@
 """HDC classification (train / retrain / infer) and k-means-style clustering.
 
-Samples, class bundles, deployed class vectors and cluster centres are
-(n, dim) matrices. Each class bundles the binarized encodings of its samples
-into an int16 count row with a size, and is deployed as the binary majority
-row; multibit similarity instead scores the count rows with the centred dot
-product. Search is one scoring step, a batch of queries against every stored
-row, then one decision step: an ideal Hamming argmin, an ideal dot-product
-argmax, or the modeled CAM fabric (match-line currents plus serial LTA
-sensing). Prediction, retraining and cluster assignment share both.
+Samples, deployed class vectors and cluster centres are (n, dim/64) packed
+rows (see hvcore), unpacked only where bits are added to counts or reach the
+analog cells. Each class bundles its samples' rows into an int16 count row
+with a size, and is deployed as the packed majority row; multibit similarity
+instead scores the count rows with the centred dot product. Search is one
+scoring step, a batch of queries against every stored row, then one decision
+step: an ideal Hamming argmin, an ideal dot-product argmax, or the modeled
+CAM fabric (match-line currents plus serial LTA sensing). Prediction,
+retraining and cluster assignment share both.
 """
 
 from dataclasses import dataclass
@@ -17,14 +18,15 @@ import numpy as np
 from . import cam
 from .cost import charge_to
 from .errors import CapacityError, ConfigError, SaturationError
-from .hvcore import COUNT_MAX, bundle_add, bundle_sub, hamming_matrix, majority, random_bits
+from .hvcore import (COUNT_MAX, bundle_add, bundle_sub, hamming_matrix, majority, pack_rows, random_bits,
+                     unpack_rows)
 from .lta import SensingSpec, decide
 
 MAX_CLASSES = 128
 
-# Queries that predict, and the ideal_dot retrain, convert and score at once;
-# bounds the query matrix and the pairwise arrays of one scoring step whatever
-# the batch size.
+# Queries that predict, cluster and the ideal_dot retrain convert and score at
+# once; bounds the query matrix and the pairwise arrays of one scoring step
+# whatever the batch size.
 QUERY_BLOCK = 16
 
 BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
@@ -32,9 +34,9 @@ BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
 
 @dataclass
 class Encoded:
-    """A batch of encoded inputs: (n, dim) majority bits, (n, dim) int16 bundle
-    counts, (n,) bundle sizes and n labels. counts is None in a bits-only
-    batch, which every backend but ideal_dot scores."""
+    """A batch of encoded inputs: (n, dim/64) packed majority rows, (n, dim)
+    int16 bundle counts, (n,) bundle sizes and n labels. counts is None in a
+    bits-only batch, which every backend but ideal_dot scores."""
 
     bits: np.ndarray
     counts: np.ndarray
@@ -53,7 +55,7 @@ class Encoded:
 @dataclass
 class ClassMemory:
     """Class labels, the (k, dim) int16 class bundle counts, their (k,) sizes
-    and the (k, dim) deployed binary rows, all in label order."""
+    and the (k, dim/64) deployed packed majority rows, all in label order."""
 
     labels: list
     counts: np.ndarray
@@ -105,7 +107,8 @@ def train(batch, ledger=None):
     if len(labels) > MAX_CLASSES:
         raise CapacityError(f"more than {MAX_CLASSES} classes")
     rows = np.array([labels.index(label) for label in batch.labels])
-    counts = np.stack([batch.bits[rows == k].sum(axis=0, dtype=np.int32) for k in range(len(labels))])
+    counts = np.stack([unpack_rows(batch.bits[rows == k]).sum(axis=0, dtype=np.int32)
+                       for k in range(len(labels))])
     if counts.max() > COUNT_MAX:
         raise SaturationError("class counts outside the signed 16-bit range")
     charge_to(ledger, "addition", len(batch))
@@ -125,13 +128,22 @@ def _centred(counts, sizes):
 
 
 def _score(queries, rows, backend):
-    """(n_queries, n_rows) scores: Hamming distances (ideal_hamming), centred dot
-    products (ideal_dot) or match-line currents (analog_cam)."""
+    """(n_queries, n_rows) scores: Hamming distances (ideal_hamming) or match-line
+    currents (analog_cam) of packed rows, or centred dot products (ideal_dot)."""
     if backend.kind == "ideal_hamming":
         return hamming_matrix(queries, rows)
     if backend.kind == "ideal_dot":
         return queries @ rows.T
-    return cam.analog_currents(rows, queries, backend.profile, backend.params)
+    return cam.analog_currents(unpack_rows(rows), unpack_rows(queries), backend.profile, backend.params)
+
+
+def _score_blocks(queries, rows, backend):
+    """_score of every query, QUERY_BLOCK queries at a time: packed rows, or on
+    ideal_dot an Encoded batch, whose counts are centred a block at a time."""
+    blocks = (queries[start : start + QUERY_BLOCK] for start in range(0, len(queries), QUERY_BLOCK))
+    if backend.kind == "ideal_dot":
+        blocks = (_centred(part.counts, part.sizes) for part in blocks)
+    return np.concatenate([_score(part, rows, backend) for part in blocks])
 
 
 def _decide(scores, backend):
@@ -151,7 +163,7 @@ def predict(batch, cm, backend, ledger=None):
     """(labels, flags): the most similar class of each sample under the backend.
 
     ideal_dot scores the batch's centred counts against the centred class
-    counts; the other backends score its bits against the deployed
+    counts; the other backends score its packed rows against the deployed
     rows. flags is an int array of each query's ambiguous LTA batches
     (analog_cam), all 0 on the ideal backends.
     """
@@ -161,20 +173,18 @@ def predict(batch, cm, backend, ledger=None):
     charge_to(ledger, "search", len(batch))
     dot = backend.kind == "ideal_dot"
     rows = _centred(cm.counts, cm.sizes) if dot else cm.deployed
-    scores = []
-    for start in range(0, len(batch), QUERY_BLOCK):
-        part = batch[start : start + QUERY_BLOCK]
-        scores.append(_score(_centred(part.counts, part.sizes) if dot else part.bits, rows, backend))
-    winners, flags = _decide(np.concatenate(scores), backend)
+    winners, flags = _decide(_score_blocks(batch if dot else batch.bits, rows, backend), backend)
     return [cm.labels[i] for i in winners], flags
 
 
-def _move(counts, sizes, bits, old, new):
-    """Move one sample's bits from class bundle old to class bundle new."""
+def _move(counts, sizes, row, old, new):
+    """Move one sample's packed row from class bundle old to class bundle new; returns its bits."""
+    bits = unpack_rows(row)
     counts[old] = bundle_sub(counts[old], bits, sizes[old])
     counts[new] = bundle_add(counts[new], bits)
     sizes[old] -= 1
     sizes[new] += 1
+    return bits
 
 
 def _dot_epoch(batch, row, counts, sizes, ledger):
@@ -200,8 +210,8 @@ def _dot_epoch(batch, row, counts, sizes, ledger):
         for i, label in enumerate(part.labels):
             old, new = int(scores[i].argmax()), row[label]
             if old != new:
-                _move(counts, sizes, part.bits[i], old, new)
-                step = queries[i + 1 :] @ (part.bits[i] - 0.5)
+                bits = _move(counts, sizes, part.bits[i], old, new)
+                step = queries[i + 1 :] @ (bits - 0.5)
                 scores[i + 1 :, old] -= step
                 scores[i + 1 :, new] += step
                 rows[[old, new]] = _centred(counts[[old, new]], sizes[[old, new]])
@@ -257,7 +267,7 @@ class ClusterSpec:
 
 @dataclass
 class ClusterState:
-    """(K, dim) cluster centres, point assignments and the per-epoch assignment objective."""
+    """(K, dim/64) packed centres, point assignments and the per-epoch assignment objective."""
 
     centers: np.ndarray
     assignments: np.ndarray
@@ -272,7 +282,7 @@ def check_cluster_backend(backend):
 
 
 def cluster(points, spec, rng, backend, ledger=None):
-    """K-center clustering of an (n, dim) bit matrix in Hamming space.
+    """K-center clustering of (n, dim/64) packed rows in Hamming space.
 
     Random centers are refined by alternating nearest-center assignment and
     majority re-bundling until no center moves by spec.threshold or more
@@ -289,19 +299,19 @@ def cluster(points, spec, rng, backend, ledger=None):
     K = spec.k
     if K > MAX_CLASSES:
         raise CapacityError(f"{K} clusters exceed the {MAX_CLASSES}-row capacity")
-    n, dim = points.shape
+    n, dim = len(points), 64 * points.shape[1]
     if n < K:
         raise ConfigError(f"need at least K = {K} points, got {n}")
-    centers = random_bits(K, dim, rng)
+    centers = pack_rows(random_bits(K, dim, rng))
     objective_history = []
     for epoch in range(1, spec.max_epochs + 1):
-        scores = _score(points, centers, backend)
+        scores = _score_blocks(points, centers, backend)
         assignments, _ = _decide(scores, backend)
         charge_to(ledger, "search", n)
         dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points, centers)
         objective_history.append(int(dists[np.arange(n), assignments].sum()))
         sizes = np.bincount(assignments, minlength=K)
-        counts = np.stack([points[assignments == k].sum(axis=0) for k in range(K)])
+        counts = np.stack([unpack_rows(points[assignments == k]).sum(axis=0) for k in range(K)])
         charge_to(ledger, "addition", n)
         updated = np.zeros_like(centers)
         filled = np.flatnonzero(sizes)

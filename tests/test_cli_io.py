@@ -41,7 +41,7 @@ from hdcam.experiments import (
     synthesize_dataset,
     write_csv,
 )
-from hdcam.hvcore import Rng, random_bits
+from hdcam.hvcore import Rng, random_bits, unpack_rows
 from hdcam.cam import VoltageProfile
 from hdcam.learner import ClusterSpec
 
@@ -166,8 +166,8 @@ class TestGenerators:
         ds = make_hv_blobs(2, 10, 1024, Rng(3))
         # the centers are the generator's first draw
         centers = random_bits(2, 1024, Rng(3))
-        assert ds.samples.shape == (20, 1024)
-        for point, label in zip(ds.samples, ds.labels):
+        assert ds.samples.dtype == np.uint64 and ds.samples.shape == (20, 1024 // 64)
+        for point, label in zip(unpack_rows(ds.samples), ds.labels):
             flips = int(np.count_nonzero(point != centers[label]))
             assert flips <= 1024 // 16
 

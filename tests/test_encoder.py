@@ -505,6 +505,17 @@ class TestEncodeSubset:
             assert batch.labels == [ds.labels[i] for i in indices]
             assert ledger.counts == expected_ledger.counts
 
+    @pytest.mark.parametrize("scheme", ["record", "ngram"])
+    @pytest.mark.parametrize("mode", ["binary", "multibit"])
+    def test_bits_are_packed_rows(self, scheme, mode):
+        if scheme == "record":
+            ds = make_record_blobs(SyntheticSpec(samples=20, classes=2, features=3), Rng(4))
+        else:
+            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=20, text_length=9), Rng(4))
+        cfg = ExperimentConfig(dim=384, mode=mode, encoding=EncodingConfig(scheme=scheme, dim=384))
+        batch = encode_subset(ds, range(ds.n), build_encoding_context(ds, cfg, 7), cfg, Rng(8))
+        assert batch.bits.dtype == np.uint64 and batch.bits.shape == (ds.n, 384 // 64)
+
     @pytest.mark.parametrize("scheme, dim", [("record", 128), ("record", 2048), ("ngram", 128), ("ngram", 2048)])
     def test_blocks_stay_within_the_cell_budget(self, scheme, dim, monkeypatch):
         """Each encoder call gets at most ENCODE_BLOCK_CELLS // dim rows of one

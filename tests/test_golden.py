@@ -31,10 +31,7 @@ languages = 3
 text_length = 41
 """
 
-RECORDS = """
-[experiment]
-retrain_epochs = {epochs}
-
+RECORD_DATA = """
 [synthetic]
 kind = records
 samples = 150
@@ -42,6 +39,8 @@ classes = 4
 features = 6
 noise = 0.2
 """
+
+RECORDS = "[experiment]\nretrain_epochs = {epochs}\n" + RECORD_DATA
 
 # name -> (verb, config text, extra flags, CSV name, sha256 of the CSV)
 CASES = {
@@ -70,6 +69,12 @@ CASES = {
     "cluster-analog": (
         "cluster", "[cluster]\nk = 3\nmax_epochs = 4\n", ["--backend", "analog"], "cluster.csv",
         "3f0a314103a757cecba0722e28d157b42f9b49bf5cdc9f0d33f0edb72800c52c",
+    ),
+    # Encoded record points handed to `cluster` on the ideal backend.
+    "cluster-ideal-records": (
+        "cluster", "[cluster]\nk = 4\nmax_epochs = 4\n" + RECORD_DATA, [],
+        "cluster.csv",
+        "a6fdd79d5b3ca7f0706665de1a3192c0364446c1cc822eb868e0bdc63d6060ce",
     ),
 }
 
@@ -220,6 +225,8 @@ STDOUT = {
     "record-multibit": "accuracy = 0.7667 over 30 held-out samples\n"
                        "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "cluster-analog": "epochs = 2, converged = True, purity = 1.0000\nwrote <out>/cluster.csv\n",
+    "cluster-ideal-records": "epochs = 4, converged = False, purity = 0.6667\n"
+                             "wrote <out>/cluster.csv\n",
     "transfer-curve": "max deviation uniform = 8.108e-07 A, calibrated = 1.999e-07 A (4.06x better)\n"
                       "wrote <out>/transfer_curve.csv\n",
     "calibrate": "calibrated levels (far to near): 1.10 V, 1.06 V, 1.01 V, 0.97 V\n"

@@ -22,6 +22,7 @@ from hdcam.hvcore import (
     bundle_sub,
     hamming_matrix,
     majority,
+    pack_rows,
     permute_drop,
     permute_shift,
     PlaneCounter,
@@ -30,6 +31,7 @@ from hdcam.hvcore import (
     plane_majority,
     plane_sum,
     random_bits,
+    unpack_rows,
 )
 from hdcam.learner import Encoded, SimilarityBackend, train
 
@@ -197,15 +199,15 @@ class TestBinarize:
     def test_majority_of_three(self):
         counts = _zeros(128)
         counts[:3] = [3, 0, 2]
-        out = binarize(counts, 3)
+        out = unpack_rows(binarize(counts, 3))
         assert list(out[:3]) == [1, 0, 1]
 
     def test_single_bundle_roundtrip(self, rng):
         hv = _rand(256, rng)
-        assert np.array_equal(binarize(bundle_add(_zeros(256), hv), 1), hv)
+        assert np.array_equal(unpack_rows(binarize(bundle_add(_zeros(256), hv), 1)), hv)
 
     def test_tie_break_golden(self):
-        assert hv_to_hex(binarize(np.ones(128, dtype=np.int16), 2)) == GOLDEN_TIE_BITS_128
+        assert hv_to_hex(unpack_rows(binarize(np.ones(128, dtype=np.int16), 2))) == GOLDEN_TIE_BITS_128
 
     def test_tie_break_reproducible(self):
         counts = np.ones(128, dtype=np.int16)
@@ -221,7 +223,7 @@ class TestBinarize:
         counts = _zeros(128)
         for hv in (h, h, g):
             counts = bundle_add(counts, hv)
-        assert np.array_equal(binarize(counts, 3), h)
+        assert np.array_equal(unpack_rows(binarize(counts, 3)), h)
 
 
 def _reference_majority(counts, n):
@@ -261,17 +263,17 @@ class TestMajority:
     @example((np.full((2, 128), 35000 // 2, dtype=np.int64), np.array([35000, 35001])))
     def test_equals_per_row_binarize(self, bundle):
         counts, sizes = bundle
-        bits = majority(counts, sizes)
-        assert bits.dtype == np.uint8 and bits.shape == counts.shape
-        for row, n, out in zip(counts, sizes, bits):
+        words = majority(counts, sizes)
+        assert words.dtype == np.uint64 and words.shape == (len(counts), counts.shape[1] // 64)
+        for row, n, out in zip(counts, sizes, words):
             assert np.array_equal(out, binarize(row, int(n)))
-            assert np.array_equal(out, _reference_majority(row, n))
+            assert np.array_equal(unpack_rows(out), _reference_majority(row, n))
 
     def test_rows_share_one_tie_draw(self):
         counts = np.ones((3, 256), dtype=np.int16)
-        bits = majority(counts, [2, 2, 2])
-        assert np.array_equal(bits[0], bits[1]) and np.array_equal(bits[0], bits[2])
-        assert np.array_equal(bits[0], _reference_majority(counts[0], 2))
+        words = majority(counts, [2, 2, 2])
+        assert np.array_equal(words[0], words[1]) and np.array_equal(words[0], words[2])
+        assert np.array_equal(unpack_rows(words[0]), _reference_majority(counts[0], 2))
 
     def test_empty_bundle_error(self):
         with pytest.raises(EmptyBundleError):
@@ -407,6 +409,23 @@ class TestPermute:
                 permute_drop(x, np.zeros(width, dtype=np.uint8))
 
 
+class TestPackedRows:
+    @given(banks=st.integers(1, 16), lead=st.lists(st.integers(0, 3), max_size=2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unpack_inverts_pack(self, banks, lead, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, (*lead, 128 * banks), dtype=np.uint8)
+        words = pack_rows(bits)
+        assert words.dtype == np.uint64 and words.shape == (*lead, 2 * banks)
+        assert np.array_equal(unpack_rows(words), bits)
+
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 16), st.integers(0, 2**32 - 1))
+    def test_hamming_matrix_of_packed_rows_equals_it_of_bits(self, n_a, n_b, banks, seed):
+        gen = np.random.default_rng(seed)
+        a = gen.integers(0, 2, (n_a, 128 * banks), dtype=np.uint8)
+        b = gen.integers(0, 2, (n_b, 128 * banks), dtype=np.uint8)
+        assert np.array_equal(hamming_matrix(pack_rows(a), pack_rows(b)), hamming_matrix(a, b))
+
+
 class TestSimilarity:
     def test_hamming_self(self, rng):
         x = _rand(256, rng)
@@ -474,7 +493,7 @@ class TestTypes:
     def test_counts_out_of_range(self):
         # 32,768 copies of one all-ones row in one class: its counts pass 32,767.
         bits = np.ones((32768, 128), dtype=np.uint8)
-        batch = Encoded(bits, bits, np.ones(len(bits), dtype=np.int64), [0] * len(bits))
+        batch = Encoded(pack_rows(bits), bits, np.ones(len(bits), dtype=np.int64), [0] * len(bits))
         with pytest.raises(SaturationError):
             train(batch)
         assert train(batch[1:]).counts.max() == 32767

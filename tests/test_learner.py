@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,18 @@ from hdcam.config import ExperimentConfig
 from hdcam.cost import CostLedger, charge_to
 from hdcam.datasets import make_hv_blobs, purity
 from hdcam.errors import CapacityError, ConfigError
-from hdcam.hvcore import Rng, binarize, bind, bundle_add, bundle_sub, hamming_matrix, majority, random_bits
+from hdcam.hvcore import (
+    Rng,
+    binarize,
+    bind,
+    bundle_add,
+    bundle_sub,
+    hamming_matrix,
+    majority,
+    pack_rows,
+    random_bits,
+    unpack_rows,
+)
 from hdcam import learner
 from hdcam.learner import (
     ClassMemory,
@@ -44,10 +56,11 @@ def _flip(hv, n, rng):
 
 
 def _batch(hvs, labels=None):
-    """Encoded batch of one-vector bundles: counts equal bits, sizes 1."""
+    """Encoded batch of one-vector bundles: packed rows of the bits, counts
+    equal to the bits, sizes 1."""
     bits = np.stack(hvs)
     labels = [None] * len(hvs) if labels is None else list(labels)
-    return Encoded(bits, bits.astype(np.int16), np.ones(len(hvs), dtype=np.int64), labels)
+    return Encoded(pack_rows(bits), bits.astype(np.int16), np.ones(len(hvs), dtype=np.int64), labels)
 
 
 def _repeat(batch, n):
@@ -58,7 +71,8 @@ def _repeat(batch, n):
 
 
 def _row(cm, label):
-    return cm.deployed[cm.labels.index(label)]
+    """The deployed bits of a class."""
+    return unpack_rows(cm.deployed[cm.labels.index(label)])
 
 
 def _bundles(cm):
@@ -100,9 +114,9 @@ def _retrain_reference(cm, batch, epochs, backend, online, ledger=None):
             (predicted,), _ = predict(batch[i : i + 1], live if online else frozen, backend, ledger)
             if predicted != label:
                 charge_to(ledger, "addition", 2)
-                old, new = row[predicted], row[label]
-                counts[old] = bundle_sub(counts[old], batch.bits[i], sizes[old])
-                counts[new] = bundle_add(counts[new], batch.bits[i])
+                old, new, bits = row[predicted], row[label], unpack_rows(batch.bits[i])
+                counts[old] = bundle_sub(counts[old], bits, sizes[old])
+                counts[new] = bundle_add(counts[new], bits)
                 sizes[old] -= 1
                 sizes[new] += 1
         deployed = np.stack([binarize(c, n) for c, n in zip(counts, sizes)])
@@ -138,14 +152,14 @@ class TestTrain:
         cm = train(batch)
         for label in range(3):
             expected = np.zeros(128, dtype=np.int64)
-            for bits, sample_label in zip(batch.bits, batch.labels):
+            for bits, sample_label in zip(unpack_rows(batch.bits), batch.labels):
                 if sample_label == label:
                     expected += bits
             k = cm.labels.index(label)
             assert cm.counts.dtype == np.int16
             assert np.array_equal(cm.counts[k], expected.astype(np.int16))
             assert cm.sizes[k] == 3
-            assert binarize(cm.counts[k], cm.sizes[k]).tolist() == _row(cm, label).tolist()
+            assert unpack_rows(binarize(cm.counts[k], cm.sizes[k])).tolist() == _row(cm, label).tolist()
 
     def test_capacity_error(self, rng):
         with pytest.raises(CapacityError):
@@ -166,7 +180,7 @@ class TestPredict:
 
     def test_empty_class_memory(self, rng):
         cm = ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
-                         np.zeros((0, 128), dtype=np.uint8))
+                         np.zeros((0, 2), dtype=np.uint64))
         with pytest.raises(ValueError):
             predict(_batch([_rand(128, rng)]), cm, IDEAL)
 
@@ -213,7 +227,7 @@ class TestPredict:
         hvs = [_rand(512, rng) for _ in range(5)]
         cm = train(_batch(hvs, range(5)))
         mask = _rand(512, rng)
-        masked = ClassMemory(cm.labels, cm.counts, cm.sizes, cm.deployed ^ mask)
+        masked = ClassMemory(cm.labels, cm.counts, cm.sizes, cm.deployed ^ pack_rows(mask))
         queries = [_flip(hv, 37, rng) for hv in hvs]
         assert predict(_batch(queries), cm, IDEAL)[0] == predict(
             _batch([bind(q, mask) for q in queries]), masked, IDEAL
@@ -371,13 +385,14 @@ def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
     """The per-centre clustering loop over lists of bit rows: one random row
     drawn per centre, one bundle_add per member, pairwise duplicate checks
     against the earlier surviving centres, and farthest-point re-seeding in
-    index order. Returns (centres, assignments, epoch, objective history)."""
-    dim = points.shape[1]
-    hvs = list(points)
+    index order. Takes and returns packed rows: (centres, assignments, epoch,
+    objective history)."""
+    hvs = list(unpack_rows(points))
+    dim = len(hvs[0])
     centers = [_rand(dim, rng) for _ in range(K)]
     history = []
     for epoch in range(1, max_epochs + 1):
-        scores = learner._score(points, np.stack(centers), backend)
+        scores = learner._score(points, pack_rows(np.stack(centers)), backend)
         assignments, _ = learner._decide(scores, backend)
         history.append(sum(_dist(hvs[i], centers[k]) for i, k in enumerate(assignments)))
         updated, degenerate = [], []
@@ -390,7 +405,7 @@ def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
             counts = np.zeros(dim, dtype=np.int16)
             for i in members:
                 counts = bundle_add(counts, hvs[i])
-            new_center = binarize(counts, len(members))
+            new_center = unpack_rows(binarize(counts, len(members)))
             if any(c is not None and _dist(c, new_center) < dim // 4 for c in updated):
                 new_center = None
                 degenerate.append(k)
@@ -403,19 +418,19 @@ def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
         centers = updated
         if delta < threshold:
             break
-    return np.stack(centers), assignments, epoch, history
+    return pack_rows(np.stack(centers)), assignments, epoch, history
 
 
 class TestCluster:
     def test_points_equal_distinct_hvs(self):
         rng = Rng(1)
-        points = np.stack([_rand(512, Rng(100 + i)) for i in range(3)] * 5)
+        points = pack_rows(np.stack([_rand(512, Rng(100 + i)) for i in range(3)] * 5))
         state = cluster(points, ClusterSpec(3, 128, 20), rng, IDEAL)
         assert state.epoch <= 2
         assert {tuple(c) for c in state.centers} == {tuple(p) for p in points[:3]}
 
     def test_threshold_dim_one_epoch(self, rng):
-        points = np.stack([_rand(512, rng) for _ in range(8)])
+        points = pack_rows(np.stack([_rand(512, rng) for _ in range(8)]))
         state = cluster(points, ClusterSpec(2, 512, 20), rng, IDEAL)
         assert state.epoch == 1
 
@@ -457,29 +472,44 @@ class TestCluster:
     @given(seed=st.integers(0, 2**16), K=st.integers(2, 6), n=st.integers(6, 20),
            threshold=st.integers(0, 40))
     def test_random_points_match_reference(self, seed, K, n, threshold):
-        points = np.random.default_rng(seed).integers(0, 2, size=(n, 128), dtype=np.uint8)
+        points = pack_rows(np.random.default_rng(seed).integers(0, 2, size=(n, 128), dtype=np.uint8))
         state = cluster(points, ClusterSpec(K, threshold, 5), Rng(seed), IDEAL)
         centers, assignments, epoch, history = _cluster_reference(points, K, threshold, 5, Rng(seed), IDEAL)
         assert np.array_equal(state.centers, centers)
         assert np.array_equal(state.assignments, assignments)
         assert (state.epoch, state.objective_history) == (epoch, history)
 
+    def test_analog_scores_a_block_of_points_at_a_time(self):
+        """cluster scores its points QUERY_BLOCK at a time, as predict does. One
+        analog scoring step over all 2000 points would hold (2000, 32, 128)
+        column temporaries, 23 MB, whatever the width."""
+        points = pack_rows(np.random.default_rng(6).integers(0, 2, (2000, 128), dtype=np.uint8))
+        backend = _analog_backend()
+        cluster(points[:64], ClusterSpec(32, 0, 1), Rng(1), backend)  # first-use imports and caches
+        tracemalloc.start()
+        try:
+            cluster(points, ClusterSpec(32, 0, 1), Rng(1), backend)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_multibit_backend_rejected(self, rng):
-        points = np.stack([_rand(128, rng) for _ in range(4)])
+        points = pack_rows(np.stack([_rand(128, rng) for _ in range(4)]))
         with pytest.raises(ConfigError):
             cluster(points, ClusterSpec(2), rng, SimilarityBackend(kind="ideal_dot"))
 
     def test_k_too_small(self, rng):
-        points = np.stack([_rand(128, rng) for _ in range(4)])
+        points = pack_rows(np.stack([_rand(128, rng) for _ in range(4)]))
         with pytest.raises(ValueError):
             cluster(points, ClusterSpec(1, 8, 20), rng, IDEAL)
 
     def test_k_exceeds_capacity(self, rng):
-        points = np.stack([_rand(128, rng) for _ in range(130)])
+        points = pack_rows(np.stack([_rand(128, rng) for _ in range(130)]))
         with pytest.raises(CapacityError):
             cluster(points, ClusterSpec(129, 8, 20), rng, IDEAL)
 
     def test_fewer_points_than_k(self, rng):
-        points = np.stack([_rand(128, rng) for _ in range(2)])
+        points = pack_rows(np.stack([_rand(128, rng) for _ in range(2)]))
         with pytest.raises(ValueError):
             cluster(points, ClusterSpec(3, 8, 20), rng, IDEAL)

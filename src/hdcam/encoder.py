@@ -31,7 +31,6 @@ from .hvcore import (
     pack_rows,
     permute_drop,
     permute_shift,
-    plane_compare,
     plane_sum,
     random_bits,
 )
@@ -263,6 +262,7 @@ def _count_grams(table, index, fold=None):
             gathered[0, stop - start :] = 0
         counter.add(*pair)
     planes = plane_sum(counter.finish())[: windows.bit_length()]
-    if windows > COUNT_MAX and plane_compare(planes, COUNT_MAX)[0].any():
+    # COUNT_MAX is 2**15 - 1, so exactly the counts above it have a bit at level 15 or higher.
+    if planes[COUNT_MAX.bit_length() :].any():
         raise SaturationError("bundle_add would overflow a 16-bit counter")
     return planes

@@ -1,20 +1,21 @@
 """Experiment runners: classification, clustering, dimension sweeps, curves.
 
-Every runner derives named child seeds from the master seed, charges phase
-ledgers (training, query encoding, query search) against the cost table, and
-returns its CSV as one Run: a header block that records the fully resolved
-configuration and all derived seeds, the column names and the rows. The CLI
-writes it with write_csv, so identical configs give identical output bytes.
+Every runner derives named child seeds from the master seed and returns its
+CSV as one Run: a header block that records the fully resolved configuration,
+the column names and the rows. Classify and cluster charge phase ledgers
+against the cost table, and one step, _learning_run, assembles their Run. The
+CLI writes a Run with write_csv, so identical configs give identical bytes.
 """
 
 import csv
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from . import cam
-from .cost import CostLedger, ratios_vs_cmos
+from .cost import CostLedger, OpCost, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
 from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
 from .errors import ConfigError
@@ -159,18 +160,17 @@ def _ideal_backend(mode):
 
 
 def inference_backend(cfg):
-    """Backend selected by the config; analog variants get profile, sensing, rng."""
+    """Backend selected by the config: the ideal one of the mode, or the analog
+    CAM, which holds its resolved profile, the sensing spec and the LTA rng."""
     if cfg.backend == "ideal":
-        return _ideal_backend(cfg.mode), None
-    profile = resolve_profile(cfg)
-    backend = SimilarityBackend(
+        return _ideal_backend(cfg.mode)
+    return SimilarityBackend(
         kind="analog_cam",
-        profile=profile,
+        profile=resolve_profile(cfg),
         params=cfg.analog,
         sensing=cfg.sensing,
         rng=Rng(child_seeds(cfg.seed)["lta"]),
     )
-    return backend, profile
 
 
 @dataclass
@@ -195,13 +195,18 @@ def write_csv(path, meta, fieldnames, rows):
         w.writerows(rows)
 
 
-def _report_meta(meta, profile, reports):
-    """Append the profile levels (analog runs) and each ledger's in-array cost to meta."""
-    if profile is not None:
-        meta["profile.levels"] = ",".join(f"{v:.2f}" for v in profile.levels)
+def _learning_run(cfg, verb, seeds, results, backend, ledgers, columns, rows):
+    """The Run of a classify or cluster run, reporting its ledgers. Its header holds the
+    verb's config keys, the seeds, the results, an analog backend's profile levels, then
+    the in-array cost of each ledger and last of their total, the ledgers merged in order."""
+    meta = {**cfg.meta(verb), **{f"seeds.{k}": v for k, v in seeds.items()}, **results}
+    if backend.profile is not None:
+        meta["profile.levels"] = ",".join(f"{v:.2f}" for v in backend.profile.levels)
+    reports = {**ledgers, "total": reduce(CostLedger.merge, ledgers.values())}
     for name, ledger in reports.items():
         meta[f"cost.{name}.hydra_energy_pj"] = ledger.hydra_energy_pj
         meta[f"cost.{name}.hydra_latency_ns"] = ledger.hydra_latency_ns
+    return Run(meta, columns, rows, reports)
 
 
 def run_classify(cfg, dataset):
@@ -214,7 +219,7 @@ def run_classify(cfg, dataset):
         name: CostLedger(cfg.dim, table) for name in ("train", "infer_encode", "infer_search")
     }
     # Built first, so a config the analog backend rejects fails before any encoding.
-    backend, profile = inference_backend(cfg)
+    backend = inference_backend(cfg)
     train_idx, test_idx = train_test_indices(dataset.n, cfg.test_fraction, seeds["split"])
     ctx = build_encoding_context(dataset, cfg, seeds["memories"])
     rng_encode = Rng(seeds["encode"])
@@ -237,16 +242,13 @@ def run_classify(cfg, dataset):
         for idx, true, predicted, flag in zip(test_idx, test_batch.labels, labels, flags)
     ]
 
-    reports = dict(ledgers)
-    reports["total"] = ledgers["train"].merge(ledgers["infer_encode"]).merge(ledgers["infer_search"])
-    meta = cfg.meta("classify")
-    meta.update({f"seeds.{k}": v for k, v in seeds.items()})
-    meta["accuracy"] = sum(correct for _, _, _, correct, _ in rows) / len(test_batch)
-    meta["n_train"] = len(train_idx)
-    meta["n_test"] = len(test_batch)
-    _report_meta(meta, profile, reports)
+    results = {
+        "accuracy": sum(correct for _, _, _, correct, _ in rows) / len(test_batch),
+        "n_train": len(train_idx),
+        "n_test": len(test_batch),
+    }
     columns = ("sample_index", "true_label", "predicted_label", "correct", "lta_ambiguous_flags")
-    return Run(meta, columns, rows, reports)
+    return _learning_run(cfg, "classify", seeds, results, backend, ledgers, columns, rows)
 
 
 def run_cluster(cfg, dataset):
@@ -255,7 +257,7 @@ def run_cluster(cfg, dataset):
     table = cfg.cost_table()
     ledgers = {name: CostLedger(cfg.dim, table) for name in ("encode", "cluster")}
     # Checked first, so a backend that cannot cluster fails before any encoding.
-    backend, profile = inference_backend(cfg)
+    backend = inference_backend(cfg)
     check_cluster_backend(backend)
     if dataset.kind == "synthetic_blobs":
         points = dataset.samples
@@ -265,18 +267,16 @@ def run_cluster(cfg, dataset):
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
         ).bits
     state = cluster(points, cfg.cluster, Rng(seeds["cluster"]), backend, ledger=ledgers["cluster"])
-    reports = dict(ledgers)
-    reports["total"] = ledgers["encode"].merge(ledgers["cluster"])
-    meta = cfg.meta("cluster")
-    meta.update({f"seeds.{k}": v for k, v in seeds.items()})
-    meta["epochs"] = state.epoch
-    meta["converged"] = state.epoch < cfg.cluster.max_epochs
-    meta["purity"] = float("nan") if dataset.labels is None else purity(state.assignments, dataset.labels)
-    meta["objective_history"] = ";".join(str(v) for v in state.objective_history)
-    _report_meta(meta, profile, reports)
+    results = {
+        "epochs": state.epoch,
+        "converged": state.epoch < cfg.cluster.max_epochs,
+        "purity": float("nan") if dataset.labels is None else purity(state.assignments, dataset.labels),
+        "objective_history": ";".join(str(v) for v in state.objective_history),
+    }
     labels = dataset.labels if dataset.labels is not None else [""] * dataset.n
     rows = [(i, labels[i], int(state.assignments[i])) for i in range(len(points))]
-    return Run(meta, ("point_index", "label", "cluster"), rows, reports)
+    columns = ("point_index", "label", "cluster")
+    return _learning_run(cfg, "cluster", seeds, results, backend, ledgers, columns, rows)
 
 
 def run_dim_sweep(cfg, dataset, dims):
@@ -331,37 +331,13 @@ def run_transfer_curve(cfg):
 
 
 def run_cost_report(cfg):
-    """Constants and CMOS-vs-in-array ratios of the active cost table."""
+    """Constants and CMOS-vs-in-array ratios of the active cost table: the
+    table's scalar fields lead the header, and each op's row holds its OpCost
+    fields in order, then its ratios_vs_cmos rounded to 4 places."""
     table = cfg.cost_table()
     ratios = ratios_vs_cmos(table)
-    rows = []
-    for op, c in table.ops.items():
-        rows.append(
-            (
-                op,
-                c.hydra_latency_ns,
-                c.hydra_energy_pj,
-                c.cmos_cycles,
-                c.cmos_energy_pj,
-                c.cmos_net_energy_pj,
-                round(ratios[op]["energy_ratio"], 4),
-                round(ratios[op]["net_energy_ratio"], 4),
-            )
-        )
-    meta = {
-        "mem_read_energy_nj": table.mem_read_energy_nj,
-        "cmos_cycle_ns": table.cmos_cycle_ns,
-        "reference_dim": table.reference_dim,
-        **cfg.meta("cost-report"),
-    }
-    columns = (
-        "op",
-        "hydra_latency_ns",
-        "hydra_energy_pj",
-        "cmos_cycles",
-        "cmos_energy_pj",
-        "cmos_net_energy_pj",
-        "energy_ratio",
-        "net_energy_ratio",
-    )
-    return Run(meta, columns, rows)
+    columns = ("op", *(f.name for f in fields(OpCost)), "energy_ratio", "net_energy_ratio")
+    rows = [(op, *astuple(cost), *(round(ratios[op][name], 4) for name in columns[-2:]))
+            for op, cost in table.ops.items()]
+    scalars = {f.name: getattr(table, f.name) for f in fields(table) if f.name != "ops"}
+    return Run({**scalars, **cfg.meta("cost-report")}, columns, rows)

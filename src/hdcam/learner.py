@@ -99,20 +99,25 @@ class SimilarityBackend:
                                   f"mismatch's current {self.params.i_cell_nominal:g} A")
 
 
+def _bundle(rows, groups, k):
+    """(k, dim) int16 counts and (k,) sizes of k bundles of packed rows:
+    row i is added to bundle groups[i]."""
+    counts = np.stack([unpack_rows(rows[groups == g]).sum(axis=0, dtype=np.int32) for g in range(k)])
+    if counts.max() > COUNT_MAX:
+        raise SaturationError("bundle counts outside the signed 16-bit range")
+    return counts.astype(np.int16), np.bincount(groups, minlength=k)
+
+
 def train(batch, ledger=None):
     """Bundle each class's sample bits and deploy their majorities."""
     if not len(batch):
         raise ValueError("cannot train on an empty batch")
-    labels = list(dict.fromkeys(batch.labels))
-    if len(labels) > MAX_CLASSES:
+    row = {label: k for k, label in enumerate(dict.fromkeys(batch.labels))}
+    if len(row) > MAX_CLASSES:
         raise CapacityError(f"more than {MAX_CLASSES} classes")
-    rows = np.array([labels.index(label) for label in batch.labels])
-    counts = np.stack([unpack_rows(batch.bits[rows == k]).sum(axis=0, dtype=np.int32)
-                       for k in range(len(labels))])
-    if counts.max() > COUNT_MAX:
-        raise SaturationError("class counts outside the signed 16-bit range")
+    counts, sizes = _bundle(batch.bits, np.array([row[label] for label in batch.labels]), len(row))
     charge_to(ledger, "addition", len(batch))
-    return _deploy(labels, counts.astype(np.int16), np.bincount(rows))
+    return _deploy(list(row), counts, sizes)
 
 
 def _check_scorable(batch, backend):
@@ -310,8 +315,7 @@ def cluster(points, spec, rng, backend, ledger=None):
         charge_to(ledger, "search", n)
         dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points, centers)
         objective_history.append(int(dists[np.arange(n), assignments].sum()))
-        sizes = np.bincount(assignments, minlength=K)
-        counts = np.stack([unpack_rows(points[assignments == k]).sum(axis=0) for k in range(K)])
+        counts, sizes = _bundle(points, assignments, K)
         charge_to(ledger, "addition", n)
         updated = np.zeros_like(centers)
         filled = np.flatnonzero(sizes)

@@ -10,8 +10,9 @@ from hdcam.cam import AnalogParams, VoltageProfile
 from hdcam.config import ExperimentConfig
 from hdcam.cost import CostLedger, charge_to
 from hdcam.datasets import make_hv_blobs, purity
-from hdcam.errors import CapacityError, ConfigError
+from hdcam.errors import CapacityError, ConfigError, SaturationError
 from hdcam.hvcore import (
+    COUNT_MAX,
     Rng,
     binarize,
     bind,
@@ -164,6 +165,11 @@ class TestTrain:
     def test_capacity_error(self, rng):
         with pytest.raises(CapacityError):
             train(_batch([_rand(128, rng) for _ in range(129)], range(129)))
+
+    def test_class_count_saturation(self, rng):
+        rows = np.repeat(pack_rows(_rand(128, rng)[None]), COUNT_MAX + 1, axis=0)
+        with pytest.raises(SaturationError):
+            train(Encoded(rows, None, np.ones(len(rows), dtype=np.int64), ["a"] * len(rows)))
 
 
 class TestPredict:
@@ -508,6 +514,11 @@ class TestCluster:
         points = pack_rows(np.stack([_rand(128, rng) for _ in range(130)]))
         with pytest.raises(CapacityError):
             cluster(points, ClusterSpec(129, 8, 20), rng, IDEAL)
+
+    def test_centre_count_saturation(self, rng):
+        points = np.repeat(pack_rows(_rand(128, rng)[None]), COUNT_MAX + 1, axis=0)
+        with pytest.raises(SaturationError):
+            cluster(points, ClusterSpec(2, 8, 1), rng, IDEAL)
 
     def test_fewer_points_than_k(self, rng):
         points = pack_rows(np.stack([_rand(128, rng) for _ in range(2)]))

@@ -20,7 +20,7 @@ from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, pu
 from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
 from .errors import ConfigError
 from .hvcore import Rng, derive_seed, plane_counts, plane_majority
-from .learner import Encoded, SimilarityBackend, check_cluster_backend, cluster, predict, retrain, train
+from .learner import AnalogCam, Encoded, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
 
@@ -127,8 +127,8 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     equal-length sequences, because an ingested corpus may be ragged. Both
     encoders return a block's count planes, which give its packed majority
     rows as soon as it is encoded. They are turned into int16 counts only in
-    multibit mode, whose ideal_dot backend scores them; a binary batch's
-    counts are None."""
+    multibit mode, where keeping them makes the batch dot-scored; a binary
+    batch's counts are None, so its packed rows are searched."""
     enc = cfg.encoding
     block_rows = max(1, ENCODE_BLOCK_CELLS // cfg.dim)
     bits = np.empty((len(indices), cfg.dim // 64), dtype=np.uint64)
@@ -155,22 +155,13 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     return Encoded(bits, counts, sizes, labels)
 
 
-def _ideal_backend(mode):
-    return SimilarityBackend(kind="ideal_dot" if mode == "multibit" else "ideal_hamming")
-
-
 def inference_backend(cfg):
-    """Backend selected by the config: the ideal one of the mode, or the analog
-    CAM, which holds its resolved profile, the sensing spec and the LTA rng."""
+    """The AnalogCam the config selects, holding its resolved profile, the
+    sensing spec and the LTA rng, or None on the ideal backend, where the
+    mode's batches pick dot scoring (multibit) or the Hamming argmin."""
     if cfg.backend == "ideal":
-        return _ideal_backend(cfg.mode)
-    return SimilarityBackend(
-        kind="analog_cam",
-        profile=resolve_profile(cfg),
-        params=cfg.analog,
-        sensing=cfg.sensing,
-        rng=Rng(child_seeds(cfg.seed)["lta"]),
-    )
+        return None
+    return AnalogCam(resolve_profile(cfg), cfg.analog, cfg.sensing, Rng(child_seeds(cfg.seed)["lta"]))
 
 
 @dataclass
@@ -200,7 +191,7 @@ def _learning_run(cfg, verb, seeds, results, backend, ledgers, columns, rows):
     verb's config keys, the seeds, the results, an analog backend's profile levels, then
     the in-array cost of each ledger and last of their total, the ledgers merged in order."""
     meta = {**cfg.meta(verb), **{f"seeds.{k}": v for k, v in seeds.items()}, **results}
-    if backend.profile is not None:
+    if backend is not None:
         meta["profile.levels"] = ",".join(f"{v:.2f}" for v in backend.profile.levels)
     reports = {**ledgers, "total": reduce(CostLedger.merge, ledgers.values())}
     for name, ledger in reports.items():
@@ -226,10 +217,9 @@ def run_classify(cfg, dataset):
     train_batch = encode_subset(dataset, train_idx, ctx, cfg, rng_encode, ledgers["train"])
     cm = train(train_batch, ledger=ledgers["train"])
     if cfg.retrain_epochs:
-        # Retraining always runs against the ideal backend of the configured
-        # mode; the configured (possibly analog) backend applies to inference.
-        cm = retrain(cm, train_batch, cfg.retrain_epochs, _ideal_backend(cfg.mode),
-                     ledger=ledgers["train"])
+        # Retraining always runs on the ideal scoring of the batch (dot or
+        # Hamming); the configured (possibly analog) backend applies to inference.
+        cm = retrain(cm, train_batch, cfg.retrain_epochs, ledger=ledgers["train"])
     # Released before the queries are encoded, so the two batches are never
     # held at once. Retraining draws nothing from rng_encode, so the queries'
     # drop-mode tails do not depend on this order.
@@ -253,12 +243,13 @@ def run_classify(cfg, dataset):
 
 def run_cluster(cfg, dataset):
     """Cluster encoded points; labels, when present, only score purity."""
+    # Checked first, so a mode that cannot cluster fails before any encoding.
+    if cfg.mode == "multibit":
+        raise ConfigError("clustering compares binary points; multibit (ideal_dot) cannot cluster")
     seeds = child_seeds(cfg.seed)
     table = cfg.cost_table()
     ledgers = {name: CostLedger(cfg.dim, table) for name in ("encode", "cluster")}
-    # Checked first, so a backend that cannot cluster fails before any encoding.
     backend = inference_backend(cfg)
-    check_cluster_backend(backend)
     if dataset.kind == "synthetic_blobs":
         points = dataset.samples
     else:

@@ -100,12 +100,10 @@ def bundle_add(counts, bits):
     return counts + bits
 
 
-def bundle_sub(counts, bits, size):
-    """A bundle's int16 count row with one bit row removed (-1 where the bit is 1);
-    size is the number of rows bundled so far."""
+def bundle_sub(counts, bits):
+    """A bundle's int16 count row with one bit row removed (-1 where the bit is 1).
+    Any bundle admits it, an empty one too: its size then drops below zero."""
     _check_width(counts, bits)
-    if size == 0:
-        raise EmptyBundleError("cannot subtract from an empty bundle")
     if counts.min(initial=0) == COUNT_MIN and np.any(counts[bits != 0] == COUNT_MIN):
         raise SaturationError("bundle_sub would underflow a 16-bit counter")
     return counts - bits
@@ -135,22 +133,16 @@ def majority(counts, sizes):
     """(n, dim/64) packed majority rows of n bundles with (n, dim) integer counts and (n,) sizes.
 
     Bit i of row r is 1 when counts[r, i] > sizes[r] / 2, that is above
-    sizes[r] // 2 in the counts' own dtype, and 0 when below. Exact ties
-    (only at even sizes) take bit i of one pseudo-random draw from the fixed
+    sizes[r] // 2, and 0 when below: the sign of the bipolar sum sizes[r] -
+    2 * counts[r, i], which any size has, 0 or negative too. Exact ties (only
+    at even sizes) take bit i of one pseudo-random draw from the fixed
     tie-break seed, shared by every row, so results are reproducible.
     """
     counts = np.asarray(counts)
-    if counts.dtype != np.int16 and counts.size and (counts.min() < COUNT_MIN or counts.max() > COUNT_MAX):
-        raise SaturationError("counts outside the signed 16-bit range")
     sizes = np.asarray(sizes).reshape(-1)
-    if not (sizes > 0).all():
-        raise EmptyBundleError("cannot binarize an empty bundle")
-    # No count exceeds cap, so clamping half to cap changes no bit, and a
-    # clamped half is out of reach: only even sizes with half <= cap can tie.
-    cap = min(COUNT_MAX, np.iinfo(counts.dtype).max)
-    half = np.minimum(sizes // 2, cap).astype(counts.dtype)[:, None]
+    half = (sizes // 2)[:, None]
     words = pack_rows(counts > half)
-    even = (sizes % 2 == 0) & (sizes // 2 <= cap)
+    even = sizes % 2 == 0
     ties = counts[even] == half[even]
     if ties.any():  # a tied count is not above half, so its bit is 0 until the tie sets it
         words[even] |= pack_rows(ties) & _tie_words(counts.shape[1])

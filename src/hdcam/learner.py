@@ -3,12 +3,13 @@
 Samples, deployed class vectors and cluster centres are (n, dim/64) packed
 rows (see hvcore), unpacked only where bits are added to counts or reach the
 analog cells. Each class bundles its samples' rows into an int16 count row
-with a size, and is deployed as the packed majority row; multibit similarity
-instead scores the count rows with the centred dot product. Search is one
-scoring step, a batch of queries against every stored row, then one decision
-step: an ideal Hamming argmin, an ideal dot-product argmax, or the modeled
-CAM fabric (match-line currents plus serial LTA sensing). Prediction,
-retraining and cluster assignment share both.
+with a size, and is deployed as the packed majority row. The batch decides
+how it is scored: one that keeps its bundle counts (multibit) is scored by
+the centred dot product against the class count rows, the ideal software
+reference; any other batch's packed rows are searched against the stored
+rows, by Hamming argmin or, given an AnalogCam, on the modeled CAM fabric
+(match-line currents plus serial LTA sensing). Prediction, retraining and
+cluster assignment share that search.
 """
 
 from dataclasses import dataclass
@@ -24,19 +25,18 @@ from .lta import SensingSpec, decide
 
 MAX_CLASSES = 128
 
-# Queries that predict, cluster and the ideal_dot retrain convert and score at
-# once; bounds the query matrix and the pairwise arrays of one scoring step
+# Queries that predict, cluster and the dot-scored retrain convert and score
+# at once; bounds the query matrix and the pairwise arrays of one scoring step
 # whatever the batch size.
 QUERY_BLOCK = 16
-
-BACKEND_KINDS = ("ideal_hamming", "ideal_dot", "analog_cam")
 
 
 @dataclass
 class Encoded:
     """A batch of encoded inputs: (n, dim/64) packed majority rows, (n, dim)
-    int16 bundle counts, (n,) bundle sizes and n labels. counts is None in a
-    bits-only batch, which every backend but ideal_dot scores."""
+    int16 bundle counts, (n,) bundle sizes and n labels. A batch that keeps
+    counts (multibit) is scored by centred dot product; counts is None in a
+    bits-only (binary) batch, whose packed rows are searched."""
 
     bits: np.ndarray
     counts: np.ndarray
@@ -73,30 +73,20 @@ def _deploy(labels, counts, sizes):
 
 
 @dataclass
-class SimilarityBackend:
-    """Similarity engine selection; analog needs the electrical context, whose
-    sensing floor must sit well below one mismatch's current."""
+class AnalogCam:
+    """The modeled CAM fabric that searches packed rows: its voltage profile,
+    analog params, LTA sensing spec and the LTA's tie-break rng. The sensing
+    floor must sit well below one mismatch's current."""
 
-    kind: str
-    profile: cam.VoltageProfile = None
-    params: cam.AnalogParams = None
-    sensing: SensingSpec = None
-    rng: object = None
+    profile: cam.VoltageProfile
+    params: cam.AnalogParams
+    sensing: SensingSpec
+    rng: object
 
     def __post_init__(self):
-        if self.kind not in BACKEND_KINDS:
-            raise ConfigError(f"unknown backend kind: {self.kind!r}")
-        if self.kind == "analog_cam":
-            missing = [
-                name
-                for name in ("profile", "params", "sensing", "rng")
-                if getattr(self, name) is None
-            ]
-            if missing:
-                raise ConfigError(f"analog backend needs {missing}")
-            if self.sensing.floor * 100 > self.params.i_cell_nominal:
-                raise ConfigError(f"sensing floor {self.sensing.floor:g} A is not well below one "
-                                  f"mismatch's current {self.params.i_cell_nominal:g} A")
+        if self.sensing.floor * 100 > self.params.i_cell_nominal:
+            raise ConfigError(f"sensing floor {self.sensing.floor:g} A is not well below one "
+                              f"mismatch's current {self.params.i_cell_nominal:g} A")
 
 
 def _bundle(rows, groups, k):
@@ -120,11 +110,10 @@ def train(batch, ledger=None):
     return _deploy(list(row), counts, sizes)
 
 
-def _check_scorable(batch, backend):
-    """Raise ConfigError when ideal_dot, which scores bundle counts, gets a bits-only batch."""
-    if backend.kind == "ideal_dot" and batch.counts is None:
-        raise ConfigError("ideal_dot scores bundle counts, and this batch keeps only bits "
-                          "(counts are kept in multibit mode)")
+def _check_analog(batch, analog):
+    """Raise ConfigError when a batch that keeps counts, which are dot-scored, meets the analog CAM."""
+    if analog is not None and batch.counts is not None:
+        raise ConfigError("the analog CAM searches binary rows, and this batch keeps multibit counts")
 
 
 def _centred(counts, sizes):
@@ -132,60 +121,54 @@ def _centred(counts, sizes):
     return counts - np.asarray(sizes)[:, None] / 2.0
 
 
-def _score(queries, rows, backend):
-    """(n_queries, n_rows) scores: Hamming distances (ideal_hamming) or match-line
-    currents (analog_cam) of packed rows, or centred dot products (ideal_dot)."""
-    if backend.kind == "ideal_hamming":
-        return hamming_matrix(queries, rows)
-    if backend.kind == "ideal_dot":
-        return queries @ rows.T
-    return cam.analog_currents(unpack_rows(rows), unpack_rows(queries), backend.profile, backend.params)
-
-
-def _score_blocks(queries, rows, backend):
-    """_score of every query, QUERY_BLOCK queries at a time: packed rows, or on
-    ideal_dot an Encoded batch, whose counts are centred a block at a time."""
+def _score_blocks(queries, score):
+    """score(block) of every block of QUERY_BLOCK queries, concatenated."""
     blocks = (queries[start : start + QUERY_BLOCK] for start in range(0, len(queries), QUERY_BLOCK))
-    if backend.kind == "ideal_dot":
-        blocks = (_centred(part.counts, part.sizes) for part in blocks)
-    return np.concatenate([_score(part, rows, backend) for part in blocks])
+    return np.concatenate([score(part) for part in blocks])
 
 
-def _decide(scores, backend):
-    """Winning row and LTA ambiguous-batch count per query (counts all 0 when ideal).
+def _search(queries, rows, analog):
+    """(winners, flags, scores) of packed query rows against packed stored rows:
+    the Hamming distances and their argmin, or on the analog CAM the match-line
+    currents and the LTA's decisions. flags counts each query's ambiguous LTA
+    batches, all 0 without the analog CAM.
 
     The analog LTA's seeded tie-breaks are drawn in query order, so its
     decisions do not depend on how queries were batched.
     """
-    if backend.kind == "ideal_hamming":
-        return scores.argmin(axis=1), np.zeros(len(scores), dtype=np.int64)
-    if backend.kind == "ideal_dot":
-        return scores.argmax(axis=1), np.zeros(len(scores), dtype=np.int64)
-    return decide(scores, backend.sensing, backend.rng)
+    if analog is None:
+        scores = _score_blocks(queries, lambda part: hamming_matrix(part, rows))
+        return scores.argmin(axis=1), np.zeros(len(scores), dtype=np.int64), scores
+    bits = unpack_rows(rows)
+    scores = _score_blocks(
+        queries, lambda part: cam.analog_currents(bits, unpack_rows(part), analog.profile, analog.params))
+    return *decide(scores, analog.sensing, analog.rng), scores
 
 
-def predict(batch, cm, backend, ledger=None):
-    """(labels, flags): the most similar class of each sample under the backend.
+def predict(batch, cm, analog=None, ledger=None):
+    """(labels, flags): the most similar class of each sample.
 
-    ideal_dot scores the batch's centred counts against the centred class
-    counts; the other backends score its packed rows against the deployed
-    rows. flags is an int array of each query's ambiguous LTA batches
-    (analog_cam), all 0 on the ideal backends.
+    A batch that keeps counts is scored by the centred dot product of its
+    counts with the centred class counts; a bits-only batch's packed rows
+    are searched against the deployed rows (_search). flags is an int array
+    of each query's ambiguous LTA batches, all 0 but on the analog CAM.
     """
     if not cm.labels:
         raise ValueError("class memory has no deployed vectors")
-    _check_scorable(batch, backend)
+    _check_analog(batch, analog)
     charge_to(ledger, "search", len(batch))
-    dot = backend.kind == "ideal_dot"
-    rows = _centred(cm.counts, cm.sizes) if dot else cm.deployed
-    winners, flags = _decide(_score_blocks(batch if dot else batch.bits, rows, backend), backend)
-    return [cm.labels[i] for i in winners], flags
+    if batch.counts is None:
+        winners, flags, _ = _search(batch.bits, cm.deployed, analog)
+        return [cm.labels[i] for i in winners], flags
+    rows = _centred(cm.counts, cm.sizes)
+    scores = _score_blocks(batch, lambda part: _centred(part.counts, part.sizes) @ rows.T)
+    return [cm.labels[i] for i in scores.argmax(axis=1)], np.zeros(len(batch), dtype=np.int64)
 
 
 def _move(counts, sizes, row, old, new):
     """Move one sample's packed row from class bundle old to class bundle new; returns its bits."""
     bits = unpack_rows(row)
-    counts[old] = bundle_sub(counts[old], bits, sizes[old])
+    counts[old] = bundle_sub(counts[old], bits)
     counts[new] = bundle_add(counts[new], bits)
     sizes[old] -= 1
     sizes[new] += 1
@@ -193,7 +176,7 @@ def _move(counts, sizes, row, old, new):
 
 
 def _dot_epoch(batch, row, counts, sizes, ledger):
-    """One online ideal_dot retrain epoch over the batch, in sample order;
+    """One online dot-scored retrain epoch over the batch, in sample order;
     returns the number of updates.
 
     Each sample is scored against the class counts as every earlier update
@@ -224,29 +207,32 @@ def _dot_epoch(batch, row, counts, sizes, ledger):
     return updates
 
 
-def retrain(cm, batch, epochs, backend, ledger=None):
+def retrain(cm, batch, epochs, analog=None, ledger=None):
     """Mispredicted samples move between class bundles; deployments refresh per epoch.
 
     Each misclassified sample is subtracted from the predicted class's count
-    row and added to its true class's. Deployed binary rows are re-binarized
-    at epoch end, not per update, so binary backends predict a whole epoch in
-    one batch. ideal_dot scores the count rows themselves, which every update
-    changes, so each sample sees the updates before it: the epoch is scored
-    in blocks and each update corrects the scores of the samples after it
-    (_dot_epoch), with the same results and ledger counts as predicting one
-    sample at a time.
+    row and added to its true class's. The predicted class may never have
+    held the sample, so its size can drop to 0 or below, which majority and
+    the centred counts read as any other bundle. Deployed binary rows are
+    re-binarized at epoch end, not per update, so a bits-only batch is
+    predicted a whole epoch at once, by Hamming argmin or on the analog CAM.
+    A batch that keeps counts is dot-scored against the count rows
+    themselves, which every update changes, so each sample sees the updates
+    before it: the epoch is scored in blocks and each update corrects the
+    scores of the samples after it (_dot_epoch), with the same results and
+    ledger counts as predicting one sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
-    _check_scorable(batch, backend)
+    _check_analog(batch, analog)
     row = {label: k for k, label in enumerate(cm.labels)}
     counts, sizes = cm.counts.copy(), cm.sizes.copy()
     out = ClassMemory(cm.labels, counts, sizes, cm.deployed)
     for _ in range(epochs):
-        if backend.kind == "ideal_dot":
+        if batch.counts is not None:
             updates = _dot_epoch(batch, row, counts, sizes, ledger)
         else:
-            predicted = predict(batch, out, backend, ledger)[0] if len(batch) else []
+            predicted = predict(batch, out, analog, ledger)[0] if len(batch) else []
             updates = 0
             for i, (guess, label) in enumerate(zip(predicted, batch.labels)):
                 if guess != label:
@@ -280,13 +266,7 @@ class ClusterState:
     objective_history: list
 
 
-def check_cluster_backend(backend):
-    """ConfigError unless the backend compares binary points."""
-    if backend.kind == "ideal_dot":
-        raise ConfigError("clustering compares binary points; multibit (ideal_dot) cannot cluster")
-
-
-def cluster(points, spec, rng, backend, ledger=None):
+def cluster(points, spec, rng, analog=None, ledger=None):
     """K-center clustering of (n, dim/64) packed rows in Hamming space.
 
     Random centers are refined by alternating nearest-center assignment and
@@ -297,10 +277,9 @@ def cluster(points, spec, rng, backend, ledger=None):
     point farthest from the centers kept so far; random quasi-orthogonal
     clusters sit near dim/2 apart, so a pair inside dim/4 cannot represent
     two distinct clusters, and without re-seeding such pairs are absorbing.
-    Points and centers are binary, so the backend must be ideal_hamming or
-    analog_cam.
+    Points are assigned by the packed-row search (_search): Hamming argmin,
+    or on the analog CAM when one is given.
     """
-    check_cluster_backend(backend)
     K = spec.k
     if K > MAX_CLASSES:
         raise CapacityError(f"{K} clusters exceed the {MAX_CLASSES}-row capacity")
@@ -310,20 +289,17 @@ def cluster(points, spec, rng, backend, ledger=None):
     centers = pack_rows(random_bits(K, dim, rng))
     objective_history = []
     for epoch in range(1, spec.max_epochs + 1):
-        scores = _score_blocks(points, centers, backend)
-        assignments, _ = _decide(scores, backend)
+        assignments, _, scores = _search(points, centers, analog)
         charge_to(ledger, "search", n)
-        dists = scores if backend.kind == "ideal_hamming" else hamming_matrix(points, centers)
+        dists = scores if analog is None else hamming_matrix(points, centers)
         objective_history.append(int(dists[np.arange(n), assignments].sum()))
         counts, sizes = _bundle(points, assignments, K)
         charge_to(ledger, "addition", n)
-        updated = np.zeros_like(centers)
-        filled = np.flatnonzero(sizes)
-        updated[filled] = majority(counts[filled], sizes[filled])
+        updated = majority(counts, sizes)  # an empty cluster's row is re-seeded below
         # Keep, in index order, each filled centre not within dim/4 of one kept before it.
         near = hamming_matrix(updated, updated) < dim // 4
         kept = []
-        for k in filled:
+        for k in np.flatnonzero(sizes):
             if not near[k, kept].any():
                 kept.append(k)
         # Re-seed the rest, in index order, to the point farthest from every kept centre.

@@ -12,7 +12,7 @@ from hdcam.cost import CostLedger, ratios_vs_cmos
 from hdcam.datasets import make_hv_blobs, purity
 from hdcam.experiments import run_classify, synthesize_dataset
 from hdcam.hvcore import Rng
-from hdcam.learner import ClusterSpec, SimilarityBackend, cluster
+from hdcam.learner import ClusterSpec, cluster
 from hdcam.lta import SensingSpec, argmin_serial
 
 import studies
@@ -130,9 +130,7 @@ def test_clustering_recovery():
     for K in (2, 3):
         for seed in SEEDS:
             ds = make_hv_blobs(K, 20, 2048, Rng(1000 + seed))
-            state = cluster(
-                ds.samples, ClusterSpec(K, 8, 20), Rng(seed), SimilarityBackend(kind="ideal_hamming")
-            )
+            state = cluster(ds.samples, ClusterSpec(K, 8, 20), Rng(seed))
             p = purity(state.assignments, ds.labels)
             mono = all(b <= a for a, b in zip(state.objective_history, state.objective_history[1:]))
             converged = state.epoch < 20

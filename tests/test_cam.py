@@ -26,7 +26,7 @@ from hdcam.errors import (
     DimensionError,
 )
 from hdcam.hvcore import BANK_COLS, hamming_matrix, random_bits
-from hdcam.learner import ClassMemory, Encoded, SimilarityBackend, predict
+from hdcam.learner import ClassMemory, Encoded, predict
 
 
 def _rand(dim, rng):
@@ -114,8 +114,7 @@ class TestLoadRows:
             query = _rand(128, rng)[None]
             predict(Encoded(query, query.astype(np.int16), np.ones(1), [None]),
                     ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
-                                np.zeros((0, 128), dtype=np.uint8)),
-                    SimilarityBackend(kind="ideal_hamming"))
+                                np.zeros((0, 128), dtype=np.uint8)))
 
 
 class TestSearchIdeal:

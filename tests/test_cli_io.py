@@ -472,6 +472,22 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "classify.csv").exists()
 
+    def test_binary_retrain_on_imbalanced_classes(self, tmp_path, capsys):
+        # Classes at 60/35/5 %: a binary retrain epoch moves more rows out of
+        # some class than it holds, and the run still completes.
+        gen = np.random.default_rng(0)
+        labels = gen.choice(3, size=1000, p=[0.6, 0.35, 0.05])
+        features = 0.3 * gen.random((3, 6))[labels] + 0.7 * gen.random((1000, 6))
+        data = tmp_path / "imbalanced.csv"
+        data.write_text("".join(",".join(f"{v:.4f}" for v in row) + f",c{label}\n"
+                                for row, label in zip(features, labels)))
+        cfgfile = tmp_path / "cfg.ini"
+        cfgfile.write_text("[experiment]\nretrain_epochs = 1\n")
+        rc = main(["classify", "--config", str(cfgfile), "--data", str(data), "--dim", "512",
+                   "--out", str(tmp_path / "out")])
+        assert rc == 0, capsys.readouterr().err
+        assert "accuracy" in capsys.readouterr().out
+
     def test_error_reported_cleanly(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("1.0,a\n1.0\n")

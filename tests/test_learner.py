@@ -26,18 +26,16 @@ from hdcam.hvcore import (
 )
 from hdcam import learner
 from hdcam.learner import (
+    AnalogCam,
     ClassMemory,
     ClusterSpec,
     Encoded,
-    SimilarityBackend,
     cluster,
     predict,
     retrain,
     train,
 )
 from hdcam.lta import SensingSpec
-
-IDEAL = SimilarityBackend(kind="ideal_hamming")
 
 
 def _rand(dim, rng):
@@ -56,19 +54,21 @@ def _flip(hv, n, rng):
     return bits
 
 
-def _batch(hvs, labels=None):
-    """Encoded batch of one-vector bundles: packed rows of the bits, counts
-    equal to the bits, sizes 1."""
+def _batch(hvs, labels=None, multibit=False):
+    """Encoded batch of one-vector bundles: packed rows of the bits, sizes 1,
+    and in a multibit batch, which is dot-scored, counts equal to the bits
+    (a binary batch keeps none, so its rows are searched)."""
     bits = np.stack(hvs)
     labels = [None] * len(hvs) if labels is None else list(labels)
-    return Encoded(pack_rows(bits), bits.astype(np.int16), np.ones(len(hvs), dtype=np.int64), labels)
+    counts = bits.astype(np.int16) if multibit else None
+    return Encoded(pack_rows(bits), counts, np.ones(len(hvs), dtype=np.int64), labels)
 
 
 def _repeat(batch, n):
     """The first n samples of the batch repeated end to end."""
     idx = np.arange(n) % len(batch)
-    return Encoded(batch.bits[idx], batch.counts[idx], batch.sizes[idx],
-                   [batch.labels[i] for i in idx])
+    counts = None if batch.counts is None else batch.counts[idx]
+    return Encoded(batch.bits[idx], counts, batch.sizes[idx], [batch.labels[i] for i in idx])
 
 
 def _row(cm, label):
@@ -82,25 +82,19 @@ def _bundles(cm):
 
 
 def _analog_backend(seed=5):
-    return SimilarityBackend(
-        kind="analog_cam",
-        profile=VoltageProfile.uniform(1.0),
-        params=AnalogParams(),
-        sensing=SensingSpec(),
-        rng=Rng(seed),
-    )
+    return AnalogCam(VoltageProfile.uniform(1.0), AnalogParams(), SensingSpec(), Rng(seed))
 
 
-def _noisy_task(rng):
+def _noisy_task(rng, multibit=False):
     """Class memory trained on noisy prototypes, plus a batch of noisier, partly
     mislabelled samples that retraining has to move between classes."""
     protos = [_rand(256, rng) for _ in range(3)]
     cm = train(_batch([_flip(protos[i % 3], 60, rng) for i in range(9)], [i % 3 for i in range(9)]))
     hvs = [_flip(protos[i % 3], 100, rng) for i in range(12)]
-    return cm, _batch(hvs, [int(rng.integers(3)) for _ in hvs])
+    return cm, _batch(hvs, [int(rng.integers(3)) for _ in hvs], multibit)
 
 
-def _retrain_reference(cm, batch, epochs, backend, online, ledger=None):
+def _retrain_reference(cm, batch, epochs, analog, online, ledger=None):
     """Class bundles, as _bundles gives them, after a one-sample-at-a-time retrain
     loop that charges the ledger one search per sample and two additions per
     update. online=False scores every sample of an epoch against the memory as
@@ -112,11 +106,11 @@ def _retrain_reference(cm, batch, epochs, backend, online, ledger=None):
         frozen = ClassMemory(cm.labels, counts.copy(), sizes.copy(), deployed)
         live = ClassMemory(cm.labels, counts, sizes, deployed)
         for i, label in enumerate(batch.labels):
-            (predicted,), _ = predict(batch[i : i + 1], live if online else frozen, backend, ledger)
+            (predicted,), _ = predict(batch[i : i + 1], live if online else frozen, analog, ledger)
             if predicted != label:
                 charge_to(ledger, "addition", 2)
                 old, new, bits = row[predicted], row[label], unpack_rows(batch.bits[i])
-                counts[old] = bundle_sub(counts[old], bits, sizes[old])
+                counts[old] = bundle_sub(counts[old], bits)
                 counts[new] = bundle_add(counts[new], bits)
                 sizes[old] -= 1
                 sizes[new] += 1
@@ -177,55 +171,60 @@ class TestPredict:
         hvs = [_rand(512, rng) for _ in range(4)]
         cm = train(_batch(hvs, range(4)))
         for i, hv in enumerate(hvs):
-            assert predict(_batch([hv]), cm, IDEAL)[0] == [i]
+            assert predict(_batch([hv]), cm)[0] == [i]
 
     def test_near_match_wins(self, rng):
         hvs = [_rand(512, rng) for _ in range(4)]
         cm = train(_batch(hvs, range(4)))
-        assert predict(_batch([_flip(hvs[2], 1, rng)]), cm, IDEAL)[0] == [2]
+        assert predict(_batch([_flip(hvs[2], 1, rng)]), cm)[0] == [2]
 
     def test_empty_class_memory(self, rng):
         cm = ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
                          np.zeros((0, 2), dtype=np.uint64))
         with pytest.raises(ValueError):
-            predict(_batch([_rand(128, rng)]), cm, IDEAL)
+            predict(_batch([_rand(128, rng)]), cm)
 
     def test_ideal_dot_requires_accumulator(self, rng):
-        # ideal_dot scores the raw counts and ignores the bits; the Hamming
-        # backend does the opposite.
+        # A batch that keeps counts is dot-scored on them and its bits are
+        # ignored; a bits-only batch is searched by Hamming distance.
         a, b = _rand(512, rng), _rand(512, rng)
         cm = train(_batch([a, b], "ab"))
-        query = _batch([a])
+        query = _batch([a], multibit=True)
         query.counts = b.astype(np.int16)[None]
-        assert predict(query, cm, SimilarityBackend(kind="ideal_dot"))[0] == ["b"]
-        assert predict(query, cm, IDEAL)[0] == ["a"]
+        assert predict(query, cm)[0] == ["b"]
+        assert predict(replace(query, counts=None), cm)[0] == ["a"]
 
     def test_bits_only_batch(self):
-        # Binary-mode batches keep no counts: a slice keeps none either, and
-        # the bit-scoring backends predict and retrain as with counts.
-        cm, batch = _noisy_task(Rng(11))
+        # Binary-mode batches keep no counts, and a slice keeps none either.
+        # Their packed rows are searched: the Hamming argmin over the deployed
+        # rows, where the same samples with counts take the centred dot argmax.
+        cm, batch = _noisy_task(Rng(11), multibit=True)
         bits_only = replace(batch, counts=None)
         part = bits_only[2:5]
         assert part.counts is None and np.array_equal(part.bits, batch.bits[2:5])
         assert part.sizes.tolist() == batch.sizes[2:5].tolist() and part.labels == batch.labels[2:5]
-        for make in (lambda: IDEAL, _analog_backend):
-            assert predict(bits_only, cm, make())[0] == predict(batch, cm, make())[0]
-            assert _bundles(retrain(cm, bits_only, 2, make())) == _bundles(retrain(cm, batch, 2, make()))
+        nearest = hamming_matrix(batch.bits, cm.deployed).argmin(axis=1)
+        assert predict(bits_only, cm)[0] == [cm.labels[k] for k in nearest]
+        centred = learner._centred
+        best = (centred(batch.counts, batch.sizes) @ centred(cm.counts, cm.sizes).T).argmax(axis=1)
+        assert predict(batch, cm)[0] == [cm.labels[k] for k in best]
 
-    def test_ideal_dot_rejects_a_bits_only_batch(self, rng):
-        batch = _batch([_rand(256, rng) for _ in range(3)], range(3))
+    def test_analog_cam_rejects_a_counts_batch(self, rng):
+        # The analog CAM searches binary rows: a batch that keeps counts
+        # (multibit) fails in predict and retrain before anything is charged.
+        batch = _batch([_rand(256, rng) for _ in range(3)], range(3), multibit=True)
         cm = train(batch)
-        dot, ledger = SimilarityBackend(kind="ideal_dot"), CostLedger(256)
+        ledger = CostLedger(256)
         with pytest.raises(ConfigError, match="counts"):
-            predict(replace(batch, counts=None), cm, dot, ledger)
+            predict(batch, cm, _analog_backend(), ledger)
         with pytest.raises(ConfigError, match="counts"):
-            retrain(cm, replace(batch, counts=None)[1:], 1, dot, ledger)
+            retrain(cm, batch[1:], 1, _analog_backend(), ledger)
         assert ledger.counts == {}
 
     def test_ideal_dot_recovers_class(self, rng):
-        batch = _batch([_rand(512, rng) for _ in range(3)], range(3))
+        batch = _batch([_rand(512, rng) for _ in range(3)], range(3), multibit=True)
         cm = train(batch)
-        labels, flags = predict(batch, cm, SimilarityBackend(kind="ideal_dot"))
+        labels, flags = predict(batch, cm)
         assert labels == batch.labels
         assert flags.tolist() == [0] * 3
 
@@ -235,15 +234,15 @@ class TestPredict:
         mask = _rand(512, rng)
         masked = ClassMemory(cm.labels, cm.counts, cm.sizes, cm.deployed ^ pack_rows(mask))
         queries = [_flip(hv, 37, rng) for hv in hvs]
-        assert predict(_batch(queries), cm, IDEAL)[0] == predict(
-            _batch([bind(q, mask) for q in queries]), masked, IDEAL
+        assert predict(_batch(queries), cm)[0] == predict(
+            _batch([bind(q, mask) for q in queries]), masked
         )[0]
 
     def test_analog_agrees_with_ideal_when_separated(self, rng):
         hvs = [_rand(512, rng) for _ in range(6)]
         cm = train(_batch(hvs, range(6)))
         queries = _batch([_flip(hv, 20, rng) for hv in hvs])
-        assert predict(queries, cm, _analog_backend())[0] == predict(queries, cm, IDEAL)[0] == list(range(6))
+        assert predict(queries, cm, _analog_backend())[0] == predict(queries, cm)[0] == list(range(6))
 
     def test_analog_decision_trace_returned(self, rng):
         hvs = [_rand(256, rng) for _ in range(9)]
@@ -257,12 +256,12 @@ class TestPredict:
     @pytest.mark.parametrize("kind", ["ideal_hamming", "ideal_dot", "analog_cam"])
     def test_batch_equals_one_query_at_a_time(self, kind):
         # 40 queries span several QUERY_BLOCKs; the LTA still draws per query, in order.
-        cm, batch = _noisy_task(Rng(5))
+        cm, batch = _noisy_task(Rng(5), multibit=kind == "ideal_dot")
         queries = _repeat(batch, 40)
-        make = (lambda: _analog_backend(seed=3)) if kind == "analog_cam" else (lambda: SimilarityBackend(kind=kind))
+        make = (lambda: _analog_backend(seed=3)) if kind == "analog_cam" else (lambda: None)
         batched = predict(queries, cm, make())
-        backend = make()
-        single = [predict(queries[i : i + 1], cm, backend) for i in range(len(queries))]
+        analog = make()
+        single = [predict(queries[i : i + 1], cm, analog) for i in range(len(queries))]
         assert batched[0] == [labels[0] for labels, _ in single]
         assert batched[1].tolist() == [flags[0] for _, flags in single]
 
@@ -277,26 +276,23 @@ class TestPredict:
         ExperimentConfig(analog=AnalogParams(g_cell=1e-9))
 
     def test_analog_backend_requires_context(self):
-        with pytest.raises(ConfigError):
-            SimilarityBackend(kind="analog_cam")
-
-    def test_unknown_backend_kind(self):
-        with pytest.raises(ConfigError):
-            SimilarityBackend(kind="quantum")
+        # The profile, params, sensing spec and LTA rng are all required.
+        with pytest.raises(TypeError):
+            AnalogCam(VoltageProfile.uniform(1.0), AnalogParams(), SensingSpec())
 
 
 class TestRetrain:
     def test_no_errors_no_change(self, rng):
         batch = _batch([_rand(512, rng) for _ in range(4)], range(4))
         cm = train(batch)
-        out = retrain(cm, batch, 3, IDEAL)
+        out = retrain(cm, batch, 3)
         assert _bundles(out) == _bundles(cm)
         assert np.array_equal(out.deployed, cm.deployed)
 
     def test_zero_epochs_identity(self, rng):
         batch = _batch([_rand(256, rng) for _ in range(6)], [i % 2 for i in range(6)])
         cm = train(batch)
-        out = retrain(cm, batch, 0, IDEAL)
+        out = retrain(cm, batch, 0)
         assert _bundles(out) == _bundles(cm)
         assert out.counts is not cm.counts and out.sizes is not cm.sizes
 
@@ -304,9 +300,9 @@ class TestRetrain:
         x, y, w = (_rand(512, rng) for _ in range(3))
         planted = _flip(x, 20, rng)
         cm = train(_batch([x, x, y, w, planted], "aabcb"))
-        assert predict(_batch([planted]), cm, IDEAL)[0] == ["a"]
+        assert predict(_batch([planted]), cm)[0] == ["a"]
         before = _bundles(cm)
-        out = retrain(cm, _batch([planted], "b"), 1, IDEAL)
+        out = retrain(cm, _batch([planted], "b"), 1)
         assert _bundles(cm) == before  # retrain leaves its input as it was
         changed = [l for k, l in enumerate(cm.labels)
                    if (out.counts[k] != cm.counts[k]).any() or out.sizes[k] != cm.sizes[k]]
@@ -317,40 +313,37 @@ class TestRetrain:
         z = _flip(x, 20, rng)
         batch = _batch([x, x, y, z], "aabb")
         cm = train(batch)
-        assert predict(_batch([z]), cm, IDEAL)[0] == ["a"]
-        out = retrain(cm, batch, 1, IDEAL)
-        assert predict(_batch([z]), out, IDEAL)[0] == ["b"]
+        assert predict(_batch([z]), cm)[0] == ["a"]
+        out = retrain(cm, batch, 1)
+        assert predict(_batch([z]), out)[0] == ["b"]
 
     @pytest.mark.parametrize("kind", ["ideal_hamming", "analog_cam"])
     def test_binary_batched_per_epoch_equals_per_sample_loop(self, kind, monkeypatch):
         cm, batch = _noisy_task(Rng(11))
-        backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
+        make = (lambda: None) if kind == "ideal_hamming" else _analog_backend
         batches = _spy_predict(monkeypatch)
-        out = retrain(cm, batch, 3, backend)
+        out = retrain(cm, batch, 3, make())
         assert batches == [len(batch)] * 3  # one predict per epoch
-        backend = IDEAL if kind == "ideal_hamming" else _analog_backend()
-        expected = _retrain_reference(cm, batch, 3, backend, online=False)
+        expected = _retrain_reference(cm, batch, 3, make(), online=False)
         assert _bundles(out) == expected
         assert _bundles(out) != _bundles(cm)
 
     def test_ideal_dot_stays_online(self):
-        cm, batch = _noisy_task(Rng(2))
-        dot = SimilarityBackend(kind="ideal_dot")
-        out = retrain(cm, batch, 1, dot)
-        assert _bundles(out) == _retrain_reference(cm, batch, 1, dot, online=True)
-        assert _bundles(out) != _retrain_reference(cm, batch, 1, dot, online=False)
+        cm, batch = _noisy_task(Rng(2), multibit=True)
+        out = retrain(cm, batch, 1)
+        assert _bundles(out) == _retrain_reference(cm, batch, 1, None, online=True)
+        assert _bundles(out) != _retrain_reference(cm, batch, 1, None, online=False)
 
     @pytest.mark.parametrize("seed", [2, 7, 13])
     def test_ideal_dot_planted_mistakes_match_online_reference(self, seed):
         # 40 samples span three QUERY_BLOCKs, and the noisy task's random labels
         # plant mistakes in every epoch, so later samples of a block are scored
         # after updates made earlier in it.
-        cm, batch = _noisy_task(Rng(seed))
+        cm, batch = _noisy_task(Rng(seed), multibit=True)
         batch = _repeat(batch, 40)
-        dot = SimilarityBackend(kind="ideal_dot")
         ledger, reference_ledger = CostLedger(256), CostLedger(256)
-        out = retrain(cm, batch, 3, dot, ledger)
-        counts, sizes = _retrain_reference(cm, batch, 3, dot, online=True, ledger=reference_ledger)
+        out = retrain(cm, batch, 3, ledger=ledger)
+        counts, sizes = _retrain_reference(cm, batch, 3, None, online=True, ledger=reference_ledger)
         assert _bundles(out) == (counts, sizes)
         assert np.array_equal(out.deployed, majority(np.array(counts), np.array(sizes)))
         assert ledger.counts == reference_ledger.counts
@@ -364,11 +357,10 @@ class TestRetrain:
         a, b = _rand(256, rng), _rand(256, rng)
         cm = train(_batch([_flip(a, 40, rng) for _ in range(6)] + [_flip(b, 40, rng) for _ in range(6)],
                           "aaaaaabbbbbb"))
-        batch = _batch([_flip(a, 60, rng)] * 12, "b" * 12)
-        dot = SimilarityBackend(kind="ideal_dot")
+        batch = _batch([_flip(a, 60, rng)] * 12, "b" * 12, multibit=True)
         ledger, reference_ledger = CostLedger(256), CostLedger(256)
-        out = retrain(cm, batch, 1, dot, ledger)
-        assert _bundles(out) == _retrain_reference(cm, batch, 1, dot, online=True, ledger=reference_ledger)
+        out = retrain(cm, batch, 1, ledger=ledger)
+        assert _bundles(out) == _retrain_reference(cm, batch, 1, None, online=True, ledger=reference_ledger)
         assert ledger.counts == reference_ledger.counts
         assert 0 < ledger.counts.get("addition", 0) < 2 * len(batch)
 
@@ -380,14 +372,30 @@ class TestRetrain:
         stepwise = retrain(first, batch, 1, backend)
         assert _bundles(retrain(cm, batch, 2, _analog_backend())) == _bundles(stepwise)
 
+    def test_imbalanced_classes_drop_a_size_below_zero(self, rng):
+        # Class a holds one row x; class b holds three 8-bit flips of x and five
+        # copies of y, so b deploys y and the flips predict a. The epoch moves
+        # all three out of a, whose size drops from 1 to -2. A bundle is read as
+        # its bipolar sums, size - 2 * count, which any size admits.
+        x, y = _rand(256, rng), _rand(256, rng)
+        flips = [_flip(x, 8, rng) for _ in range(3)]
+        batch = _batch([x, *flips, *[y] * 5], "abbbbbbbb")
+        cm = train(batch)
+        assert predict(batch, cm)[0] == list("aaaabbbbb")
+        out = retrain(cm, batch, 1)
+        assert out.sizes.tolist() == [-2, 11]
+        assert out.counts[0].tolist() == (x - np.sum(flips, axis=0, dtype=np.int16)).tolist()
+        assert _bundles(out) == _retrain_reference(cm, batch, 1, None, online=False)
+        assert np.array_equal(out.deployed, majority(out.counts, out.sizes))
+
     def test_negative_epochs(self, rng):
         batch = _batch([_rand(128, rng) for _ in range(4)], [i % 2 for i in range(4)])
         cm = train(batch)
         with pytest.raises(ValueError):
-            retrain(cm, batch, -1, IDEAL)
+            retrain(cm, batch, -1)
 
 
-def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
+def _cluster_reference(points, K, threshold, max_epochs, rng, analog=None):
     """The per-centre clustering loop over lists of bit rows: one random row
     drawn per centre, one bundle_add per member, pairwise duplicate checks
     against the earlier surviving centres, and farthest-point re-seeding in
@@ -398,8 +406,7 @@ def _cluster_reference(points, K, threshold, max_epochs, rng, backend):
     centers = [_rand(dim, rng) for _ in range(K)]
     history = []
     for epoch in range(1, max_epochs + 1):
-        scores = learner._score(points, pack_rows(np.stack(centers)), backend)
-        assignments, _ = learner._decide(scores, backend)
+        assignments, _, _ = learner._search(points, pack_rows(np.stack(centers)), analog)
         history.append(sum(_dist(hvs[i], centers[k]) for i, k in enumerate(assignments)))
         updated, degenerate = [], []
         for k in range(K):
@@ -431,23 +438,23 @@ class TestCluster:
     def test_points_equal_distinct_hvs(self):
         rng = Rng(1)
         points = pack_rows(np.stack([_rand(512, Rng(100 + i)) for i in range(3)] * 5))
-        state = cluster(points, ClusterSpec(3, 128, 20), rng, IDEAL)
+        state = cluster(points, ClusterSpec(3, 128, 20), rng)
         assert state.epoch <= 2
         assert {tuple(c) for c in state.centers} == {tuple(p) for p in points[:3]}
 
     def test_threshold_dim_one_epoch(self, rng):
         points = pack_rows(np.stack([_rand(512, rng) for _ in range(8)]))
-        state = cluster(points, ClusterSpec(2, 512, 20), rng, IDEAL)
+        state = cluster(points, ClusterSpec(2, 512, 20), rng)
         assert state.epoch == 1
 
     def test_two_blobs_recovered(self):
         ds = make_hv_blobs(2, 20, 2048, Rng(77))
-        state = cluster(ds.samples, ClusterSpec(2, 8, 20), Rng(3), IDEAL)
+        state = cluster(ds.samples, ClusterSpec(2, 8, 20), Rng(3))
         assert purity(state.assignments, ds.labels) >= 0.95
 
     def test_objective_non_increasing(self):
         ds = make_hv_blobs(3, 15, 1024, Rng(17))
-        state = cluster(ds.samples, ClusterSpec(3, 8, 20), Rng(2), IDEAL)
+        state = cluster(ds.samples, ClusterSpec(3, 8, 20), Rng(2))
         hist = state.objective_history
         assert all(b <= a for a, b in zip(hist, hist[1:]))
 
@@ -465,10 +472,10 @@ class TestCluster:
     ])
     def test_matches_per_centre_reference(self, K, blobs, kind, seed):
         ds = make_hv_blobs(blobs, 12, 256, Rng(40 + seed), 1 / 8)
-        backend = (lambda: _analog_backend(seed)) if kind == "analog_cam" else (lambda: IDEAL)
-        state = cluster(ds.samples, ClusterSpec(K, 0, 6), Rng(seed), backend())
+        make = (lambda: _analog_backend(seed)) if kind == "analog_cam" else (lambda: None)
+        state = cluster(ds.samples, ClusterSpec(K, 0, 6), Rng(seed), make())
         centers, assignments, epoch, history = _cluster_reference(
-            ds.samples, K, 0, 6, Rng(seed), backend()
+            ds.samples, K, 0, 6, Rng(seed), make()
         )
         assert np.array_equal(state.centers, centers)
         assert np.array_equal(state.assignments, assignments)
@@ -479,8 +486,8 @@ class TestCluster:
            threshold=st.integers(0, 40))
     def test_random_points_match_reference(self, seed, K, n, threshold):
         points = pack_rows(np.random.default_rng(seed).integers(0, 2, size=(n, 128), dtype=np.uint8))
-        state = cluster(points, ClusterSpec(K, threshold, 5), Rng(seed), IDEAL)
-        centers, assignments, epoch, history = _cluster_reference(points, K, threshold, 5, Rng(seed), IDEAL)
+        state = cluster(points, ClusterSpec(K, threshold, 5), Rng(seed))
+        centers, assignments, epoch, history = _cluster_reference(points, K, threshold, 5, Rng(seed))
         assert np.array_equal(state.centers, centers)
         assert np.array_equal(state.assignments, assignments)
         assert (state.epoch, state.objective_history) == (epoch, history)
@@ -500,27 +507,22 @@ class TestCluster:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_multibit_backend_rejected(self, rng):
-        points = pack_rows(np.stack([_rand(128, rng) for _ in range(4)]))
-        with pytest.raises(ConfigError):
-            cluster(points, ClusterSpec(2), rng, SimilarityBackend(kind="ideal_dot"))
-
     def test_k_too_small(self, rng):
         points = pack_rows(np.stack([_rand(128, rng) for _ in range(4)]))
         with pytest.raises(ValueError):
-            cluster(points, ClusterSpec(1, 8, 20), rng, IDEAL)
+            cluster(points, ClusterSpec(1, 8, 20), rng)
 
     def test_k_exceeds_capacity(self, rng):
         points = pack_rows(np.stack([_rand(128, rng) for _ in range(130)]))
         with pytest.raises(CapacityError):
-            cluster(points, ClusterSpec(129, 8, 20), rng, IDEAL)
+            cluster(points, ClusterSpec(129, 8, 20), rng)
 
     def test_centre_count_saturation(self, rng):
         points = np.repeat(pack_rows(_rand(128, rng)[None]), COUNT_MAX + 1, axis=0)
         with pytest.raises(SaturationError):
-            cluster(points, ClusterSpec(2, 8, 1), rng, IDEAL)
+            cluster(points, ClusterSpec(2, 8, 1), rng)
 
     def test_fewer_points_than_k(self, rng):
         points = pack_rows(np.stack([_rand(128, rng) for _ in range(2)]))
         with pytest.raises(ValueError):
-            cluster(points, ClusterSpec(3, 8, 20), rng, IDEAL)
+            cluster(points, ClusterSpec(3, 8, 20), rng)

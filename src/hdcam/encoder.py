@@ -8,7 +8,8 @@ rows across a sliding window, permuting older symbols more, and bundles all
 windows, for a whole (B, T) block of equal-length sequences at once.
 
 The run path's encoders, encode_record and encode_ngram_packed, both bundle
-with _count_grams into count planes (see hvcore). encode_ngram is the
+with _count_grams into count planes (see hvcore), from a packed table that
+record_table or ngram_table builds once per run. encode_ngram is the
 per-window n-gram definition, kept as the reference for tests and bench.
 """
 
@@ -29,6 +30,7 @@ from .hvcore import (
     check_alignment,
     hamming_matrix,
     pack_rows,
+    packed_random_bits,
     permute_drop,
     permute_shift,
     plane_sum,
@@ -112,32 +114,40 @@ def quantize(x, L):
     return np.clip(np.floor(np.asarray(x, dtype=np.float64) * L), 0, L - 1).astype(np.intp)
 
 
-def encode_record(features, im, lm, ledger=None):
-    """Spatial encoding of an (n, F) batch: row r bundles, over positions f,
-    bind(item row f, level row of features[r, f]).
+def record_table(im, lm):
+    """(F, L, dim/8) packed bound rows of a record encoding: row [f, l] is
+    bind(item row f, level row l), bound packed, since XOR commutes with packing.
+    Built once per run; encode_record counts from it."""
+    return bind(np.packbits(im, axis=-1)[:, None], np.packbits(lm, axis=-1))
 
-    Returns the (levels, n, dim/64) count planes and the bundle size F: each
-    row counts row f*L + level of a table of every position's packed (L, dim)
-    bound rows. Charges n * F multiplications, then n * F additions.
+
+def encode_record(features, table, ledger=None):
+    """Spatial encoding of an (n, F) batch: row r bundles, over positions f,
+    bind(item row f, level row of features[r, f]), row [f, level] of a
+    record_table.
+
+    Returns the (levels, n, dim/64) count planes and the bundle size F.
+    Charges n * F multiplications, then n * F additions.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != len(im):
-        raise DimensionError(f"expected an (n, {len(im)}) feature batch, got shape {features.shape}")
+    n_features, n_levels, width = table.shape
+    if features.ndim != 2 or features.shape[1] != n_features:
+        raise DimensionError(f"expected an (n, {n_features}) feature batch, got shape {features.shape}")
     if np.isnan(features).any():
         raise ValueError("a NaN feature has no quantization level")
-    n, n_features = features.shape
-    table = np.concatenate([np.packbits(bind(row, lm), axis=-1) for row in im])
-    index = np.add(quantize(features, len(lm)).T, np.arange(n_features)[:, None] * len(lm), dtype=np.int32)
-    planes = _count_grams(table, index[None])
+    n = len(features)
+    index = np.add(quantize(features, n_levels).T, np.arange(n_features)[:, None] * n_levels, dtype=np.int32)
+    planes = _count_grams(table.reshape(-1, width), index[None])
     charge_to(ledger, "multiplication", n * n_features)
     charge_to(ledger, "addition", n * n_features)
     return planes, n_features
 
 
-def _ngram_block(symbols, n, im, cfg, rng):
+def _ngram_block(symbols, n, vocabulary, cfg, rng):
     """Check an n-gram block before any tail is drawn: IndexError for a symbol
-    outside the item memory's rows. Returns the symbols as an array, the block
-    shape, the window count, whether drop mode is on and the passes per window."""
+    outside the vocabulary's item memory rows. Returns the symbols as an array,
+    the block shape, the window count, whether drop mode is on and the passes
+    per window."""
     if n < 1:
         raise ValueError("n-gram width must be at least 1")
     symbols = np.asarray(symbols)
@@ -146,8 +156,8 @@ def _ngram_block(symbols, n, im, cfg, rng):
     drop = cfg.permute_mode == "drop"
     if drop and rng is None:
         raise ConfigError("drop-mode permutation needs an rng for the random tail")
-    if symbols.size and not 0 <= symbols.min() <= symbols.max() < len(im):
-        raise IndexError(f"symbols must index the {len(im)} item memory rows")
+    if symbols.size and not 0 <= symbols.min() <= symbols.max() < vocabulary:
+        raise IndexError(f"symbols must index the {vocabulary} item memory rows")
     passes = n * (n - 1) // 2 if drop else n - 1
     return symbols, symbols.shape[:-1], symbols.shape[-1] - n + 1, drop, passes
 
@@ -167,7 +177,7 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     This is the per-window definition, kept for the tests and bench/tracer.py;
     runs encode with encode_ngram_packed, which gives the same results.
     """
-    symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
+    symbols, block, windows, drop, passes = _ngram_block(symbols, n, len(im), cfg, rng)
     if drop:
         shape = (*block, windows, passes, cfg.drop_width)
         tails = rng.integers(0, 2, size=shape, dtype=np.uint8)
@@ -190,43 +200,53 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     return counts, windows
 
 
-def encode_ngram_packed(symbols, n, im, cfg, rng=None, ledger=None):
-    """encode_ngram from packed grams, all windows of the block at once: the
+def ngram_table(im, n, cfg):
+    """(n, V, dim/8) packed permuted item memories of n-gram encoding: layer j
+    is the table of a window's symbol j, the item memory after step n-1-j's
+    permutation. Built once per run; encode_ngram_packed counts from it.
+
+    Shift mode rotates by k; drop mode shifts left by k*w/8 bytes with zeros
+    behind, because k drop passes leave the row from bit k*w on, followed by
+    the k tails, and w is whole bytes.
+    """
+    if cfg.permute_mode == "drop":
+        packed = np.packbits(im, axis=-1)
+        width, step = packed.shape[1], cfg.drop_width // 8
+        tables = [np.pad(packed[:, min(k * step, width) :], ((0, 0), (0, min(k * step, width))))
+                  for k in range(n)]
+    else:
+        tables = [np.packbits(permute_shift(im, k), axis=-1) for k in range(n)]
+    return np.stack(tables[::-1])
+
+
+def encode_ngram_packed(symbols, table, cfg, rng=None, ledger=None):
+    """encode_ngram from packed grams, all windows of the block at once, its
+    n, item memory and permutation those of an ngram_table: the
     (levels, *block, dim/64) count planes of its counts and the window count.
     Charges, errors and the single tail draw are encode_ngram's.
 
-    Table k is the item memory after step k's permutation, packed to dim/8
-    bytes per symbol once per call: rotated by k in shift mode; in drop mode
-    shifted left by k*w/8 bytes with zeros behind, because k drop passes leave
-    the row from bit k*w on, followed by the k tails, and w is whole bytes.
     A window's gram is the XOR of its n table rows; drop mode XORs its tails,
     folded into one right-aligned (n-1)*w/8-byte block, into its last bytes.
     """
-    symbols, block, windows, drop, passes = _ngram_block(symbols, n, im, cfg, rng)
-    rows, width = math.prod(block), im.shape[1] // 8
+    n, vocabulary, width = table.shape
+    symbols, block, windows, drop, passes = _ngram_block(symbols, n, vocabulary, cfg, rng)
+    rows = math.prod(block)
     fold = None
     if drop:
         step = cfg.drop_width // 8
-        tails = rng.integers(0, 2, size=(*block, windows, passes, cfg.drop_width), dtype=np.uint8)
-        # Every tail is whole bytes, so packing the flat draw packs each tail on its own.
-        tails = np.packbits(tails.reshape(-1)).reshape(rows, windows, passes * step).swapaxes(0, 1)
+        tails = packed_random_bits(rows * windows * passes * cfg.drop_width, rng)
+        tails = tails.reshape(rows, windows, passes * step).swapaxes(0, 1)
         fold = np.zeros((windows, rows, (n - 1) * step), dtype=np.uint8)
         for k in range(1, n):  # step k's tails are passes k(k-1)/2 on, and end its row
             first = k * (k - 1) // 2 * step
             fold[..., fold.shape[-1] - k * step :] ^= tails[..., first : first + k * step]
         fold = fold[..., max(fold.shape[-1] - width, 0) :]
-        packed = np.packbits(im, axis=-1)
-        tables = [np.pad(packed[:, min(k * step, width) :], ((0, 0), (0, min(k * step, width))))
-                  for k in range(n)]
-    else:
-        tables = [np.packbits(permute_shift(im, k), axis=-1) for k in range(n)]
-    # Window t's symbol j takes table n-1-j: one stacked table, one index per
-    # gathered row. Its n * V rows hold 16 bytes or more each, so int32 indexes
-    # any table that fits in memory, in half the memory of intp.
-    table = np.concatenate(tables[::-1])
+    # Window t's symbol j takes layer j: one index per gathered row of the
+    # stacked table. Its n * V rows hold 16 bytes or more each, so int32
+    # indexes any table that fits in memory, in half the memory of intp.
     windowed = sliding_window_view(symbols.reshape(rows, windows + n - 1), n, axis=1)
-    index = np.add(windowed.T, (np.arange(n) * len(im))[:, None, None], dtype=np.int32)
-    planes = _count_grams(table, index, fold)
+    index = np.add(windowed.T, (np.arange(n) * vocabulary)[:, None, None], dtype=np.int32)
+    planes = _count_grams(table.reshape(n * vocabulary, width), index, fold)
     grams = rows * windows
     charge_to(ledger, "permutation", grams * passes)
     charge_to(ledger, "multiplication", grams * (n - 1))

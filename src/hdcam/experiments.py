@@ -17,7 +17,8 @@ import numpy as np
 from . import cam
 from .cost import CostLedger, OpCost, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
-from .encoder import build_item_memory, build_level_memory, encode_ngram_packed, encode_record
+from .encoder import (build_item_memory, build_level_memory, encode_ngram_packed, encode_record, ngram_table,
+                      record_table)
 from .errors import ConfigError
 from .hvcore import Rng, derive_seed, plane_counts, plane_majority
 from .learner import AnalogCam, Encoded, cluster, predict, retrain, train
@@ -56,13 +57,13 @@ def synthesize_dataset(cfg):
 
 @dataclass
 class EncodingContext:
-    """Item (and level) memory rows plus whatever the dataset kind needs at
-    encode time: the code_point_table of a corpus's characters (item row i is
-    the i-th character in code point order), or a feature matrix normalised
-    per feature to [0, 1] over its range."""
+    """What encoding reads: the scheme's packed table (ngram_table or
+    record_table of the item and level memories, which are not kept), and
+    the code_point_table of a corpus's characters (item row i is the i-th
+    character in code point order) or a feature matrix normalised per
+    feature to [0, 1] over its range."""
 
-    item_memory: np.ndarray
-    level_memory: np.ndarray = None
+    table: np.ndarray
     symbol_table: np.ndarray = None
     features: np.ndarray = None
 
@@ -80,16 +81,17 @@ def build_encoding_context(dataset, cfg, seed):
         raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
     rng = Rng(seed)
     if enc.scheme == "ngram":
-        chars = "".join(sorted(set("".join(dataset.samples))))
-        points = np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
+        # The sorted code points of the corpus, from one count of all of them.
+        codes = np.frombuffer("".join(dataset.samples).encode("utf-32-le"), dtype=np.uint32)
+        points = np.flatnonzero(np.bincount(codes))
         im = build_item_memory(len(points), cfg.dim, rng)
-        return EncodingContext(item_memory=im, symbol_table=code_point_table(points))
+        return EncodingContext(ngram_table(im, enc.n, enc), symbol_table=code_point_table(points))
     samples = dataset.samples
     im = build_item_memory(samples.shape[1], cfg.dim, rng)
     lm = build_level_memory(enc.levels, cfg.dim, rng)
     fmin, fmax = samples.min(axis=0), samples.max(axis=0)
     features = (samples - fmin) / np.where(fmax > fmin, fmax - fmin, 1.0)
-    return EncodingContext(item_memory=im, level_memory=lm, features=features)
+    return EncodingContext(record_table(im, lm), features=features)
 
 
 def _runs(texts, size):
@@ -143,9 +145,9 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     for block in blocks:
         if enc.scheme == "ngram":
             symbols = symbol_indices(rows[block], ctx.symbol_table)
-            planes, size = encode_ngram_packed(symbols, enc.n, ctx.item_memory, enc, rng_encode, ledger)
+            planes, size = encode_ngram_packed(symbols, ctx.table, enc, rng_encode, ledger)
         else:
-            planes, size = encode_record(rows[block], ctx.item_memory, ctx.level_memory, ledger)
+            planes, size = encode_record(rows[block], ctx.table, ledger)
         sizes[block] = size
         bits[block] = plane_majority(planes, size)
         if counts is not None:
@@ -225,6 +227,7 @@ def run_classify(cfg, dataset):
     # drop-mode tails do not depend on this order.
     del train_batch
     test_batch = encode_subset(dataset, test_idx, ctx, cfg, rng_encode, ledgers["infer_encode"])
+    del ctx  # its encoder table is not held while the queries are scored
 
     labels, flags = predict(test_batch, cm, backend, ledger=ledgers["infer_search"])
     rows = [
@@ -257,6 +260,7 @@ def run_cluster(cfg, dataset):
         points = encode_subset(
             dataset, range(dataset.n), ctx, cfg, Rng(seeds["encode"]), ledgers["encode"]
         ).bits
+        del ctx  # its encoder table is not held while the points are clustered
     state = cluster(points, cfg.cluster, Rng(seeds["cluster"]), backend, ledger=ledgers["cluster"])
     results = {
         "epochs": state.epoch,

@@ -14,8 +14,8 @@ Once encoded, a row is packed, (dim/64,) uint64 words in np.packbits order:
 majority returns packed rows, hamming_matrix counts them, pack_rows and
 unpack_rows convert. Vectors are sized in whole 128-column bank rows, at
 most 16 banks (2048 bits). All functions are pure: they return new arrays,
-never mutate their inputs, and only random_bits draws random numbers
-(majority's tie bits are one such draw, from a fixed seed).
+never mutate their inputs, and only random_bits and packed_random_bits draw
+random numbers (majority's tie bits are one such draw, from a fixed seed).
 
 Counts can also be bit-sliced, as both run-path encoders return them: count
 planes are a (levels, ..., dim/64) uint64 array whose plane k packs bit k of
@@ -84,6 +84,24 @@ def random_bits(n, dim, rng):
     """(n, dim) i.i.d. uniform bits; row by row, the same stream as n draws of one row."""
     check_alignment(dim)
     return rng.integers(0, 2, size=(n, dim), dtype=np.uint8)
+
+
+def packed_random_bits(count, rng):
+    """(count/8,) uint8: np.packbits(rng.integers(0, 2, count, dtype=np.uint8))
+    for a count that is a multiple of 8, drawn from the same stream into a
+    buffer of the same size, without a byte per bit. numpy's bounded uint8
+    draw (Lemire) takes for bit i the top bit of byte i % 4, low byte first,
+    of the (i // 4)-th 32-bit output; viewed as little-endian uint64 words,
+    8 bits each sit at the top of a byte, and one multiply gathers them into
+    the top byte, first bit highest."""
+    if count % 8:
+        raise ValueError(f"bit count must be a multiple of 8, got {count}")
+    words = rng.integers(0, 2**32, size=count // 4, dtype=np.uint32).view(np.uint64)
+    words >>= 7
+    words &= 0x0101010101010101
+    words *= 0x8040201008040201
+    words >>= 56
+    return words.astype(np.uint8)
 
 
 def bind(a, b):
@@ -186,14 +204,19 @@ def plane_majority(planes, size):
 
 def plane_counts(planes, out=None):
     """The int16 counts that count planes hold, rebuilt top plane first:
-    counts = 2 * counts + plane, one unpacked plane at a time. Writes into
-    out when given. The counts must fit in int16."""
+    counts = 2 * counts + plane, one unpacked plane at a time, in uint8 while
+    they fit (8 planes or fewer), else in int16. Writes into out when given.
+    The counts must fit in int16."""
     if out is None:
         out = np.empty((*planes.shape[1:-1], 64 * planes.shape[-1]), dtype=np.int16)
-    out[...] = unpack_rows(planes[-1]) if len(planes) else 0
+    if not len(planes):
+        out[...] = 0
+        return out
+    counts = unpack_rows(planes[-1]).astype(np.uint8 if len(planes) <= 8 else np.int16, copy=False)
     for plane in planes[-2::-1]:
-        out += out  # doubles the counts: faster than an int16 shift here
-        out += unpack_rows(plane)
+        counts += counts  # doubles the counts: faster than a shift here
+        counts += unpack_rows(plane)
+    out[...] = counts
     return out
 
 

@@ -122,9 +122,10 @@ def _centred(counts, sizes):
 
 
 def _score_blocks(queries, score):
-    """score(block) of every block of QUERY_BLOCK queries, concatenated."""
-    blocks = (queries[start : start + QUERY_BLOCK] for start in range(0, len(queries), QUERY_BLOCK))
-    return np.concatenate([score(part) for part in blocks])
+    """score(block) of every block of QUERY_BLOCK queries, concatenated. No
+    queries are one empty block, so they get an empty (0, k) score matrix."""
+    starts = range(0, max(len(queries), 1), QUERY_BLOCK)
+    return np.concatenate([score(queries[start : start + QUERY_BLOCK]) for start in starts])
 
 
 def _search(queries, rows, analog):
@@ -232,7 +233,7 @@ def retrain(cm, batch, epochs, analog=None, ledger=None):
         if batch.counts is not None:
             updates = _dot_epoch(batch, row, counts, sizes, ledger)
         else:
-            predicted = predict(batch, out, analog, ledger)[0] if len(batch) else []
+            predicted = predict(batch, out, analog, ledger)[0]
             updates = 0
             for i, (guess, label) in enumerate(zip(predicted, batch.labels)):
                 if guess != label:

@@ -16,12 +16,15 @@ from hdcam.encoder import (
     encode_ngram,
     encode_ngram_packed,
     encode_record,
+    ngram_table,
     quantize,
+    record_table,
 )
 from hdcam.config import ExperimentConfig
 from hdcam.datasets import Dataset, SyntheticSpec, make_language_corpus, make_record_blobs
 from hdcam.errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
-from hdcam.experiments import build_encoding_context, encode_subset
+from hdcam.experiments import build_encoding_context, encode_subset, run_classify, run_cluster
+from hdcam.learner import ClusterSpec
 from hdcam.hvcore import (
     COUNT_MAX,
     Rng,
@@ -149,7 +152,7 @@ def _record_row(x, im, lm):
 
 def _record_counts(features, im, lm):
     """encode_record's counts, rebuilt from its count planes."""
-    planes, size = encode_record(features, im, lm)
+    planes, size = encode_record(features, record_table(im, lm))
     assert planes.dtype == np.uint64
     assert planes.shape == (size.bit_length(), len(features), im.shape[1] // 64)
     return plane_counts(planes), size
@@ -227,19 +230,19 @@ class TestEncodeRecord:
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)
         with pytest.raises(DimensionError):
-            encode_record([[0.1, 0.2]], im, lm)
+            encode_record([[0.1, 0.2]], record_table(im, lm))
         with pytest.raises(DimensionError):
-            encode_record([0.1, 0.2, 0.3], im, lm)
+            encode_record([0.1, 0.2, 0.3], record_table(im, lm))
 
     def test_nan_feature_rejected(self, rng):
         im, lm = _toy_memories(2, 128, rng)
         with pytest.raises(ValueError):
-            encode_record([[0.1, 0.2], [0.3, float("nan")]], im, lm)
+            encode_record([[0.1, 0.2], [0.3, float("nan")]], record_table(im, lm))
 
     def test_cost_charges(self, rng):
         im, lm = _toy_memories(4, 128, rng)
         ledger = CostLedger(128)
-        encode_record(np.full((3, 4), 0.2), im, lm, ledger=ledger)
+        encode_record(np.full((3, 4), 0.2), record_table(im, lm), ledger=ledger)
         assert list(ledger.counts.items()) == [("multiplication", 12), ("addition", 12)]
 
 
@@ -350,7 +353,7 @@ def _ngram_reference(seq, n, im, cfg, gen):
 
 def _packed_counts(symbols, n, im, cfg, rng=None, ledger=None):
     """encode_ngram_packed's counts, rebuilt from its count planes."""
-    planes, windows = encode_ngram_packed(symbols, n, im, cfg, rng, ledger)
+    planes, windows = encode_ngram_packed(symbols, ngram_table(im, n, cfg), cfg, rng, ledger)
     block = np.shape(symbols)[:-1]
     assert planes.dtype == np.uint64 and planes.shape == (windows.bit_length(), *block, im.shape[1] // 64)
     return plane_counts(planes), windows
@@ -449,6 +452,17 @@ class TestEncodeNgramBlock:
         assert ledger.counts == {"permutation": 48, "multiplication": 32, "addition": 16}
 
 
+def _memories(ds, cfg, seed):
+    """The item memory and, for records, the level memory that
+    build_encoding_context draws from seed: V rows for a corpus of V distinct
+    characters, or F item rows and then the levels for an (n, F) matrix."""
+    rng = Rng(seed)
+    if cfg.encoding.scheme == "ngram":
+        return build_item_memory(len(set("".join(ds.samples))), cfg.dim, rng), None
+    im = build_item_memory(ds.samples.shape[1], cfg.dim, rng)
+    return im, build_level_memory(cfg.encoding.levels, cfg.dim, rng)
+
+
 def _check_batch_mode(batch, mode, expected_counts):
     """A binary batch keeps no counts; a multibit one keeps the expected int16 counts."""
     if mode == "binary":
@@ -480,19 +494,20 @@ class TestEncodeSubset:
         encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=256)
         cfg = ExperimentConfig(dim=256, mode=mode, encoding=encoding)
         ctx = build_encoding_context(ds, cfg, 7)
+        im, lm = _memories(ds, cfg, 7)
         rng, expected_ledger = Rng(8), CostLedger(256)
         bundles = []
         if scheme == "record":
             lo, hi = ds.samples.min(axis=0), ds.samples.max(axis=0)
             for i in indices:
                 x = (ds.samples[i] - lo) / np.where(hi > lo, hi - lo, 1.0)
-                bundles.append((_record_row(x, ctx.item_memory, ctx.level_memory), len(x)))
+                bundles.append((_record_row(x, im, lm), len(x)))
             expected_ledger.charge("multiplication", 5 * len(indices))
             expected_ledger.charge("addition", 5 * len(indices))
         else:
             for i in indices:
                 seq = _ranks(ds, ds.samples[i])
-                bundles.append(encode_ngram(seq, 3, ctx.item_memory, encoding, rng, expected_ledger))
+                bundles.append(encode_ngram(seq, 3, im, encoding, rng, expected_ledger))
         # the default block (512 rows at dim 256) holds every index; blocks of
         # 1 and 16 rows cross sample and run boundaries
         for cells in (experiments.ENCODE_BLOCK_CELLS, 16 * 256, 256):
@@ -577,6 +592,60 @@ class TestEncodeSubset:
         assert batch.counts is None
 
 
+class TestEncoderTables:
+    """Each encoder's packed table is built once per run, in build_encoding_context."""
+
+    @pytest.mark.parametrize("verb, scheme, mode, permute_mode", [
+        ("classify", "ngram", "binary", "shift"),
+        ("classify", "ngram", "multibit", "drop"),
+        ("classify", "record", "binary", "shift"),
+        ("cluster", "ngram", "binary", "drop"),
+        ("cluster", "record", "binary", "shift"),
+    ])
+    def test_each_run_builds_its_table_once(self, verb, scheme, mode, permute_mode, monkeypatch):
+        builds = []
+
+        def spy(build):
+            def wrapped(*args):
+                builds.append(build.__name__)
+                return build(*args)
+            return wrapped
+
+        for name in ("ngram_table", "record_table"):
+            wrapped = spy(getattr(enc_mod, name))
+            monkeypatch.setattr(enc_mod, name, wrapped)
+            monkeypatch.setattr(experiments, name, wrapped)
+        if scheme == "record":
+            ds = make_record_blobs(SyntheticSpec(samples=300, classes=3, features=5), Rng(4))
+        else:
+            ds = make_language_corpus(SyntheticSpec(kind="languages", samples=300, text_length=15), Rng(4))
+        encoding = EncodingConfig(scheme=scheme, permute_mode=permute_mode, dim=128)
+        # Blocks of 64 rows: each run encodes several, so a table built per
+        # block would show as more than one build.
+        monkeypatch.setattr(experiments, "ENCODE_BLOCK_CELLS", 64 * 128)
+        cfg = ExperimentConfig(dim=128, mode=mode, retrain_epochs=1, encoding=encoding,
+                               cluster=ClusterSpec(k=3, max_epochs=2))
+        (run_classify if verb == "classify" else run_cluster)(cfg, ds)
+        assert builds == [f"{scheme}_table"]
+
+    def test_context_holds_the_schemes_table_of_the_drawn_memories(self):
+        texts = make_language_corpus(SyntheticSpec(kind="languages", samples=20, text_length=9), Rng(4))
+        records = make_record_blobs(SyntheticSpec(samples=20, classes=2, features=3), Rng(4))
+        for ds, encoding in ((texts, EncodingConfig(scheme="ngram", n=4, permute_mode="drop", drop_width=16,
+                                                    dim=256)),
+                             (records, EncodingConfig(scheme="record", levels=5, dim=256))):
+            cfg = ExperimentConfig(dim=256, encoding=encoding)
+            ctx = build_encoding_context(ds, cfg, 7)
+            im, lm = _memories(ds, cfg, 7)
+            if encoding.scheme == "ngram":
+                expected = ngram_table(im, 4, encoding)
+                assert ctx.table.shape == (4, len(im), 32)
+            else:
+                expected = record_table(im, lm)
+                assert ctx.table.shape == (3, 5, 32)
+            assert ctx.table.dtype == np.uint8 and np.array_equal(ctx.table, expected)
+
+
 class TestSymbolIndices:
     # two- and three-byte UTF-8 characters, non-BMP ones (four bytes) and a NUL among ASCII
     TEXTS = ["aé𝄞b", "𝄞𝄞z中", "中😀ab", "é\x00a😀"]
@@ -597,6 +666,18 @@ class TestSymbolIndices:
             table = experiments.code_point_table(points)
             assert table.dtype == dtype and table[points].tolist() == list(range(size))
 
+    def test_vocabulary_of_a_non_ascii_corpus(self):
+        """The code points counted in one bincount give the symbol table of the
+        sorted set of the corpus's characters: é, 日 and a non-BMP emoji among ASCII."""
+        texts = ["日é a😀", "zé日\x00", "😀😀ab", "a日 é"]
+        ds = Dataset("text_corpus", texts, ["x", "y"] * 2)
+        cfg = ExperimentConfig(dim=128, encoding=EncodingConfig(scheme="ngram", dim=128))
+        ctx = build_encoding_context(ds, cfg, 7)
+        chars = sorted(set("".join(texts)))
+        expected = experiments.code_point_table(np.array([ord(c) for c in chars], dtype=np.uint32))
+        assert ctx.symbol_table.dtype == expected.dtype and np.array_equal(ctx.symbol_table, expected)
+        assert ctx.table.shape == (3, len(chars), 16) and len(chars) == 8
+
     def test_encode_subset_of_a_non_ascii_corpus(self):
         ds = Dataset("text_corpus", self.TEXTS * 3, ["x", "y"] * 6)
         encoding = EncodingConfig(scheme="ngram", dim=256)
@@ -604,7 +685,8 @@ class TestSymbolIndices:
             cfg = ExperimentConfig(dim=256, mode=mode, encoding=encoding)
             ctx = build_encoding_context(ds, cfg, 7)
             batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
-            bundles = [encode_ngram(_ranks(ds, text), 3, ctx.item_memory, encoding) for text in ds.samples]
+            im, _ = _memories(ds, cfg, 7)
+            bundles = [encode_ngram(_ranks(ds, text), 3, im, encoding) for text in ds.samples]
             _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
             assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
 

@@ -22,7 +22,7 @@ from hdcam.cli import main
 LANGUAGES = """
 [encoding]
 scheme = ngram
-n = 3
+n = {n}
 {extra}
 [synthetic]
 kind = languages
@@ -45,13 +45,19 @@ RECORDS = "[experiment]\nretrain_epochs = {epochs}\n" + RECORD_DATA
 # name -> (verb, config text, extra flags, CSV name, sha256 of the CSV)
 CASES = {
     "ngram-shift-binary": (
-        "classify", LANGUAGES.format(extra=""), [], "classify.csv",
+        "classify", LANGUAGES.format(n=3, extra=""), [], "classify.csv",
         "50102db17107c4b94fc073dd77f8325cc7e8a59c227cde1f9af38f7c61b5daf6",
     ),
     "ngram-drop-multibit": (
-        "classify", LANGUAGES.format(extra="permute_mode = drop\n"), ["--mode", "multibit"],
+        "classify", LANGUAGES.format(n=3, extra="permute_mode = drop\n"), ["--mode", "multibit"],
         "classify.csv",
         "d136eebedf3809c2fd2b0e73f64cb47c9c28d39ade20f8e41c419fe3f9682e1b",
+    ),
+    # Drop width 16 at n = 4: six drop passes of two tail bytes per window.
+    "ngram-drop16-multibit": (
+        "classify", LANGUAGES.format(n=4, extra="permute_mode = drop\ndrop_width = 16\n"),
+        ["--mode", "multibit"], "classify.csv",
+        "0acf4c8ab55730aac12cd6427b73ec6001554b88ec58e4d424f97e7549548d2b",
     ),
     "record-analog-calibrated": (
         "classify", RECORDS.format(epochs=0), ["--backend", "analog", "--profile", "calibrated"],
@@ -218,6 +224,8 @@ STDOUT = {
                           "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "ngram-drop-multibit": "accuracy = 0.7895 over 19 held-out samples\n"
                            "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "ngram-drop16-multibit": "accuracy = 0.5789 over 19 held-out samples\n"
+                             "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "record-analog-calibrated": "accuracy = 0.8333 over 30 held-out samples\n"
                                 "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "record-retrain-2": "accuracy = 0.8000 over 30 held-out samples\n"

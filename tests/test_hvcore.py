@@ -23,6 +23,7 @@ from hdcam.hvcore import (
     hamming_matrix,
     majority,
     pack_rows,
+    packed_random_bits,
     permute_drop,
     permute_shift,
     PlaneCounter,
@@ -107,6 +108,27 @@ class TestRandomHV:
     def test_alignment_errors(self, dim, rng):
         with pytest.raises(AlignmentError):
             random_bits(1, dim, rng)
+
+    # 152 064 bits are the tails of one drop-mode block of the text workloads:
+    # 64 sequences of 99 windows, 3 passes of 8 bits each.
+    @pytest.mark.parametrize("count", [8, 16, 24, 32, 40, 64, 128, 1000, 8 * 1001, 152_064])
+    @pytest.mark.parametrize("drawn", [0, 1, 3])
+    def test_packed_draw_equals_packed_uint8_draw(self, count, drawn):
+        """The same bytes as packing a uint8 draw of 0s and 1s, from a fresh
+        generator or after an odd number of 32-bit draws, and the generator
+        is left where that draw leaves it."""
+        packed, reference = Rng(count), Rng(count)
+        for gen in (packed, reference):
+            gen.integers(0, 2**32, size=drawn, dtype=np.uint32)
+        got = packed_random_bits(count, packed)
+        assert got.dtype == np.uint8 and got.shape == (count // 8,)
+        assert np.array_equal(got, np.packbits(reference.integers(0, 2, count, dtype=np.uint8)))
+        assert packed.integers(0, 2**32, dtype=np.uint32) == reference.integers(0, 2**32, dtype=np.uint32)
+        assert packed.integers(2**63) == reference.integers(2**63)
+
+    def test_packed_draw_needs_whole_bytes(self, rng):
+        with pytest.raises(ValueError):
+            packed_random_bits(12, rng)
 
 
 class TestBind:
@@ -338,6 +360,24 @@ class TestCountPlanes:
         unpack = lambda words: np.unpackbits(words.view(np.uint8), axis=-1)
         assert np.array_equal(unpack(gt), counts > value)
         assert np.array_equal(unpack(eq), counts == value)
+
+    @pytest.mark.parametrize("levels", [0, 1, 8, 9, 15])
+    @pytest.mark.parametrize("fill", ["random", "ones"])
+    def test_counts_equal_an_int16_rebuild(self, levels, fill):
+        """Up to 8 planes the counts are rebuilt in uint8, past 8 in int16;
+        all-ones planes give the largest counts, 255 at 8 planes."""
+        shape = (levels, 3, 4)
+        if fill == "ones":
+            planes = np.full(shape, 2**64 - 1, dtype=np.uint64)
+        else:
+            planes = np.random.default_rng(levels).integers(0, 2**64, size=shape, dtype=np.uint64)
+        expected = np.zeros((3, 256), dtype=np.int16)
+        for k, plane in enumerate(planes):
+            expected += unpack_rows(plane).astype(np.int16) << k
+        got = plane_counts(planes)
+        assert got.dtype == np.int16 and np.array_equal(got, expected)
+        if fill == "ones":
+            assert (got == 2**levels - 1).all()
 
     def test_counts_into_out(self):
         counter = PlaneCounter(6, (2, 2))

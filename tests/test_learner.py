@@ -184,6 +184,27 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(_batch([_rand(128, rng)]), cm)
 
+    @pytest.mark.parametrize("kind", ["dot", "hamming", "analog"])
+    def test_empty_batch_predicts_nothing(self, kind, rng):
+        hvs = [_rand(256, rng) for _ in range(3)]
+        cm = train(_batch(hvs, "abc"))
+        empty = _batch(hvs, "abc", multibit=kind == "dot")[:0]
+        ledger = CostLedger(256)
+        labels, flags = predict(empty, cm, _analog_backend() if kind == "analog" else None, ledger)
+        assert labels == [] and flags.dtype == np.int64 and flags.shape == (0,)
+        assert ledger.counts.get("search", 0) == 0
+
+    @pytest.mark.parametrize("multibit", [False, True])
+    def test_empty_blocks_score_as_zero_queries(self, multibit, rng):
+        cm = train(_batch([_rand(128, rng) for _ in range(5)], range(5)))
+        rows = learner._centred(cm.counts, cm.sizes) if multibit else cm.deployed
+        empty = _batch([_rand(128, rng)], multibit=multibit)[:0]
+        if multibit:
+            scores = learner._score_blocks(empty, lambda part: part.counts @ rows.T)
+        else:
+            scores = learner._score_blocks(empty.bits, lambda part: hamming_matrix(part, rows))
+        assert scores.shape == (0, 5)
+
     def test_ideal_dot_requires_accumulator(self, rng):
         # A batch that keeps counts is dot-scored on them and its bits are
         # ignored; a bits-only batch is searched by Hamming distance.
@@ -387,6 +408,13 @@ class TestRetrain:
         assert out.counts[0].tolist() == (x - np.sum(flips, axis=0, dtype=np.int16)).tolist()
         assert _bundles(out) == _retrain_reference(cm, batch, 1, None, online=False)
         assert np.array_equal(out.deployed, majority(out.counts, out.sizes))
+
+    @pytest.mark.parametrize("multibit", [False, True])
+    def test_empty_batch_changes_nothing(self, multibit, rng):
+        batch = _batch([_rand(256, rng) for _ in range(4)], "abab", multibit)
+        cm = train(batch)
+        out = retrain(cm, batch[:0], 2)
+        assert _bundles(out) == _bundles(cm) and np.array_equal(out.deployed, cm.deployed)
 
     def test_negative_epochs(self, rng):
         batch = _batch([_rand(128, rng) for _ in range(4)], [i % 2 for i in range(4)])

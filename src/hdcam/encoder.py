@@ -220,8 +220,8 @@ def ngram_table(im, n, cfg):
 
 
 def encode_ngram_packed(symbols, table, cfg, rng=None, ledger=None):
-    """encode_ngram from packed grams, all windows of the block at once, its
-    n, item memory and permutation those of an ngram_table: the
+    """encode_ngram(symbols, n, im, cfg, rng, ledger) from packed grams, with
+    table = ngram_table(im, n, cfg), all windows of the block at once: the
     (levels, *block, dim/64) count planes of its counts and the window count.
     Charges, errors and the single tail draw are encode_ngram's.
 

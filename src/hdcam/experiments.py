@@ -81,9 +81,8 @@ def build_encoding_context(dataset, cfg, seed):
         raise ConfigError(f"encoding scheme {enc.scheme!r} cannot encode a {dataset.kind} dataset")
     rng = Rng(seed)
     if enc.scheme == "ngram":
-        # The sorted code points of the corpus, from one count of all of them.
-        codes = np.frombuffer("".join(dataset.samples).encode("utf-32-le"), dtype=np.uint32)
-        points = np.flatnonzero(np.bincount(codes))
+        chars = "".join(sorted(set("".join(dataset.samples))))
+        points = np.frombuffer(chars.encode("utf-32-le"), dtype=np.uint32)
         im = build_item_memory(len(points), cfg.dim, rng)
         return EncodingContext(ngram_table(im, enc.n, enc), symbol_table=code_point_table(points))
     samples = dataset.samples

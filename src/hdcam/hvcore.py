@@ -204,19 +204,14 @@ def plane_majority(planes, size):
 
 def plane_counts(planes, out=None):
     """The int16 counts that count planes hold, rebuilt top plane first:
-    counts = 2 * counts + plane, one unpacked plane at a time, in uint8 while
-    they fit (8 planes or fewer), else in int16. Writes into out when given.
-    The counts must fit in int16."""
+    counts = 2 * counts + plane, one unpacked plane at a time. Writes into
+    out when given. The counts must fit in int16."""
     if out is None:
         out = np.empty((*planes.shape[1:-1], 64 * planes.shape[-1]), dtype=np.int16)
-    if not len(planes):
-        out[...] = 0
-        return out
-    counts = unpack_rows(planes[-1]).astype(np.uint8 if len(planes) <= 8 else np.int16, copy=False)
+    out[...] = unpack_rows(planes[-1]) if len(planes) else 0
     for plane in planes[-2::-1]:
-        counts += counts  # doubles the counts: faster than a shift here
-        counts += unpack_rows(plane)
-    out[...] = counts
+        out += out  # doubles the counts: faster than an int16 shift here
+        out += unpack_rows(plane)
     return out
 
 

@@ -667,16 +667,16 @@ class TestSymbolIndices:
             assert table.dtype == dtype and table[points].tolist() == list(range(size))
 
     def test_vocabulary_of_a_non_ascii_corpus(self):
-        """The code points counted in one bincount give the symbol table of the
-        sorted set of the corpus's characters: é, 日 and a non-BMP emoji among ASCII."""
+        """The vocabulary is the corpus's code points in order: é, 日 and a
+        non-BMP emoji among ASCII and NUL."""
         texts = ["日é a😀", "zé日\x00", "😀😀ab", "a日 é"]
         ds = Dataset("text_corpus", texts, ["x", "y"] * 2)
         cfg = ExperimentConfig(dim=128, encoding=EncodingConfig(scheme="ngram", dim=128))
         ctx = build_encoding_context(ds, cfg, 7)
-        chars = sorted(set("".join(texts)))
-        expected = experiments.code_point_table(np.array([ord(c) for c in chars], dtype=np.uint32))
+        points = np.array([0, 32, 97, 98, 122, 0xE9, 0x65E5, 0x1F600], dtype=np.uint32)
+        expected = experiments.code_point_table(points)
         assert ctx.symbol_table.dtype == expected.dtype and np.array_equal(ctx.symbol_table, expected)
-        assert ctx.table.shape == (3, len(chars), 16) and len(chars) == 8
+        assert ctx.table.shape == (3, len(points), 16)
 
     def test_encode_subset_of_a_non_ascii_corpus(self):
         ds = Dataset("text_corpus", self.TEXTS * 3, ["x", "y"] * 6)

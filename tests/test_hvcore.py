@@ -364,8 +364,7 @@ class TestCountPlanes:
     @pytest.mark.parametrize("levels", [0, 1, 8, 9, 15])
     @pytest.mark.parametrize("fill", ["random", "ones"])
     def test_counts_equal_an_int16_rebuild(self, levels, fill):
-        """Up to 8 planes the counts are rebuilt in uint8, past 8 in int16;
-        all-ones planes give the largest counts, 255 at 8 planes."""
+        """All-ones planes give the largest counts: 255 at 8 planes, 2**15 - 1 at 15."""
         shape = (levels, 3, 4)
         if fill == "ones":
             planes = np.full(shape, 2**64 - 1, dtype=np.uint64)

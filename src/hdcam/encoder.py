@@ -164,7 +164,7 @@ def _ngram_block(symbols, n, vocabulary, cfg, rng):
 
 def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     """Temporal encoding of a (B, T) block of equal-length symbol sequences
-    (a (T,) row is one): the (B, dim) int16 counts and the window count.
+    (a (T,) row is one): the (B, dim) int16 bipolar sums and the window count.
 
     Window (s_t, ..., s_{t+n-1}) contributes bind over k of the k-step
     permutation of the item row of s_{t+n-1-k}, so older symbols are permuted
@@ -181,7 +181,7 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
     if drop:
         shape = (*block, windows, passes, cfg.drop_width)
         tails = rng.integers(0, 2, size=shape, dtype=np.uint8)
-    counts = np.zeros((*block, im.shape[1]), dtype=np.int16)
+    sums = np.zeros((*block, im.shape[1]), dtype=np.int16)
     for t in range(windows):
         gram = im[symbols[..., t + n - 1]]
         for k in range(1, n):
@@ -192,12 +192,12 @@ def encode_ngram(symbols, n, im, cfg, rng=None, ledger=None):
             else:
                 row = permute_shift(row, k)
             gram = bind(gram, row)
-        counts = bundle_add(counts, gram)
+        sums = bundle_add(sums, gram)
     grams = math.prod(block) * windows
     charge_to(ledger, "permutation", grams * passes)
     charge_to(ledger, "multiplication", grams * (n - 1))
     charge_to(ledger, "addition", grams)
-    return counts, windows
+    return sums, windows
 
 
 def ngram_table(im, n, cfg):
@@ -222,7 +222,7 @@ def ngram_table(im, n, cfg):
 def encode_ngram_packed(symbols, table, cfg, rng=None, ledger=None):
     """encode_ngram(symbols, n, im, cfg, rng, ledger) from packed grams, with
     table = ngram_table(im, n, cfg), all windows of the block at once: the
-    (levels, *block, dim/64) count planes of its counts and the window count.
+    (levels, *block, dim/64) count planes of its 1 bits and the window count.
     Charges, errors and the single tail draw are encode_ngram's.
 
     A window's gram is the XOR of its n table rows; drop mode XORs its tails,
@@ -260,7 +260,7 @@ def _count_grams(table, index, fold=None):
     is the XOR of rows index[:, t, r], its last bytes XORed with fold[t, r]
     when fold is given. An hvcore.PlaneCounter counts the grams, gathered
     GRAM_CHUNK_CELLS bits at a time and never unpacked. SaturationError is
-    raised when a count exceeds COUNT_MAX, as bundle_add does."""
+    raised when a count exceeds COUNT_MAX."""
     (terms, windows, rows), width = index.shape, table.shape[1]
     # A chunk's windows are counted as pairs in lanes: lane j counts windows
     # start + j and start + lanes + j, all lanes in one ufunc call.
@@ -284,5 +284,5 @@ def _count_grams(table, index, fold=None):
     planes = plane_sum(counter.finish())[: windows.bit_length()]
     # COUNT_MAX is 2**15 - 1, so exactly the counts above it have a bit at level 15 or higher.
     if planes[COUNT_MAX.bit_length() :].any():
-        raise SaturationError("bundle_add would overflow a 16-bit counter")
+        raise SaturationError("a bundle count would overflow a 16-bit counter")
     return planes

@@ -19,8 +19,8 @@ from .cost import CostLedger, OpCost, ratios_vs_cmos
 from .datasets import make_hv_blobs, make_language_corpus, make_record_blobs, purity, train_test_indices
 from .encoder import (build_item_memory, build_level_memory, encode_ngram_packed, encode_record, ngram_table,
                       record_table)
-from .errors import ConfigError
-from .hvcore import Rng, derive_seed, plane_counts, plane_majority
+from .errors import ConfigError, SaturationError
+from .hvcore import COUNT_MAX, Rng, derive_seed, plane_counts, plane_majority
 from .learner import AnalogCam, Encoded, cluster, predict, retrain, train
 
 SEED_STREAMS = ("split", "memories", "encode", "lta", "cluster", "dataset")
@@ -127,14 +127,15 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
     max(1, ENCODE_BLOCK_CELLS // dim) rows; an n-gram block is a run of
     equal-length sequences, because an ingested corpus may be ragged. Both
     encoders return a block's count planes, which give its packed majority
-    rows as soon as it is encoded. They are turned into int16 counts only in
-    multibit mode, where keeping them makes the batch dot-scored; a binary
-    batch's counts are None, so its packed rows are searched."""
+    rows as soon as it is encoded. They are turned into int16 bipolar sums
+    only in multibit mode, where keeping them makes the batch dot-scored, and
+    a block of more than COUNT_MAX rows there raises SaturationError, since
+    its sums could leave int16; a binary batch's sums are None, so its packed
+    rows are searched."""
     enc = cfg.encoding
     block_rows = max(1, ENCODE_BLOCK_CELLS // cfg.dim)
     bits = np.empty((len(indices), cfg.dim // 64), dtype=np.uint64)
-    counts = np.empty((len(indices), cfg.dim), dtype=np.int16) if cfg.mode == "multibit" else None
-    sizes = np.empty(len(indices), dtype=np.int64)
+    sums = np.empty((len(indices), cfg.dim), dtype=np.int16) if cfg.mode == "multibit" else None
     if enc.scheme == "ngram":
         rows = [dataset.samples[i] for i in indices]
         blocks = _runs(rows, block_rows)
@@ -147,13 +148,18 @@ def encode_subset(dataset, indices, ctx, cfg, rng_encode, ledger=None):
             planes, size = encode_ngram_packed(symbols, ctx.table, enc, rng_encode, ledger)
         else:
             planes, size = encode_record(rows[block], ctx.table, ledger)
-        sizes[block] = size
         bits[block] = plane_majority(planes, size)
-        if counts is not None:
-            plane_counts(planes, out=counts[block])
+        if sums is not None:
+            if size > COUNT_MAX:
+                raise SaturationError(f"bundles of {size} rows could hold sums past the 16-bit +-{COUNT_MAX}")
+            # sums = size - 2 * counts, in place: int16 wraps mod 2**16, so
+            # the result is exact wherever the true sum fits.
+            block_sums = plane_counts(planes, out=sums[block])
+            block_sums *= -2
+            block_sums += size
         del planes  # not held while the next block encodes
     labels = [None] * len(indices) if dataset.labels is None else [dataset.labels[i] for i in indices]
-    return Encoded(bits, counts, sizes, labels)
+    return Encoded(bits, sums, labels)
 
 
 def inference_backend(cfg):

@@ -2,26 +2,26 @@
 
 Bit convention used everywhere in this package: stored bit 0 encodes bipolar
 +1 and bit 1 encodes -1, so binding is a plain XOR and Hamming distance is
-the similarity metric. Bundling accumulates into signed 16-bit counters (the
-accelerator's cache word width); counter i tallies how many bundled vectors
-carried bit 1 at position i, and majority binarization thresholds those
-counts at half the bundle size.
+the similarity metric. Bundling accumulates the bipolar values into signed
+16-bit counters (the accelerator's cache word width): counter i holds the sum
+of the bundled vectors' +1 and -1 at position i, and majority binarization
+takes its sign, a negative sum giving bit 1.
 
 A hypervector is a (dim,) uint8 row of bits, a bundle is a (dim,) int16 row
-of counts plus its integer size, and sets of either are (n, dim) matrices;
-bind, bundling and permutation act on the last axis, so they take either.
-Once encoded, a row is packed, (dim/64,) uint64 words in np.packbits order:
-majority returns packed rows, hamming_matrix counts them, pack_rows and
-unpack_rows convert. Vectors are sized in whole 128-column bank rows, at
-most 16 banks (2048 bits). All functions are pure: they return new arrays,
-never mutate their inputs, and only random_bits and packed_random_bits draw
-random numbers (majority's tie bits are one such draw, from a fixed seed).
+of bipolar sums, and sets of either are (n, dim) matrices; bind, bundling
+and permutation act on the last axis, so they take either. Once encoded, a
+row is packed, (dim/64,) uint64 words in np.packbits order: majority returns
+packed rows, hamming_matrix counts them, pack_rows and unpack_rows convert.
+Vectors are sized in whole 128-column bank rows, at most 16 banks (2048
+bits). All functions are pure: they return new arrays, never mutate their
+inputs, and only random_bits and packed_random_bits draw random numbers
+(majority's tie bits are one such draw, from a fixed seed).
 
-Counts can also be bit-sliced, as both run-path encoders return them: count
-planes are a (levels, ..., dim/64) uint64 array whose plane k packs bit k of
-every count. A PlaneCounter counts packed rows into them, plane_sum adds
-lanes of them, plane_majority binarizes them and plane_counts rebuilds the
-int16 counts.
+The run-path encoders count instead, bit-sliced: count planes are a
+(levels, ..., dim/64) uint64 array whose plane k packs bit k of every
+bundle's count of 1 bits. A PlaneCounter counts packed rows into them,
+plane_sum adds lanes of them, plane_majority binarizes them and plane_counts
+rebuilds the int16 counts; a bundle of size rows has sums size - 2 * counts.
 """
 
 import functools
@@ -40,8 +40,7 @@ BANK_COLS = 128
 MAX_BANKS = 16
 MAX_DIM = BANK_COLS * MAX_BANKS
 
-COUNT_MAX = 32767
-COUNT_MIN = -32768
+COUNT_MAX = 32767  # largest |bipolar sum| (and plane count) a 16-bit counter holds
 
 DROP_WIDTHS = (8, 16)
 
@@ -110,21 +109,23 @@ def bind(a, b):
     return a ^ b
 
 
-def bundle_add(counts, bits):
-    """A bundle's int16 count row with one bit row added (+1 where the bit is 1)."""
-    _check_width(counts, bits)
-    if counts.max(initial=0) == COUNT_MAX and np.any(counts[bits != 0] == COUNT_MAX):
-        raise SaturationError("bundle_add would overflow a 16-bit counter")
-    return counts + bits
+def bundle_add(sums, bits):
+    """A bundle's int16 sum row with one bit row's bipolar row, 1 - 2 * bits, added."""
+    _check_width(sums, bits)
+    step = 1 - 2 * np.asarray(bits, dtype=np.int16)
+    if np.any(sums == COUNT_MAX * step):
+        raise SaturationError("bundle_add would take a 16-bit sum past +-32767")
+    return sums + step
 
 
-def bundle_sub(counts, bits):
-    """A bundle's int16 count row with one bit row removed (-1 where the bit is 1).
-    Any bundle admits it, an empty one too: its size then drops below zero."""
-    _check_width(counts, bits)
-    if counts.min(initial=0) == COUNT_MIN and np.any(counts[bits != 0] == COUNT_MIN):
-        raise SaturationError("bundle_sub would underflow a 16-bit counter")
-    return counts - bits
+def bundle_sub(sums, bits):
+    """A bundle's int16 sum row with one bit row's bipolar row subtracted.
+    Any bundle admits it, an empty one too, even one that never held the row."""
+    _check_width(sums, bits)
+    step = 1 - 2 * np.asarray(bits, dtype=np.int16)
+    if np.any(sums == -COUNT_MAX * step):
+        raise SaturationError("bundle_sub would take a 16-bit sum past +-32767")
+    return sums - step
 
 
 def pack_rows(bits):
@@ -147,23 +148,19 @@ def _tie_words(dim):
     return words
 
 
-def majority(counts, sizes):
-    """(n, dim/64) packed majority rows of n bundles with (n, dim) integer counts and (n,) sizes.
+def majority(sums):
+    """(n, dim/64) packed majority rows of n bundles with (n, dim) bipolar sums.
 
-    Bit i of row r is 1 when counts[r, i] > sizes[r] / 2, that is above
-    sizes[r] // 2, and 0 when below: the sign of the bipolar sum sizes[r] -
-    2 * counts[r, i], which any size has, 0 or negative too. Exact ties (only
-    at even sizes) take bit i of one pseudo-random draw from the fixed
-    tie-break seed, shared by every row, so results are reproducible.
+    Bit i of row r is the sign of sums[r, i]: 1 when negative, 0 when
+    positive. Exact ties, zero sums (only at even sizes), take bit i of one
+    pseudo-random draw from the fixed tie-break seed, shared by every row, so
+    results are reproducible.
     """
-    counts = np.asarray(counts)
-    sizes = np.asarray(sizes).reshape(-1)
-    half = (sizes // 2)[:, None]
-    words = pack_rows(counts > half)
-    even = sizes % 2 == 0
-    ties = counts[even] == half[even]
-    if ties.any():  # a tied count is not above half, so its bit is 0 until the tie sets it
-        words[even] |= pack_rows(ties) & _tie_words(counts.shape[1])
+    sums = np.asarray(sums)
+    words = pack_rows(sums < 0)
+    ties = sums == 0
+    if ties.any():  # a zero sum's bit is 0 until the tie sets it
+        words |= pack_rows(ties) & _tie_words(sums.shape[1])
     return words
 
 
@@ -192,8 +189,8 @@ def plane_compare(planes, value):
 
 def plane_majority(planes, size):
     """Packed majority rows of bundles of size rows from their count planes,
-    as majority() gives them for the same counts: above size // 2 is 1, and
-    an exact tie at an even size takes the tie-break bit."""
+    as majority() gives them for the sums size - 2 * counts: a count above
+    size // 2 is 1, and an exact tie at an even size takes the tie-break bit."""
     if size < 1:
         raise EmptyBundleError("cannot binarize an empty bundle")
     gt, eq = plane_compare(planes, size // 2)
@@ -292,10 +289,10 @@ def plane_sum(planes):
     return planes[:, 0]
 
 
-def binarize(counts, size):
+def binarize(sums):
     """Packed majority row of one bundle, as majority() gives it."""
     # Kept as a name of its own because bench/tracer.py counts its calls.
-    return majority(counts[None], [size])[0]
+    return majority(sums[None])[0]
 
 
 def permute_shift(bits, s):

@@ -1,11 +1,11 @@
 """HDC classification (train / retrain / infer) and k-means-style clustering.
 
 Samples, deployed class vectors and cluster centres are (n, dim/64) packed
-rows (see hvcore), unpacked only where bits are added to counts or reach the
-analog cells. Each class bundles its samples' rows into an int16 count row
-with a size, and is deployed as the packed majority row. The batch decides
-how it is scored: one that keeps its bundle counts (multibit) is scored by
-the centred dot product against the class count rows, the ideal software
+rows (see hvcore), unpacked only where bits are added to sums or reach the
+analog cells. Each class bundles its samples' rows into an int16 row of
+bipolar sums, and is deployed as the packed majority row. The batch decides
+how it is scored: one that keeps its bundle sums (multibit) is scored by the
+dot product of its sums with the class sum rows, the ideal software
 reference; any other batch's packed rows are searched against the stored
 rows, by Hamming argmin or, given an AnalogCam, on the modeled CAM fabric
 (match-line currents plus serial LTA sensing). Prediction, retraining and
@@ -34,13 +34,12 @@ QUERY_BLOCK = 16
 @dataclass
 class Encoded:
     """A batch of encoded inputs: (n, dim/64) packed majority rows, (n, dim)
-    int16 bundle counts, (n,) bundle sizes and n labels. A batch that keeps
-    counts (multibit) is scored by centred dot product; counts is None in a
-    bits-only (binary) batch, whose packed rows are searched."""
+    int16 bipolar bundle sums and n labels. A batch that keeps sums
+    (multibit) is dot-scored; sums is None in a bits-only (binary) batch,
+    whose packed rows are searched."""
 
     bits: np.ndarray
-    counts: np.ndarray
-    sizes: np.ndarray
+    sums: np.ndarray
     labels: list
 
     def __len__(self):
@@ -48,18 +47,17 @@ class Encoded:
 
     def __getitem__(self, rows):
         """The samples of a slice, as a batch."""
-        counts = None if self.counts is None else self.counts[rows]
-        return Encoded(self.bits[rows], counts, self.sizes[rows], self.labels[rows])
+        sums = None if self.sums is None else self.sums[rows]
+        return Encoded(self.bits[rows], sums, self.labels[rows])
 
 
 @dataclass
 class ClassMemory:
-    """Class labels, the (k, dim) int16 class bundle counts, their (k,) sizes
-    and the (k, dim/64) deployed packed majority rows, all in label order."""
+    """Class labels, the (k, dim) int16 class bundle sums and the (k, dim/64)
+    deployed packed majority rows, all in label order."""
 
     labels: list
-    counts: np.ndarray
-    sizes: np.ndarray
+    sums: np.ndarray
     deployed: np.ndarray
 
     def __post_init__(self):
@@ -67,9 +65,9 @@ class ClassMemory:
             raise CapacityError(f"{len(self.labels)} classes exceed the {MAX_CLASSES}-row capacity")
 
 
-def _deploy(labels, counts, sizes):
+def _deploy(labels, sums):
     """Class memory whose deployed rows are the majorities of the class bundles."""
-    return ClassMemory(labels, counts, sizes, majority(counts, sizes))
+    return ClassMemory(labels, sums, majority(sums))
 
 
 @dataclass
@@ -90,12 +88,14 @@ class AnalogCam:
 
 
 def _bundle(rows, groups, k):
-    """(k, dim) int16 counts and (k,) sizes of k bundles of packed rows:
-    row i is added to bundle groups[i]."""
-    counts = np.stack([unpack_rows(rows[groups == g]).sum(axis=0, dtype=np.int32) for g in range(k)])
-    if counts.max() > COUNT_MAX:
-        raise SaturationError("bundle counts outside the signed 16-bit range")
-    return counts.astype(np.int16), np.bincount(groups, minlength=k)
+    """(k, dim) int16 bipolar sums of k bundles of packed rows, each its size
+    less twice its counts of 1 bits: row i is added to bundle groups[i]."""
+    sums = np.stack([unpack_rows(rows[groups == g]).sum(axis=0, dtype=np.int32) for g in range(k)])
+    sums *= -2
+    sums += np.bincount(groups, minlength=k)[:, None]
+    if sums.max() > COUNT_MAX or sums.min() < -COUNT_MAX:
+        raise SaturationError("bundle sums outside the 16-bit range +-32767")
+    return sums.astype(np.int16)
 
 
 def train(batch, ledger=None):
@@ -105,20 +105,15 @@ def train(batch, ledger=None):
     row = {label: k for k, label in enumerate(dict.fromkeys(batch.labels))}
     if len(row) > MAX_CLASSES:
         raise CapacityError(f"more than {MAX_CLASSES} classes")
-    counts, sizes = _bundle(batch.bits, np.array([row[label] for label in batch.labels]), len(row))
+    sums = _bundle(batch.bits, np.array([row[label] for label in batch.labels]), len(row))
     charge_to(ledger, "addition", len(batch))
-    return _deploy(list(row), counts, sizes)
+    return _deploy(list(row), sums)
 
 
 def _check_analog(batch, analog):
-    """Raise ConfigError when a batch that keeps counts, which are dot-scored, meets the analog CAM."""
-    if analog is not None and batch.counts is not None:
-        raise ConfigError("the analog CAM searches binary rows, and this batch keeps multibit counts")
-
-
-def _centred(counts, sizes):
-    """Bundle counts centred on half their bundle sizes, as float64 rows."""
-    return counts - np.asarray(sizes)[:, None] / 2.0
+    """Raise ConfigError when a batch that keeps sums, which are dot-scored, meets the analog CAM."""
+    if analog is not None and batch.sums is not None:
+        raise ConfigError("the analog CAM searches binary rows, and this batch keeps multibit sums")
 
 
 def _score_blocks(queries, score):
@@ -149,61 +144,59 @@ def _search(queries, rows, analog):
 def predict(batch, cm, analog=None, ledger=None):
     """(labels, flags): the most similar class of each sample.
 
-    A batch that keeps counts is scored by the centred dot product of its
-    counts with the centred class counts; a bits-only batch's packed rows
-    are searched against the deployed rows (_search). flags is an int array
-    of each query's ambiguous LTA batches, all 0 but on the analog CAM.
+    A batch that keeps sums is scored by the dot product of its sums with
+    the class sums, in float64, exact for 16-bit sums at dim 2048 (below
+    2**53); a bits-only batch's packed rows are searched against the
+    deployed rows (_search). flags is an int array of each query's ambiguous
+    LTA batches, all 0 but on the analog CAM.
     """
     if not cm.labels:
         raise ValueError("class memory has no deployed vectors")
     _check_analog(batch, analog)
     charge_to(ledger, "search", len(batch))
-    if batch.counts is None:
+    if batch.sums is None:
         winners, flags, _ = _search(batch.bits, cm.deployed, analog)
         return [cm.labels[i] for i in winners], flags
-    rows = _centred(cm.counts, cm.sizes)
-    scores = _score_blocks(batch, lambda part: _centred(part.counts, part.sizes) @ rows.T)
+    rows = cm.sums.astype(np.float64)
+    scores = _score_blocks(batch.sums, lambda part: part.astype(np.float64) @ rows.T)
     return [cm.labels[i] for i in scores.argmax(axis=1)], np.zeros(len(batch), dtype=np.int64)
 
 
-def _move(counts, sizes, row, old, new):
+def _move(sums, row, old, new):
     """Move one sample's packed row from class bundle old to class bundle new; returns its bits."""
     bits = unpack_rows(row)
-    counts[old] = bundle_sub(counts[old], bits)
-    counts[new] = bundle_add(counts[new], bits)
-    sizes[old] -= 1
-    sizes[new] += 1
+    sums[old] = bundle_sub(sums[old], bits)
+    sums[new] = bundle_add(sums[new], bits)
     return bits
 
 
-def _dot_epoch(batch, row, counts, sizes, ledger):
+def _dot_epoch(batch, row, sums, ledger):
     """One online dot-scored retrain epoch over the batch, in sample order;
     returns the number of updates.
 
-    Each sample is scored against the class counts as every earlier update
+    Each sample is scored against the class sums as every earlier update
     left them. A block of QUERY_BLOCK samples is scored at once, as predict
-    does; an update moves the sample's bits from class old to class new,
-    which changes those two centred class rows by -/+(bits - 1/2), so the
-    later samples of the block get their old and new scores moved by
-    -/+ Qc . (bits - 1/2). Every centred count is a multiple of 1/2, so every
-    product and partial sum is a multiple of 1/4 far below 2**53: the scores,
-    and so the argmax ties, equal those of predicting one sample at a time.
+    does; an update moves the sample's bipolar row 1 - 2 * bits from class
+    old to class new, so the later samples of the block get their old and
+    new scores moved by -/+ q . (1 - 2 * bits). Scores are integers below
+    2**53, so every float64 product and partial sum is exact: the scores, and
+    so the argmax ties, equal those of predicting one sample at a time.
     """
     charge_to(ledger, "search", len(batch))
-    rows = _centred(counts, sizes)
+    rows = sums.astype(np.float64)
     updates = 0
     for start in range(0, len(batch), QUERY_BLOCK):
         part = batch[start : start + QUERY_BLOCK]
-        queries = _centred(part.counts, part.sizes)
+        queries = part.sums.astype(np.float64)
         scores = queries @ rows.T
         for i, label in enumerate(part.labels):
             old, new = int(scores[i].argmax()), row[label]
             if old != new:
-                bits = _move(counts, sizes, part.bits[i], old, new)
-                step = queries[i + 1 :] @ (bits - 0.5)
+                bits = _move(sums, part.bits[i], old, new)
+                step = queries[i + 1 :] @ (1 - 2.0 * bits)
                 scores[i + 1 :, old] -= step
                 scores[i + 1 :, new] += step
-                rows[[old, new]] = _centred(counts[[old, new]], sizes[[old, new]])
+                rows[[old, new]] = sums[[old, new]]
                 updates += 1
     return updates
 
@@ -211,36 +204,35 @@ def _dot_epoch(batch, row, counts, sizes, ledger):
 def retrain(cm, batch, epochs, analog=None, ledger=None):
     """Mispredicted samples move between class bundles; deployments refresh per epoch.
 
-    Each misclassified sample is subtracted from the predicted class's count
-    row and added to its true class's. The predicted class may never have
-    held the sample, so its size can drop to 0 or below, which majority and
-    the centred counts read as any other bundle. Deployed binary rows are
-    re-binarized at epoch end, not per update, so a bits-only batch is
-    predicted a whole epoch at once, by Hamming argmin or on the analog CAM.
-    A batch that keeps counts is dot-scored against the count rows
-    themselves, which every update changes, so each sample sees the updates
-    before it: the epoch is scored in blocks and each update corrects the
-    scores of the samples after it (_dot_epoch), with the same results and
-    ledger counts as predicting one sample at a time.
+    Each misclassified sample is subtracted from the predicted class's sum
+    row and added to its true class's; the predicted class may never have
+    held the sample. Deployed binary rows are re-binarized at epoch end, not
+    per update, so a bits-only batch is predicted a whole epoch at once, by
+    Hamming argmin or on the analog CAM. A batch that keeps sums is
+    dot-scored against the sum rows themselves, which every update changes,
+    so each sample sees the updates before it: the epoch is scored in blocks
+    and each update corrects the scores of the samples after it
+    (_dot_epoch), with the same results and ledger counts as predicting one
+    sample at a time.
     """
     if epochs < 0:
         raise ValueError("epochs must be non-negative")
     _check_analog(batch, analog)
     row = {label: k for k, label in enumerate(cm.labels)}
-    counts, sizes = cm.counts.copy(), cm.sizes.copy()
-    out = ClassMemory(cm.labels, counts, sizes, cm.deployed)
+    sums = cm.sums.copy()
+    out = ClassMemory(cm.labels, sums, cm.deployed)
     for _ in range(epochs):
-        if batch.counts is not None:
-            updates = _dot_epoch(batch, row, counts, sizes, ledger)
+        if batch.sums is not None:
+            updates = _dot_epoch(batch, row, sums, ledger)
         else:
             predicted = predict(batch, out, analog, ledger)[0]
             updates = 0
             for i, (guess, label) in enumerate(zip(predicted, batch.labels)):
                 if guess != label:
-                    _move(counts, sizes, batch.bits[i], row[guess], row[label])
+                    _move(sums, batch.bits[i], row[guess], row[label])
                     updates += 1
         charge_to(ledger, "addition", 2 * updates)
-        out = _deploy(cm.labels, counts, sizes)
+        out = _deploy(cm.labels, sums)
     return out
 
 
@@ -294,13 +286,13 @@ def cluster(points, spec, rng, analog=None, ledger=None):
         charge_to(ledger, "search", n)
         dists = scores if analog is None else hamming_matrix(points, centers)
         objective_history.append(int(dists[np.arange(n), assignments].sum()))
-        counts, sizes = _bundle(points, assignments, K)
+        sums = _bundle(points, assignments, K)
         charge_to(ledger, "addition", n)
-        updated = majority(counts, sizes)  # an empty cluster's row is re-seeded below
+        updated = majority(sums)  # an empty cluster's row is re-seeded below
         # Keep, in index order, each filled centre not within dim/4 of one kept before it.
         near = hamming_matrix(updated, updated) < dim // 4
         kept = []
-        for k in np.flatnonzero(sizes):
+        for k in np.flatnonzero(np.bincount(assignments, minlength=K)):
             if not near[k, kept].any():
                 kept.append(k)
         # Re-seed the rest, in index order, to the point farthest from every kept centre.

@@ -107,14 +107,13 @@ class TestLoadRows:
     def test_capacity(self, rng):
         bits = random_bits(129, 128, rng)
         with pytest.raises(CapacityError):
-            ClassMemory(list(range(129)), bits.astype(np.int16), np.ones(129, dtype=np.int64), bits)
+            ClassMemory(list(range(129)), 1 - 2 * bits.astype(np.int16), bits)
 
     def test_undeployed_memory(self, rng):
         with pytest.raises(ValueError):
             query = _rand(128, rng)[None]
-            predict(Encoded(query, query.astype(np.int16), np.ones(1), [None]),
-                    ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
-                                np.zeros((0, 128), dtype=np.uint8)))
+            predict(Encoded(query, 1 - 2 * query.astype(np.int16), [None]),
+                    ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros((0, 128), dtype=np.uint8)))
 
 
 class TestSearchIdeal:

@@ -32,6 +32,7 @@ from hdcam.hvcore import (
     bind,
     bundle_add,
     hamming_matrix,
+    majority,
     permute_shift,
     plane_counts,
     random_bits,
@@ -40,6 +41,18 @@ from hdcam.hvcore import (
 
 def _dist(a, b):
     return int(hamming_matrix(a, b)[0, 0])
+
+
+def _bipolar(bits):
+    """Bit rows as int64 bipolar rows, 1 - 2 * bits: a one-row bundle's sums."""
+    return 1 - 2 * np.asarray(bits, dtype=np.int64)
+
+
+def _sums(planes, size):
+    """The int16 bipolar sums, size - 2 * counts, of bundles of size rows from their count planes."""
+    sums = size - 2 * plane_counts(planes).astype(np.int64)
+    assert np.abs(sums).max(initial=0) <= COUNT_MAX
+    return sums.astype(np.int16)
 
 
 class TestItemMemory:
@@ -143,19 +156,19 @@ def _scalar_level(x, L):
 
 
 def _record_row(x, im, lm):
-    """One feature row encoded feature by feature: the per-row reference."""
-    counts = np.zeros(im.shape[1], dtype=np.int16)
+    """One feature row's sums, encoded feature by feature: the per-row reference."""
+    sums = np.zeros(im.shape[1], dtype=np.int16)
     for pos, v in enumerate(x):
-        counts = bundle_add(counts, bind(im[pos], lm[_scalar_level(v, len(lm))]))
-    return counts
+        sums = bundle_add(sums, bind(im[pos], lm[_scalar_level(v, len(lm))]))
+    return sums
 
 
-def _record_counts(features, im, lm):
-    """encode_record's counts, rebuilt from its count planes."""
+def _record_sums(features, im, lm):
+    """encode_record's sums, rebuilt from its count planes."""
     planes, size = encode_record(features, record_table(im, lm))
     assert planes.dtype == np.uint64
     assert planes.shape == (size.bit_length(), len(features), im.shape[1] // 64)
-    return plane_counts(planes), size
+    return _sums(planes, size), size
 
 
 def _toy_memories(n_features, dim, rng, L=4):
@@ -167,43 +180,43 @@ def _toy_memories(n_features, dim, rng, L=4):
 class TestEncodeRecord:
     def test_single_feature_equals_bound_vector(self, rng):
         im, lm = _toy_memories(1, 128, rng)
-        counts, size = _record_counts([[0.6], [0.1]], im, lm)
-        assert counts.dtype == np.int16 and counts.shape == (2, 128)
-        assert np.array_equal(counts[0], bind(im[0], lm[quantize(0.6, 4)]))
-        assert np.array_equal(counts[1], bind(im[0], lm[quantize(0.1, 4)]))
+        sums, size = _record_sums([[0.6], [0.1]], im, lm)
+        assert sums.dtype == np.int16 and sums.shape == (2, 128)
+        assert np.array_equal(sums[0], _bipolar(bind(im[0], lm[quantize(0.6, 4)])))
+        assert np.array_equal(sums[1], _bipolar(bind(im[0], lm[quantize(0.1, 4)])))
         assert size == 1
 
     def test_identical_features_identical_basis(self, rng):
         im = np.repeat(random_bits(1, 128, rng), 2, axis=0)
         lm = build_level_memory(4, 128, rng)
-        counts, _ = _record_counts([[0.3, 0.3], [0.9, 0.9]], im, lm)
-        assert set(np.unique(counts)) <= {0, 2}
+        sums, _ = _record_sums([[0.3, 0.3], [0.9, 0.9]], im, lm)
+        assert set(np.unique(sums)) <= {-2, 2}
 
     def test_three_feature_brute_force(self, rng):
         im, lm = _toy_memories(3, 256, rng)
         features = np.array([[0.1, 0.5, 0.9], [0.9, 0.0, 0.4], [1.0, 0.74, 0.26]])
-        counts, size = _record_counts(features, im, lm)
-        for row, x in zip(counts, features):
+        sums, size = _record_sums(features, im, lm)
+        for row, x in zip(sums, features):
             expected = np.zeros(256, dtype=np.int64)
             for pos, v in enumerate(x):
-                expected += im[pos] ^ lm[quantize(v, 4)]
-            assert np.array_equal(row, expected.astype(np.int16))
+                expected += _bipolar(im[pos] ^ lm[quantize(v, 4)])
+            assert np.array_equal(row, expected)
         assert size == 3
 
     def test_accumulation_order_irrelevant(self, rng):
         im, lm = _toy_memories(5, 256, rng)
         features = [0.1, 0.3, 0.5, 0.7, 0.9]
-        counts, _ = _record_counts([features], im, lm)
+        sums, _ = _record_sums([features], im, lm)
         shuffled = np.zeros(256, dtype=np.int16)
         for pos in [3, 0, 4, 1, 2]:
             shuffled = bundle_add(shuffled, bind(im[pos], lm[quantize(features[pos], 4)]))
-        assert np.array_equal(counts[0], shuffled)
+        assert np.array_equal(sums[0], shuffled)
 
     def test_rows_equal_per_row_reference(self, rng):
         im, lm = _toy_memories(6, 256, rng, L=8)
         features = rng.uniform(-0.2, 1.2, size=(40, 6))
-        counts, _ = _record_counts(features, im, lm)
-        assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
+        sums, _ = _record_sums(features, im, lm)
+        assert np.array_equal(sums, np.stack([_record_row(x, im, lm) for x in features]))
 
     @given(
         st.integers(1, 40), st.integers(2, 16), st.sampled_from([128, 256, 384, 512]),
@@ -213,19 +226,19 @@ class TestEncodeRecord:
         rng = Rng(seed)
         im, lm = random_bits(n_features, dim, rng), random_bits(levels, dim, rng)
         features = rng.uniform(-0.2, 1.2, size=(n, n_features))
-        counts, size = _record_counts(features, im, lm)
+        sums, size = _record_sums(features, im, lm)
         assert size == n_features
-        assert np.array_equal(counts, np.stack([_record_row(x, im, lm) for x in features]))
+        assert np.array_equal(sums, np.stack([_record_row(x, im, lm) for x in features]))
 
     def test_saturation_at_count_max_plus_one_features(self):
-        # Every bound row is all ones, so each feature adds 1 to every counter.
+        # Every bound row is all ones, so each feature adds 1 to every count.
         im = np.ones((COUNT_MAX + 1, 128), dtype=np.uint8)
         lm = np.zeros((2, 128), dtype=np.uint8)
         features = np.zeros((1, COUNT_MAX + 1))
-        counts, _ = _record_counts(features[:, :COUNT_MAX], im[:COUNT_MAX], lm)
-        assert (counts == COUNT_MAX).all()
+        sums, _ = _record_sums(features[:, :COUNT_MAX], im[:COUNT_MAX], lm)
+        assert (sums == -COUNT_MAX).all()
         with pytest.raises(SaturationError):
-            _record_counts(features, im, lm)
+            _record_sums(features, im, lm)
 
     def test_arity_mismatch(self, rng):
         im, lm = _toy_memories(3, 128, rng)
@@ -250,11 +263,11 @@ class TestEncodeNgram:
     def test_n1_plain_bundle(self, rng):
         im = build_item_memory(4, 128, rng)
         cfg = EncodingConfig(scheme="record", n=1, dim=128)
-        counts, size = encode_ngram([0, 1, 2], 1, im, cfg)
+        sums, size = encode_ngram([0, 1, 2], 1, im, cfg)
         expected = np.zeros(128, dtype=np.int64)
         for s in (0, 1, 2):
-            expected += im[s]
-        assert np.array_equal(counts, expected.astype(np.int16))
+            expected += _bipolar(im[s])
+        assert sums.dtype == np.int16 and np.array_equal(sums, expected)
         assert size == 3
 
     def test_n1_reversal_invariant(self, rng):
@@ -267,21 +280,21 @@ class TestEncodeNgram:
     def test_bigram_single_window(self, rng):
         im = build_item_memory(2, 128, rng)
         cfg = EncodingConfig(scheme="ngram", n=2, dim=128)
-        counts, size = encode_ngram([0, 1], 2, im, cfg)
+        sums, size = encode_ngram([0, 1], 2, im, cfg)
         gram = bind(permute_shift(im[0], 1), im[1])
-        assert np.array_equal(counts, gram.astype(np.int16))
+        assert np.array_equal(sums, _bipolar(gram))
         assert size == 1
 
     def test_trigram_brute_force_shift_mode(self, rng):
         im = build_item_memory(5, 256, rng)
         cfg = EncodingConfig(scheme="ngram", n=3, dim=256)
         seq = [0, 3, 1, 4, 2]
-        counts, size = encode_ngram(seq, 3, im, cfg)
+        sums, size = encode_ngram(seq, 3, im, cfg)
         expected = np.zeros(256, dtype=np.int64)
         for t in range(len(seq) - 2):
             gram = im[seq[t + 2]] ^ permute_shift(im[seq[t + 1]], 1) ^ permute_shift(im[seq[t]], 2)
-            expected += gram
-        assert np.array_equal(counts, expected.astype(np.int16))
+            expected += _bipolar(gram)
+        assert np.array_equal(sums, expected)
         assert size == 3
 
     def test_order_sensitive_for_n2(self, rng):
@@ -295,12 +308,12 @@ class TestEncodeNgram:
         im = build_item_memory(3, 2048, rng)
         cfg = EncodingConfig(scheme="ngram", n=3, permute_mode="drop", drop_width=8, dim=2048)
         seq = [0, 1, 2]
-        counts, _ = encode_ngram(seq, 3, im, cfg, rng=Rng(9))
+        sums, _ = encode_ngram(seq, 3, im, cfg, rng=Rng(9))
         # same gram built with matched-displacement wrap-around shifts
         gram = im[2] ^ permute_shift(im[1], 8) ^ permute_shift(im[0], 16)
-        diff = np.count_nonzero(counts != gram.astype(np.int16))
+        diff = np.count_nonzero(sums != _bipolar(gram))
         assert diff <= 3 * 8
-        assert np.array_equal(counts[: 2048 - 16], gram[: 2048 - 16].astype(np.int16))
+        assert np.array_equal(sums[: 2048 - 16], _bipolar(gram[: 2048 - 16]))
 
     def test_too_short_sequence(self, rng):
         im = build_item_memory(3, 128, rng)
@@ -333,9 +346,9 @@ class TestEncodeNgram:
 
 
 def _ngram_reference(seq, n, im, cfg, gen):
-    """One sequence's n-gram counts, window by window and pass by pass, with
+    """One sequence's n-gram sums, window by window and pass by pass, with
     one width-drop_width tail draw from gen per drop pass."""
-    counts = np.zeros(im.shape[1], dtype=np.int64)
+    sums = np.zeros(im.shape[1], dtype=np.int64)
     for t in range(len(seq) - n + 1):
         gram = im[seq[t + n - 1]].copy()
         for k in range(1, n):
@@ -347,20 +360,20 @@ def _ngram_reference(seq, n, im, cfg, gen):
                     tail = gen.integers(0, 2, size=cfg.drop_width, dtype=np.uint8)
                     row = np.concatenate((row[cfg.drop_width :], tail))
             gram ^= row
-        counts += gram
-    return counts
+        sums += _bipolar(gram)
+    return sums
 
 
-def _packed_counts(symbols, n, im, cfg, rng=None, ledger=None):
-    """encode_ngram_packed's counts, rebuilt from its count planes."""
+def _packed_sums(symbols, n, im, cfg, rng=None, ledger=None):
+    """encode_ngram_packed's sums, rebuilt from its count planes."""
     planes, windows = encode_ngram_packed(symbols, ngram_table(im, n, cfg), cfg, rng, ledger)
     block = np.shape(symbols)[:-1]
     assert planes.dtype == np.uint64 and planes.shape == (windows.bit_length(), *block, im.shape[1] // 64)
-    return plane_counts(planes), windows
+    return _sums(planes, windows), windows
 
 
 NGRAM_ENCODERS = [pytest.param(encode_ngram, id="encode_ngram"),
-                  pytest.param(_packed_counts, id="encode_ngram_packed")]
+                  pytest.param(_packed_sums, id="encode_ngram_packed")]
 
 
 def _ranks(ds, text):
@@ -372,7 +385,7 @@ def _ranks(ds, text):
 
 class TestEncodeNgramBlock:
     """encode_ngram, the per-window definition, and encode_ngram_packed, the
-    run path's kernel (its counts rebuilt from the planes), against the
+    run path's kernel (its sums rebuilt from the planes), against the
     per-sequence reference."""
 
     @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
@@ -393,11 +406,11 @@ class TestEncodeNgramBlock:
         cfg = EncodingConfig(scheme="ngram" if n > 1 else "record", n=n, permute_mode=mode,
                              drop_width=width, dim=dim)
         rng, ref_gen, ledger = Rng(seed), Rng(seed), CostLedger(dim)
-        counts, windows = encode(symbols, n, im, cfg, rng, ledger)
-        assert counts.dtype == np.int16 and counts.shape == (*shape[:-1], dim)
+        sums, windows = encode(symbols, n, im, cfg, rng, ledger)
+        assert sums.dtype == np.int16 and sums.shape == (*shape[:-1], dim)
         assert windows == extra + 1
         expected = [_ngram_reference(seq, n, im, cfg, ref_gen) for seq in symbols.reshape(-1, n + extra)]
-        assert np.array_equal(counts, np.reshape(expected, counts.shape))
+        assert np.array_equal(sums, np.reshape(expected, sums.shape))
         # the block drew exactly the reference's tails, no more
         assert rng.integers(2**32) == ref_gen.integers(2**32)
         grams = len(expected) * windows
@@ -407,11 +420,11 @@ class TestEncodeNgramBlock:
 
     @pytest.mark.parametrize("encode", NGRAM_ENCODERS)
     def test_saturation_past_count_max_windows(self, encode):
-        # All-ones item rows: every gram is all ones, so each window adds 1 to every counter.
+        # All-ones item rows: every gram is all ones, so each window adds -1 to every sum.
         im = np.ones((2, 128), dtype=np.uint8)
         cfg = EncodingConfig(scheme="ngram", n=3, dim=128)
-        counts, windows = encode(np.zeros(COUNT_MAX + 2, dtype=int), 3, im, cfg)
-        assert windows == COUNT_MAX and (counts == COUNT_MAX).all()
+        sums, windows = encode(np.zeros(COUNT_MAX + 2, dtype=int), 3, im, cfg)
+        assert windows == COUNT_MAX and (sums == -COUNT_MAX).all()
         with pytest.raises(SaturationError):
             encode(np.zeros(COUNT_MAX + 3, dtype=int), 3, im, cfg)
 
@@ -438,10 +451,10 @@ class TestEncodeNgramBlock:
     def test_row_is_one_sequence(self, rng):
         im = build_item_memory(4, 128, rng)
         cfg = EncodingConfig(scheme="ngram", n=3, dim=128)
-        counts, windows = encode_ngram([0, 1, 2, 3, 1], 3, im, cfg)
+        sums, windows = encode_ngram([0, 1, 2, 3, 1], 3, im, cfg)
         block, _ = encode_ngram([[0, 1, 2, 3, 1], [3, 2, 1, 0, 0]], 3, im, cfg)
-        assert counts.shape == (128,) and windows == 3
-        assert np.array_equal(block[0], counts)
+        assert sums.shape == (128,) and windows == 3
+        assert np.array_equal(block[0], sums)
 
     def test_block_charges_every_sequence(self, rng):
         im = build_item_memory(4, 128, rng)
@@ -463,13 +476,13 @@ def _memories(ds, cfg, seed):
     return im, build_level_memory(cfg.encoding.levels, cfg.dim, rng)
 
 
-def _check_batch_mode(batch, mode, expected_counts):
-    """A binary batch keeps no counts; a multibit one keeps the expected int16 counts."""
+def _check_batch_mode(batch, mode, expected_sums):
+    """A binary batch keeps no sums; a multibit one keeps the expected int16 sums."""
     if mode == "binary":
-        assert batch.counts is None
+        assert batch.sums is None
     else:
-        assert batch.counts.dtype == np.int16
-        assert np.array_equal(batch.counts, expected_counts)
+        assert batch.sums.dtype == np.int16
+        assert np.array_equal(batch.sums, expected_sums)
 
 
 class TestEncodeSubset:
@@ -501,22 +514,21 @@ class TestEncodeSubset:
             lo, hi = ds.samples.min(axis=0), ds.samples.max(axis=0)
             for i in indices:
                 x = (ds.samples[i] - lo) / np.where(hi > lo, hi - lo, 1.0)
-                bundles.append((_record_row(x, im, lm), len(x)))
+                bundles.append(_record_row(x, im, lm))
             expected_ledger.charge("multiplication", 5 * len(indices))
             expected_ledger.charge("addition", 5 * len(indices))
         else:
             for i in indices:
                 seq = _ranks(ds, ds.samples[i])
-                bundles.append(encode_ngram(seq, 3, im, encoding, rng, expected_ledger))
+                bundles.append(encode_ngram(seq, 3, im, encoding, rng, expected_ledger)[0])
         # the default block (512 rows at dim 256) holds every index; blocks of
         # 1 and 16 rows cross sample and run boundaries
         for cells in (experiments.ENCODE_BLOCK_CELLS, 16 * 256, 256):
             monkeypatch.setattr(experiments, "ENCODE_BLOCK_CELLS", cells)
             ledger = CostLedger(256)
             batch = encode_subset(ds, indices, ctx, cfg, Rng(8), ledger)
-            _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
-            assert batch.sizes.tolist() == [size for _, size in bundles]
-            assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
+            _check_batch_mode(batch, mode, np.stack(bundles))
+            assert np.array_equal(batch.bits, np.stack([binarize(sums) for sums in bundles]))
             assert batch.labels == [ds.labels[i] for i in indices]
             assert ledger.counts == expected_ledger.counts
 
@@ -530,6 +542,24 @@ class TestEncodeSubset:
         cfg = ExperimentConfig(dim=384, mode=mode, encoding=EncodingConfig(scheme=scheme, dim=384))
         batch = encode_subset(ds, range(ds.n), build_encoding_context(ds, cfg, 7), cfg, Rng(8))
         assert batch.bits.dtype == np.uint64 and batch.bits.shape == (ds.n, 384 // 64)
+
+    def test_multibit_sums_need_at_most_count_max_windows(self):
+        # Random grams of 26 letters: no count of COUNT_MAX + 1 windows passes
+        # COUNT_MAX, so the binary batch encodes; the multibit batch's sums
+        # could leave int16 from that many rows on, so it raises.
+        letters = np.random.default_rng(3).choice(list("abcdefghijklmnopqrstuvwxyz"), size=COUNT_MAX + 3)
+        ds = Dataset("text_corpus", ["".join(letters), "".join(letters[1:])], ["x", "y"])
+        batches = {}
+        for mode in ("binary", "multibit"):
+            cfg = ExperimentConfig(dim=128, mode=mode, encoding=EncodingConfig(scheme="ngram", dim=128))
+            ctx = build_encoding_context(ds, cfg, 7)
+            batches[mode] = encode_subset(ds, [1], ctx, cfg, Rng(8))  # COUNT_MAX windows
+            if mode == "binary":
+                encode_subset(ds, [0], ctx, cfg, Rng(8))
+            else:
+                with pytest.raises(SaturationError):
+                    encode_subset(ds, [0], ctx, cfg, Rng(8))
+        assert np.array_equal(majority(batches["multibit"].sums), batches["binary"].bits)
 
     @pytest.mark.parametrize("scheme, dim", [("record", 128), ("record", 2048), ("ngram", 128), ("ngram", 2048)])
     def test_blocks_stay_within_the_cell_budget(self, scheme, dim, monkeypatch):
@@ -570,7 +600,7 @@ class TestEncodeSubset:
     @pytest.mark.parametrize("scheme", ["record", "ngram"])
     def test_binary_batch_holds_bits_and_a_few_blocks(self, scheme):
         """A binary encode_subset's tracemalloc peak is its bits matrix plus a
-        few blocks: no (n, dim) counts, no whole-batch majority temporaries."""
+        few blocks: no (n, dim) sums, no whole-batch majority temporaries."""
         if scheme == "record":
             ds = make_record_blobs(SyntheticSpec(samples=800, classes=4, features=9), Rng(4))
         else:
@@ -584,12 +614,12 @@ class TestEncodeSubset:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # One block's int16 counts are 2 * ENCODE_BLOCK_CELLS bytes; the
-        # encoder's working arrays take a few more. The (800, 2048) counts
+        # One block of int16 sums is 2 * ENCODE_BLOCK_CELLS bytes; the
+        # encoder's working arrays take a few more. The (800, 2048) sums
         # alone would be 3.3 MB.
         block = 2 * experiments.ENCODE_BLOCK_CELLS
         assert peak < batch.bits.nbytes + 6 * block
-        assert batch.counts is None
+        assert batch.sums is None
 
 
 class TestEncoderTables:
@@ -686,9 +716,9 @@ class TestSymbolIndices:
             ctx = build_encoding_context(ds, cfg, 7)
             batch = encode_subset(ds, range(12), ctx, cfg, Rng(8))
             im, _ = _memories(ds, cfg, 7)
-            bundles = [encode_ngram(_ranks(ds, text), 3, im, encoding) for text in ds.samples]
-            _check_batch_mode(batch, mode, np.stack([counts for counts, _ in bundles]))
-            assert np.array_equal(batch.bits, np.stack([binarize(*bundle) for bundle in bundles]))
+            bundles = [encode_ngram(_ranks(ds, text), 3, im, encoding)[0] for text in ds.samples]
+            _check_batch_mode(batch, mode, np.stack(bundles))
+            assert np.array_equal(batch.bits, np.stack([binarize(sums) for sums in bundles]))
 
 
 class TestEncodingConfig:

@@ -42,6 +42,24 @@ noise = 0.2
 
 RECORDS = "[experiment]\nretrain_epochs = {epochs}\n" + RECORD_DATA
 
+# Twice the corpus of LANGUAGES, in 6 languages, retrained twice: a dot-scored
+# n-gram retrain that moves 12 samples.
+LANGUAGES_RETRAIN = """
+[experiment]
+retrain_epochs = 2
+
+[encoding]
+scheme = ngram
+n = 3
+permute_mode = drop
+
+[synthetic]
+kind = languages
+samples = 192
+languages = 6
+text_length = 41
+"""
+
 # name -> (verb, config text, extra flags, CSV name, sha256 of the CSV)
 CASES = {
     "ngram-shift-binary": (
@@ -58,6 +76,10 @@ CASES = {
         "classify", LANGUAGES.format(n=4, extra="permute_mode = drop\ndrop_width = 16\n"),
         ["--mode", "multibit"], "classify.csv",
         "0acf4c8ab55730aac12cd6427b73ec6001554b88ec58e4d424f97e7549548d2b",
+    ),
+    "ngram-drop-multibit-retrain": (
+        "classify", LANGUAGES_RETRAIN, ["--mode", "multibit"], "classify.csv",
+        "264e8e21c243d9a3269fe8a47e65e457ff46d89a344a88b3ce57450453707a01",
     ),
     "record-analog-calibrated": (
         "classify", RECORDS.format(epochs=0), ["--backend", "analog", "--profile", "calibrated"],
@@ -226,6 +248,8 @@ STDOUT = {
                            "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "ngram-drop16-multibit": "accuracy = 0.5789 over 19 held-out samples\n"
                              "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
+    "ngram-drop-multibit-retrain": "accuracy = 0.6842 over 38 held-out samples\n"
+                                   "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "record-analog-calibrated": "accuracy = 0.8333 over 30 held-out samples\n"
                                 "in-array energy/query (search) = 1.831 pJ\nwrote <out>/classify.csv\n",
     "record-retrain-2": "accuracy = 0.8000 over 30 held-out samples\n"

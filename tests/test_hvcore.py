@@ -11,7 +11,7 @@ from hdcam.errors import (
     EmptyBundleError,
     SaturationError,
 )
-from hdcam import hvcore, learner
+from hdcam import hvcore
 from hdcam.hvcore import (
     COUNT_MAX,
     DROP_WIDTHS,
@@ -69,15 +69,15 @@ def _dist(a, b):
     return int(hamming_matrix(a, b)[0, 0])
 
 
-def _ideal_dot(a, b, size_a=1, size_b=1):
-    """The dot score of two bundles (count row, size), as predict computes it.
-
-    A bit row is a bundle of size one whose counts are its bits; its centred
-    counts are -(1 - 2*bit) / 2, so two bit rows score a quarter of their
-    bipolar dot product, dim - 2 * hamming.
-    """
-    rows = [learner._centred(np.asarray(c)[None], [n]) for c, n in ((a, size_a), (b, size_b))]
+def _ideal_dot(a, b):
+    """The dot score of two bundles' sum rows, in float64 as predict computes it."""
+    rows = [np.asarray(row, dtype=np.float64)[None] for row in (a, b)]
     return (rows[0] @ rows[1].T)[0, 0]
+
+
+def _one(bits):
+    """The sums of a bit row's one-row bundle: its bipolar row 1 - 2 * bits."""
+    return bundle_add(_zeros(len(bits)), bits)
 
 
 class TestRandomHV:
@@ -167,43 +167,55 @@ class TestBind:
 
 class TestBundle:
     def test_add_increments_where_one(self):
-        counts = _zeros(128)
-        out = bundle_add(counts, _hv([1, 0, 1] + [0] * 125))
+        # Bit 0 is +1 and bit 1 is -1: the sums step down where the bit is one.
+        sums = _zeros(128)
+        out = bundle_add(sums, _hv([1, 0, 1] + [0] * 125))
         assert out.dtype == np.int16
-        assert list(out[:3]) == [1, 0, 1]
-        assert not counts.any()  # the input row is not mutated
+        assert list(out[:3]) == [-1, 1, -1] and (out[3:] == 1).all()
+        assert not sums.any()  # the input row is not mutated
 
     def test_add_preserves_untouched_counts(self):
-        counts = _zeros(128)
-        counts[:2] = [5, 2]
-        out = bundle_add(counts, _hv([0, 1] + [0] * 126))
-        assert list(out[:2]) == [5, 3]
-        assert not out[2:].any()
+        sums = _zeros(128)
+        sums[:2] = [5, 2]
+        out = bundle_add(sums, _hv([0, 1] + [0] * 126))
+        assert list(out[:2]) == [6, 1]
+        assert (out[2:] == 1).all()
 
     def test_add_saturation(self):
+        # A sum saturates where |sum| would pass COUNT_MAX, at the end its step moves towards.
+        top = np.full(128, COUNT_MAX, dtype=np.int16)
         with pytest.raises(SaturationError):
-            bundle_add(np.full(128, 32767, dtype=np.int16), _hv([1] + [0] * 127))
+            bundle_add(top, _hv([1] * 127 + [0]))
+        with pytest.raises(SaturationError):
+            bundle_add(-top, _hv([0] * 127 + [1]))
+        assert (bundle_add(top, _hv([1] * 128)) == COUNT_MAX - 1).all()
+        assert (bundle_add(-top, _hv([0] * 128)) == 1 - COUNT_MAX).all()
 
     def test_sub_inverse_of_add(self, rng):
         h = _rand(128, rng)
         assert np.array_equal(bundle_sub(bundle_add(_zeros(128), h), h), _zeros(128))
 
     def test_sub_decrements(self):
-        counts = _zeros(128)
-        counts[:2] = [5, 3]
-        out = bundle_sub(counts, _hv([0, 1] + [0] * 126))
-        assert list(out[:2]) == [5, 2]
-        assert list(counts[:2]) == [5, 3]  # the input row is not mutated
+        sums = _zeros(128)
+        sums[:2] = [5, 3]
+        out = bundle_sub(sums, _hv([0, 1] + [0] * 126))
+        assert list(out[:2]) == [4, 4]
+        assert list(sums[:2]) == [5, 3]  # the input row is not mutated
 
     def test_sub_underflow(self):
+        top = np.full(128, COUNT_MAX, dtype=np.int16)
         with pytest.raises(SaturationError):
-            bundle_sub(np.full(128, -32768, dtype=np.int16), _hv([1] + [0] * 127))
+            bundle_sub(-top, _hv([1] * 127 + [0]))
+        with pytest.raises(SaturationError):
+            bundle_sub(top, _hv([0] * 127 + [1]))
+        assert (bundle_sub(-top, _hv([1] * 128)) == 1 - COUNT_MAX).all()
+        assert (bundle_sub(top, _hv([0] * 128)) == COUNT_MAX - 1).all()
 
     def test_sub_on_empty_bundle(self, rng):
-        # Any bundle admits a subtraction, an empty one too: its counts go
-        # negative, as its size does.
+        # Any bundle admits a subtraction, an empty one too: its sums become
+        # the negated bipolar row.
         h = _rand(128, rng)
-        assert np.array_equal(bundle_sub(_zeros(128), h), -h.astype(np.int16))
+        assert np.array_equal(bundle_sub(_zeros(128), h), 2 * h.astype(np.int16) - 1)
 
     def test_dim_mismatch(self, rng):
         with pytest.raises(DimensionError):
@@ -212,94 +224,94 @@ class TestBundle:
             bundle_sub(_zeros(256), _rand(128, rng))
 
     def test_pure_addition_count_range(self, rng):
-        counts = _zeros(128)
+        sums = _zeros(128)
         for _ in range(9):
-            counts = bundle_add(counts, _rand(128, rng))
-        assert counts.min() >= 0 and counts.max() <= 9
+            sums = bundle_add(sums, _rand(128, rng))
+        assert sums.min() >= -9 and sums.max() <= 9 and (sums % 2 == 1).all()
 
 
 class TestBinarize:
     def test_majority_of_three(self):
-        counts = _zeros(128)
-        counts[:3] = [3, 0, 2]
-        out = unpack_rows(binarize(counts, 3))
-        assert list(out[:3]) == [1, 0, 1]
+        sums = np.full(128, 3, dtype=np.int16)
+        sums[:3] = [-3, 3, -1]
+        out = unpack_rows(binarize(sums))
+        assert list(out[:3]) == [1, 0, 1] and not out[3:].any()
 
     def test_single_bundle_roundtrip(self, rng):
         hv = _rand(256, rng)
-        assert np.array_equal(unpack_rows(binarize(bundle_add(_zeros(256), hv), 1)), hv)
+        assert np.array_equal(unpack_rows(binarize(bundle_add(_zeros(256), hv))), hv)
 
     def test_tie_break_golden(self):
-        assert hv_to_hex(unpack_rows(binarize(np.ones(128, dtype=np.int16), 2))) == GOLDEN_TIE_BITS_128
+        # a row bundled with its complement ties at every position
+        h = _hv([0, 1] * 64)
+        assert hv_to_hex(unpack_rows(binarize(bundle_add(_one(h), h ^ 1)))) == GOLDEN_TIE_BITS_128
 
     def test_tie_break_reproducible(self):
-        counts = np.ones(128, dtype=np.int16)
-        assert np.array_equal(binarize(counts, 2), binarize(counts, 2))
+        sums = _zeros(128)
+        assert np.array_equal(binarize(sums), binarize(sums))
 
     def test_empty_bundle_ties(self):
-        # An empty bundle's counts all equal half its size, 0: every bit ties.
-        assert hv_to_hex(unpack_rows(binarize(_zeros(128), 0))) == GOLDEN_TIE_BITS_128
+        # An empty bundle's sums are all 0: every bit ties.
+        assert hv_to_hex(unpack_rows(binarize(_zeros(128)))) == GOLDEN_TIE_BITS_128
 
     @given(h=bits128, g=bits128)
     def test_majority_dominance(self, h, g):
         # bundle {h, h, g} binarizes to h everywhere, covering all bit combos
-        counts = _zeros(128)
+        sums = _zeros(128)
         for hv in (h, h, g):
-            counts = bundle_add(counts, hv)
-        assert np.array_equal(unpack_rows(binarize(counts, 3)), h)
+            sums = bundle_add(sums, hv)
+        assert np.array_equal(unpack_rows(binarize(sums)), h)
 
 
-def _reference_majority(counts, n):
-    """Majority bits of one bundle: 2 * count against the bundle size, exact
-    ties from the fixed per-width tie-break draw."""
-    doubled = 2 * counts.astype(np.int64)
-    bits = (doubled > n).astype(np.uint8)
-    tie_bits = np.random.default_rng([1021, len(counts)]).integers(0, 2, size=len(counts), dtype=np.uint8)
-    return np.where(doubled == n, tie_bits, bits)
+def _reference_majority(sums):
+    """Majority bits of one bundle: the sign bit of its sums, exact ties (zero
+    sums) from the fixed per-width tie-break draw."""
+    sums = np.asarray(sums, dtype=np.int64)
+    tie_bits = np.random.default_rng([1021, len(sums)]).integers(0, 2, size=len(sums), dtype=np.uint8)
+    return np.where(sums == 0, tie_bits, sums < 0)
 
 
 @st.composite
 def _bundles(draw):
-    """Counts of 1 to 5 bundles of 1 to 70 000 rows, in int16, int64 or uint64.
+    """Sums of 1 to 5 bundles of 1 to 70 000 rows, in int16 or int64.
 
-    Half of each row's counts lie within one of half the bundle size, so ties
-    and near-ties occur; all stay inside the signed 16-bit range, so above a
-    size of 65 534 half the size is out of every count's reach.
+    Half of each row's counts of 1 bits lie within one of half the bundle
+    size, so zero sums (ties, at even sizes) and near-ties occur; the sums,
+    size - 2 * counts, are clipped to the 16-bit range +-COUNT_MAX.
     """
     dim = 128 * draw(st.integers(1, 16))
     sizes = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(1, 70_000)), min_size=1, max_size=5))
-    dtype = draw(st.sampled_from([np.int16, np.int64, np.uint64]))
+    dtype = draw(st.sampled_from([np.int16, np.int64]))
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = []
     for n in sizes:
         near_half = n // 2 + gen.integers(-1, 2, size=dim)
         uniform = gen.integers(0, n + 1, size=dim)
-        rows.append(np.where(gen.integers(0, 2, size=dim), near_half, uniform).clip(0, COUNT_MAX))
-    return np.stack(rows).astype(dtype), np.array(sizes)
+        counts = np.where(gen.integers(0, 2, size=dim), near_half, uniform)
+        rows.append((n - 2 * counts).clip(-COUNT_MAX, COUNT_MAX))
+    return np.stack(rows).astype(dtype)
 
 
 class TestMajority:
     @settings(max_examples=60, deadline=None)
     @given(_bundles())
-    @example((np.full((3, 256), COUNT_MAX, dtype=np.uint64), np.array([65534, 65535, 65536])))
-    @example((np.full((4, 128), COUNT_MAX, dtype=np.int16), np.array([65534, 65536, 65537, 70_000])))
-    @example((np.full((2, 128), 35000 // 2, dtype=np.int64), np.array([35000, 35001])))
-    def test_equals_per_row_binarize(self, bundle):
-        counts, sizes = bundle
-        words = majority(counts, sizes)
-        assert words.dtype == np.uint64 and words.shape == (len(counts), counts.shape[1] // 64)
-        for row, n, out in zip(counts, sizes, words):
-            assert np.array_equal(out, binarize(row, int(n)))
-            assert np.array_equal(unpack_rows(out), _reference_majority(row, n))
+    @example(np.full((3, 256), COUNT_MAX, dtype=np.int64))
+    @example(np.full((4, 128), -COUNT_MAX, dtype=np.int16))
+    @example(np.zeros((2, 128), dtype=np.int64))
+    def test_equals_per_row_binarize(self, sums):
+        words = majority(sums)
+        assert words.dtype == np.uint64 and words.shape == (len(sums), sums.shape[1] // 64)
+        for row, out in zip(sums, words):
+            assert np.array_equal(out, binarize(row))
+            assert np.array_equal(unpack_rows(out), _reference_majority(row))
 
     def test_rows_share_one_tie_draw(self):
-        counts = np.ones((3, 256), dtype=np.int16)
-        words = majority(counts, [2, 2, 2])
+        words = majority(np.zeros((3, 256), dtype=np.int16))
         assert np.array_equal(words[0], words[1]) and np.array_equal(words[0], words[2])
-        assert np.array_equal(unpack_rows(words[0]), _reference_majority(counts[0], 2))
+        assert np.array_equal(unpack_rows(words[0]), _reference_majority(np.zeros(256)))
 
     def test_empty_bundle_gives_the_tie_row(self):
-        words = majority(np.zeros((2, 128), dtype=np.int16), [3, 0])
+        words = majority(np.stack([np.full(128, 3, dtype=np.int16), _zeros(128)]))
         assert not words[0].any()
         assert hv_to_hex(unpack_rows(words[1])) == GOLDEN_TIE_BITS_128
 
@@ -307,12 +319,13 @@ class TestMajority:
     @given(sizes=st.lists(st.integers(-8, 8), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1))
     def test_negative_sizes_match_int64_reference(self, sizes, seed):
         # Retraining can move more rows out of a bundle than it holds, leaving
-        # a negative size and negative counts; int16 counts give the bits of
-        # the int64 reference, ties included.
+        # the sums of a negative size, size - 2 * counts; int16 sums give the
+        # bits of the int64 reference, ties included.
         counts = np.random.default_rng(seed).integers(-9, 9, size=(len(sizes), 128))
-        words = majority(counts.astype(np.int16), sizes)
-        for row, n, out in zip(counts, sizes, words):
-            assert np.array_equal(unpack_rows(out), _reference_majority(row, n))
+        sums = np.array(sizes)[:, None] - 2 * counts
+        words = majority(sums.astype(np.int16))
+        for row, out in zip(sums, words):
+            assert np.array_equal(unpack_rows(out), _reference_majority(row))
 
 
 # Window counts across the uint8 partial sum's 255 and every power of two up to 512.
@@ -350,7 +363,7 @@ class TestCountPlanes:
                 plane_majority(planes, size)
             return
         # odd and even sizes: ties (even sizes only) take majority's tie bits
-        assert np.array_equal(plane_majority(planes, size), majority(counts, [size] * rows))
+        assert np.array_equal(plane_majority(planes, size), majority(size - 2 * counts.astype(np.int64)))
 
     @given(value=st.integers(0, 70), seed=st.integers(0, 2**32 - 1))
     def test_compare_equals_unpacked_compare(self, value, seed):
@@ -511,36 +524,35 @@ class TestSimilarity:
         assert np.array_equal(hamming_matrix(a[:0], b), np.zeros((0, 3)))
 
     def test_dot_self(self, rng):
-        x = _rand(512, rng)
-        assert 4 * _ideal_dot(x, x) == 512
+        x = _one(_rand(512, rng))
+        assert _ideal_dot(x, x) == 512
 
     @given(a=bits128, b=bits128)
     def test_dot_hamming_identity(self, a, b):
-        assert 4 * _ideal_dot(a, b) + 2 * _dist(a, b) == 128
+        # two bit rows score their bipolar dot product, dim - 2 * hamming
+        assert _ideal_dot(_one(a), _one(b)) + 2 * _dist(a, b) == 128
 
     def test_dot_orthogonal_near_zero(self):
         for s in range(6):
             a = _rand(2048, Rng(300 + s))
             b = _rand(2048, Rng(400 + s))
-            assert abs(4 * _ideal_dot(a, b)) < 5 * np.sqrt(2048)
+            assert abs(_ideal_dot(_one(a), _one(b))) < 5 * np.sqrt(2048)
 
     def test_dot_accumulator_centered(self, rng):
-        counts = bundle_add(_zeros(128), _rand(128, rng))
-        # centered counts are +-1/2, so the self dot is dim/4
-        assert _ideal_dot(counts, counts) == pytest.approx(128 / 4)
+        sums = _one(_rand(128, rng))
+        # a one-row bundle's sums are +-1, so the self dot is dim
+        assert _ideal_dot(sums, sums) == 128
 
     def test_dot_accumulator_pair_sign(self, rng):
         hv = _rand(128, rng)
-        a = bundle_add(_zeros(128), hv)
-        b = bundle_add(_zeros(128), hv ^ 1)
-        assert _ideal_dot(a, b) == pytest.approx(-128 / 4)
+        assert _ideal_dot(_one(hv), _one(hv ^ 1)) == -128
 
 
 class TestTypes:
     def test_counts_out_of_range(self):
-        # 32,768 copies of one all-ones row in one class: its counts pass 32,767.
+        # 32,768 copies of one all-ones row in one class: its sums pass -32,767.
         bits = np.ones((32768, 128), dtype=np.uint8)
-        batch = Encoded(pack_rows(bits), bits, np.ones(len(bits), dtype=np.int64), [0] * len(bits))
+        batch = Encoded(pack_rows(bits), None, [0] * len(bits))
         with pytest.raises(SaturationError):
             train(batch)
-        assert train(batch[1:]).counts.max() == 32767
+        assert (train(batch[1:]).sums == -COUNT_MAX).all()

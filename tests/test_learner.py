@@ -54,21 +54,25 @@ def _flip(hv, n, rng):
     return bits
 
 
+def _bipolar(bits):
+    """Bit rows as int16 bipolar rows, 1 - 2 * bits: the sums of one-row bundles."""
+    return 1 - 2 * np.asarray(bits, dtype=np.int16)
+
+
 def _batch(hvs, labels=None, multibit=False):
-    """Encoded batch of one-vector bundles: packed rows of the bits, sizes 1,
-    and in a multibit batch, which is dot-scored, counts equal to the bits
-    (a binary batch keeps none, so its rows are searched)."""
+    """Encoded batch of one-vector bundles: packed rows of the bits and, in a
+    multibit batch, which is dot-scored, sums equal to their bipolar rows (a
+    binary batch keeps none, so its rows are searched)."""
     bits = np.stack(hvs)
     labels = [None] * len(hvs) if labels is None else list(labels)
-    counts = bits.astype(np.int16) if multibit else None
-    return Encoded(pack_rows(bits), counts, np.ones(len(hvs), dtype=np.int64), labels)
+    return Encoded(pack_rows(bits), _bipolar(bits) if multibit else None, labels)
 
 
 def _repeat(batch, n):
     """The first n samples of the batch repeated end to end."""
     idx = np.arange(n) % len(batch)
-    counts = None if batch.counts is None else batch.counts[idx]
-    return Encoded(batch.bits[idx], counts, batch.sizes[idx], [batch.labels[i] for i in idx])
+    sums = None if batch.sums is None else batch.sums[idx]
+    return Encoded(batch.bits[idx], sums, [batch.labels[i] for i in idx])
 
 
 def _row(cm, label):
@@ -77,8 +81,8 @@ def _row(cm, label):
 
 
 def _bundles(cm):
-    """The class bundles of a class memory, as comparable (counts, sizes) lists."""
-    return cm.counts.tolist(), cm.sizes.tolist()
+    """The class bundles of a class memory, as a comparable list of sum rows."""
+    return cm.sums.tolist()
 
 
 def _analog_backend(seed=5):
@@ -100,22 +104,20 @@ def _retrain_reference(cm, batch, epochs, analog, online, ledger=None):
     update. online=False scores every sample of an epoch against the memory as
     it stood at the epoch start."""
     row = {label: k for k, label in enumerate(cm.labels)}
-    counts, sizes = cm.counts.copy(), cm.sizes.copy()
+    sums = cm.sums.copy()
     deployed = cm.deployed
     for _ in range(epochs):
-        frozen = ClassMemory(cm.labels, counts.copy(), sizes.copy(), deployed)
-        live = ClassMemory(cm.labels, counts, sizes, deployed)
+        frozen = ClassMemory(cm.labels, sums.copy(), deployed)
+        live = ClassMemory(cm.labels, sums, deployed)
         for i, label in enumerate(batch.labels):
             (predicted,), _ = predict(batch[i : i + 1], live if online else frozen, analog, ledger)
             if predicted != label:
                 charge_to(ledger, "addition", 2)
                 old, new, bits = row[predicted], row[label], unpack_rows(batch.bits[i])
-                counts[old] = bundle_sub(counts[old], bits)
-                counts[new] = bundle_add(counts[new], bits)
-                sizes[old] -= 1
-                sizes[new] += 1
-        deployed = np.stack([binarize(c, n) for c, n in zip(counts, sizes)])
-    return counts.tolist(), sizes.tolist()
+                sums[old] = bundle_sub(sums[old], bits)
+                sums[new] = bundle_add(sums[new], bits)
+        deployed = np.stack([binarize(row_sums) for row_sums in sums])
+    return sums.tolist()
 
 
 def _spy_predict(monkeypatch):
@@ -149,21 +151,26 @@ class TestTrain:
             expected = np.zeros(128, dtype=np.int64)
             for bits, sample_label in zip(unpack_rows(batch.bits), batch.labels):
                 if sample_label == label:
-                    expected += bits
+                    expected += _bipolar(bits)
             k = cm.labels.index(label)
-            assert cm.counts.dtype == np.int16
-            assert np.array_equal(cm.counts[k], expected.astype(np.int16))
-            assert cm.sizes[k] == 3
-            assert unpack_rows(binarize(cm.counts[k], cm.sizes[k])).tolist() == _row(cm, label).tolist()
+            assert cm.sums.dtype == np.int16
+            assert np.array_equal(cm.sums[k], expected)
+            assert unpack_rows(binarize(cm.sums[k])).tolist() == _row(cm, label).tolist()
 
     def test_capacity_error(self, rng):
         with pytest.raises(CapacityError):
             train(_batch([_rand(128, rng) for _ in range(129)], range(129)))
 
     def test_class_count_saturation(self, rng):
-        rows = np.repeat(pack_rows(_rand(128, rng)[None]), COUNT_MAX + 1, axis=0)
+        # A class row saturates where |sum| would pass COUNT_MAX: COUNT_MAX + 1
+        # copies of one row do. One more copy of its complement brings every
+        # sum back inside, though half the counts of 1 bits are COUNT_MAX + 1.
+        hv = _rand(128, rng)
+        rows = np.repeat(pack_rows(hv[None]), COUNT_MAX + 1, axis=0)
         with pytest.raises(SaturationError):
-            train(Encoded(rows, None, np.ones(len(rows), dtype=np.int64), ["a"] * len(rows)))
+            train(Encoded(rows, None, ["a"] * len(rows)))
+        rows = np.concatenate([rows, pack_rows(hv[None] ^ 1)])
+        assert np.array_equal(train(Encoded(rows, None, ["a"] * len(rows))).sums[0], COUNT_MAX * _bipolar(hv))
 
 
 class TestPredict:
@@ -179,8 +186,7 @@ class TestPredict:
         assert predict(_batch([_flip(hvs[2], 1, rng)]), cm)[0] == [2]
 
     def test_empty_class_memory(self, rng):
-        cm = ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros(0, dtype=np.int64),
-                         np.zeros((0, 2), dtype=np.uint64))
+        cm = ClassMemory([], np.zeros((0, 128), dtype=np.int16), np.zeros((0, 2), dtype=np.uint64))
         with pytest.raises(ValueError):
             predict(_batch([_rand(128, rng)]), cm)
 
@@ -197,48 +203,47 @@ class TestPredict:
     @pytest.mark.parametrize("multibit", [False, True])
     def test_empty_blocks_score_as_zero_queries(self, multibit, rng):
         cm = train(_batch([_rand(128, rng) for _ in range(5)], range(5)))
-        rows = learner._centred(cm.counts, cm.sizes) if multibit else cm.deployed
+        rows = cm.sums.astype(np.float64) if multibit else cm.deployed
         empty = _batch([_rand(128, rng)], multibit=multibit)[:0]
         if multibit:
-            scores = learner._score_blocks(empty, lambda part: part.counts @ rows.T)
+            scores = learner._score_blocks(empty.sums, lambda part: part @ rows.T)
         else:
             scores = learner._score_blocks(empty.bits, lambda part: hamming_matrix(part, rows))
         assert scores.shape == (0, 5)
 
     def test_ideal_dot_requires_accumulator(self, rng):
-        # A batch that keeps counts is dot-scored on them and its bits are
+        # A batch that keeps sums is dot-scored on them and its bits are
         # ignored; a bits-only batch is searched by Hamming distance.
         a, b = _rand(512, rng), _rand(512, rng)
         cm = train(_batch([a, b], "ab"))
         query = _batch([a], multibit=True)
-        query.counts = b.astype(np.int16)[None]
+        query.sums = _bipolar(b)[None]
         assert predict(query, cm)[0] == ["b"]
-        assert predict(replace(query, counts=None), cm)[0] == ["a"]
+        assert predict(replace(query, sums=None), cm)[0] == ["a"]
 
     def test_bits_only_batch(self):
-        # Binary-mode batches keep no counts, and a slice keeps none either.
+        # Binary-mode batches keep no sums, and a slice keeps none either.
         # Their packed rows are searched: the Hamming argmin over the deployed
-        # rows, where the same samples with counts take the centred dot argmax.
+        # rows, where the same samples with sums take the dot argmax.
         cm, batch = _noisy_task(Rng(11), multibit=True)
-        bits_only = replace(batch, counts=None)
+        bits_only = replace(batch, sums=None)
         part = bits_only[2:5]
-        assert part.counts is None and np.array_equal(part.bits, batch.bits[2:5])
-        assert part.sizes.tolist() == batch.sizes[2:5].tolist() and part.labels == batch.labels[2:5]
+        assert part.sums is None and np.array_equal(part.bits, batch.bits[2:5])
+        assert part.labels == batch.labels[2:5]
         nearest = hamming_matrix(batch.bits, cm.deployed).argmin(axis=1)
         assert predict(bits_only, cm)[0] == [cm.labels[k] for k in nearest]
-        centred = learner._centred
-        best = (centred(batch.counts, batch.sizes) @ centred(cm.counts, cm.sizes).T).argmax(axis=1)
+        best = (batch.sums.astype(np.int64) @ cm.sums.T.astype(np.int64)).argmax(axis=1)
         assert predict(batch, cm)[0] == [cm.labels[k] for k in best]
 
     def test_analog_cam_rejects_a_counts_batch(self, rng):
-        # The analog CAM searches binary rows: a batch that keeps counts
+        # The analog CAM searches binary rows: a batch that keeps sums
         # (multibit) fails in predict and retrain before anything is charged.
         batch = _batch([_rand(256, rng) for _ in range(3)], range(3), multibit=True)
         cm = train(batch)
         ledger = CostLedger(256)
-        with pytest.raises(ConfigError, match="counts"):
+        with pytest.raises(ConfigError, match="sums"):
             predict(batch, cm, _analog_backend(), ledger)
-        with pytest.raises(ConfigError, match="counts"):
+        with pytest.raises(ConfigError, match="sums"):
             retrain(cm, batch[1:], 1, _analog_backend(), ledger)
         assert ledger.counts == {}
 
@@ -253,7 +258,7 @@ class TestPredict:
         hvs = [_rand(512, rng) for _ in range(5)]
         cm = train(_batch(hvs, range(5)))
         mask = _rand(512, rng)
-        masked = ClassMemory(cm.labels, cm.counts, cm.sizes, cm.deployed ^ pack_rows(mask))
+        masked = ClassMemory(cm.labels, cm.sums, cm.deployed ^ pack_rows(mask))
         queries = [_flip(hv, 37, rng) for hv in hvs]
         assert predict(_batch(queries), cm)[0] == predict(
             _batch([bind(q, mask) for q in queries]), masked
@@ -315,7 +320,7 @@ class TestRetrain:
         cm = train(batch)
         out = retrain(cm, batch, 0)
         assert _bundles(out) == _bundles(cm)
-        assert out.counts is not cm.counts and out.sizes is not cm.sizes
+        assert out.sums is not cm.sums
 
     def test_single_misprediction_touches_two_classes(self, rng):
         x, y, w = (_rand(512, rng) for _ in range(3))
@@ -325,8 +330,7 @@ class TestRetrain:
         before = _bundles(cm)
         out = retrain(cm, _batch([planted], "b"), 1)
         assert _bundles(cm) == before  # retrain leaves its input as it was
-        changed = [l for k, l in enumerate(cm.labels)
-                   if (out.counts[k] != cm.counts[k]).any() or out.sizes[k] != cm.sizes[k]]
+        changed = [l for k, l in enumerate(cm.labels) if (out.sums[k] != cm.sums[k]).any()]
         assert sorted(changed) == ["a", "b"]
 
     def test_planted_error_corrected(self, rng):
@@ -364,9 +368,9 @@ class TestRetrain:
         batch = _repeat(batch, 40)
         ledger, reference_ledger = CostLedger(256), CostLedger(256)
         out = retrain(cm, batch, 3, ledger=ledger)
-        counts, sizes = _retrain_reference(cm, batch, 3, None, online=True, ledger=reference_ledger)
-        assert _bundles(out) == (counts, sizes)
-        assert np.array_equal(out.deployed, majority(np.array(counts), np.array(sizes)))
+        sums = _retrain_reference(cm, batch, 3, None, online=True, ledger=reference_ledger)
+        assert _bundles(out) == sums
+        assert np.array_equal(out.deployed, majority(np.array(sums)))
         assert ledger.counts == reference_ledger.counts
         assert ledger.counts["search"] == 3 * len(batch) and ledger.counts["addition"] > 0
 
@@ -396,18 +400,17 @@ class TestRetrain:
     def test_imbalanced_classes_drop_a_size_below_zero(self, rng):
         # Class a holds one row x; class b holds three 8-bit flips of x and five
         # copies of y, so b deploys y and the flips predict a. The epoch moves
-        # all three out of a, whose size drops from 1 to -2. A bundle is read as
-        # its bipolar sums, size - 2 * count, which any size admits.
+        # all three out of a, whose sums become those of a bundle of size -2:
+        # x's bipolar row less the flips'.
         x, y = _rand(256, rng), _rand(256, rng)
         flips = [_flip(x, 8, rng) for _ in range(3)]
         batch = _batch([x, *flips, *[y] * 5], "abbbbbbbb")
         cm = train(batch)
         assert predict(batch, cm)[0] == list("aaaabbbbb")
         out = retrain(cm, batch, 1)
-        assert out.sizes.tolist() == [-2, 11]
-        assert out.counts[0].tolist() == (x - np.sum(flips, axis=0, dtype=np.int16)).tolist()
+        assert out.sums[0].tolist() == (_bipolar(x) - _bipolar(flips).sum(axis=0)).tolist()
         assert _bundles(out) == _retrain_reference(cm, batch, 1, None, online=False)
-        assert np.array_equal(out.deployed, majority(out.counts, out.sizes))
+        assert np.array_equal(out.deployed, majority(out.sums))
 
     @pytest.mark.parametrize("multibit", [False, True])
     def test_empty_batch_changes_nothing(self, multibit, rng):
@@ -415,6 +418,23 @@ class TestRetrain:
         cm = train(batch)
         out = retrain(cm, batch[:0], 2)
         assert _bundles(out) == _bundles(cm) and np.array_equal(out.deployed, cm.deployed)
+
+    @pytest.mark.parametrize("multibit", [False, True])
+    def test_each_update_calls_bundle_sub_once(self, multibit, monkeypatch):
+        # bench/tracer.py reads learner.retrain.updates as the bundle_sub calls
+        # made under retrain: one per update, half the additions it charges,
+        # on the dot-scored path and the packed-row path alike.
+        cm, batch = _noisy_task(Rng(11), multibit=multibit)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bundle_sub(*args)
+
+        monkeypatch.setattr(learner, "bundle_sub", spy)
+        ledger = CostLedger(256)
+        retrain(cm, batch, 3, ledger=ledger)
+        assert calls and 2 * len(calls) == ledger.counts["addition"]
 
     def test_negative_epochs(self, rng):
         batch = _batch([_rand(128, rng) for _ in range(4)], [i % 2 for i in range(4)])
@@ -443,10 +463,10 @@ def _cluster_reference(points, K, threshold, max_epochs, rng, analog=None):
                 updated.append(None)
                 degenerate.append(k)
                 continue
-            counts = np.zeros(dim, dtype=np.int16)
+            sums = np.zeros(dim, dtype=np.int16)
             for i in members:
-                counts = bundle_add(counts, hvs[i])
-            new_center = unpack_rows(binarize(counts, len(members)))
+                sums = bundle_add(sums, hvs[i])
+            new_center = unpack_rows(binarize(sums))
             if any(c is not None and _dist(c, new_center) < dim // 4 for c in updated):
                 new_center = None
                 degenerate.append(k)

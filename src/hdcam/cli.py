@@ -12,19 +12,12 @@ data; cluster defaults it to planted blobs, one per cluster.
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import get_args
 
-from .config import (
-    BACKENDS,
-    MODES,
-    PROFILES,
-    VERBS,
-    ExperimentConfig,
-    load_experiment_config,
-    save_profile,
-    verb_keys,
-)
-from .datasets import SyntheticSpec, ingest
+from .config import VERBS, ExperimentConfig, load_experiment_config, save_profile, verb_keys
+from .datasets import INGEST_KINDS, SyntheticSpec, ingest
 from .errors import ConfigError, HdcError
 from .experiments import (
     resolve_profile,
@@ -44,13 +37,9 @@ FLAGS = {
     "--config": dict(metavar="PATH", help="INI config file"),
     "--out": dict(metavar="DIR", default="results", help="output directory"),
     "--data": dict(metavar="PATH", help="dataset file (else synthetic)"),
-    "--kind": dict(choices=("feature_csv", "text_corpus"), default="feature_csv",
-                   help="format of --data"),
-    "--seed": dict(type=int, metavar="N"),
-    "--dim": dict(type=int, metavar="N"),
-    "--mode": dict(choices=MODES),
-    "--backend": dict(choices=BACKENDS),
-    "--profile": dict(choices=PROFILES),
+    "--kind": dict(choices=INGEST_KINDS, default="feature_csv", help="format of --data"),
+    **{f"--{f.name}": dict(type=int, metavar="N") if f.type is int else dict(choices=get_args(f.type))
+       for f in fields(ExperimentConfig) if f.name in OVERRIDES},
     "--dims": dict(default="512,1024,2048", help="comma-separated bank-aligned widths"),
 }
 

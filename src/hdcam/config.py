@@ -3,31 +3,30 @@
 The config file is standard INI (configparser). The scalar fields of
 ExperimentConfig form the [experiment] section and each dataclass-typed field
 is the section of its own name ([encoding], [cluster], [analog], [sensing],
-[synthetic]), so the keys and their types are read off the dataclasses.
-VERBS declares which of those keys each verb reads; a verb's loader accepts,
-and its CSV header records, exactly those. Every key is optional and falls
-back to the dataclass default; an unknown section or key, a key the verb does
-not read, or a value that does not cast, is an error. Cost-table overrides
-(one section per op) and the profile calibrate writes ([profile]) are INI too.
+[synthetic]), so the keys and their types are read off the dataclasses. A key
+with closed choices is a Literal field, cast by the type of its values and
+checked by errors.check_choices. VERBS declares which of those keys each verb
+reads; a verb's loader accepts, and its CSV header records, exactly those.
+Every key is optional and falls back to the dataclass default; an unknown
+section or key, a key the verb does not read, or a value that does not cast
+or is not one of its choices, is an error. Cost-table overrides (one section
+per op) and the profile calibrate writes ([profile]) are INI too.
 """
 
 import configparser
 import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Literal, get_args, get_origin
 
 from .cam import AnalogParams
 from .cost import CostTable
 from .datasets import SyntheticSpec
 from .encoder import EncodingConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_choices
 from .hvcore import check_alignment
 from .learner import ClusterSpec
 from .lta import SensingSpec
-
-MODES = ("binary", "multibit")
-BACKENDS = ("ideal", "analog")
-PROFILES = ("uniform", "calibrated")
 
 # The keys each verb reads: a section name takes all of its keys, `section.key`
 # one key, and `-section.key` takes one key of a taken section back out. Some
@@ -52,7 +51,7 @@ def _finite_float(raw):
     return value
 
 
-# How an INI string becomes a value, by field annotation.
+# How an INI string becomes a value, by cast type (see _cast_type).
 CASTS = {
     int: int,
     float: _finite_float,
@@ -67,9 +66,9 @@ class ExperimentConfig:
 
     seed: int = 0
     dim: int = 2048
-    mode: str = "binary"
-    backend: str = "ideal"
-    profile: str = "calibrated"
+    mode: Literal["binary", "multibit"] = "binary"
+    backend: Literal["ideal", "analog"] = "ideal"
+    profile: Literal["uniform", "calibrated"] = "calibrated"
     retrain_epochs: int = 0
     test_fraction: float = 0.2
     cost_table_path: str | None = None
@@ -85,12 +84,7 @@ class ExperimentConfig:
         if not 0 <= self.seed < 2**32:
             raise ConfigError(f"seed must lie in [0, 2**32), got {self.seed}")
         check_alignment(self.dim)
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}")
-        if self.backend not in BACKENDS:
-            raise ConfigError(f"backend must be one of {BACKENDS}")
-        if self.profile not in PROFILES:
-            raise ConfigError(f"profile must be one of {PROFILES}")
+        check_choices(self)
         if self.backend == "analog" and self.mode == "multibit":
             raise ConfigError("the CAM stores binary vectors; analog backend needs binary mode")
         if self.retrain_epochs < 0:
@@ -130,9 +124,14 @@ def verb_keys(verb):
             if (key in reads or key.split(".")[0] in reads) and "-" + key not in reads]
 
 
+def _cast_type(f):
+    """The CASTS key of field f: its annotation, or a Literal's value type."""
+    return type(get_args(f.type)[0]) if get_origin(f.type) is Literal else f.type
+
+
 def _keys(obj):
     """Fields of a config dataclass that are INI keys: castable, not set elsewhere."""
-    return [f for f in fields(obj) if f.type in CASTS and "set_by" not in f.metadata]
+    return [f for f in fields(obj) if _cast_type(f) in CASTS and "set_by" not in f.metadata]
 
 
 def _sections(cfg):
@@ -157,8 +156,8 @@ def _parse(path, sections):
 
 
 def _read(parser, section, obj):
-    """obj with the keys present in [section], each cast by its field annotation."""
-    types = {f.name: f.type for f in _keys(obj)}
+    """obj with the keys present in [section], each cast by its field's cast type."""
+    types = {f.name: _cast_type(f) for f in _keys(obj)}
     values = {}
     for key, raw in parser.items(section) if parser.has_section(section) else ():
         if key not in types:

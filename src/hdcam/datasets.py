@@ -9,10 +9,11 @@ letter-Markov language corpus, and planted hypervector blobs for clustering.
 import math
 import string
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, ParseError
+from .errors import ConfigError, EmptyDatasetError, ParseError, check_choices
 from .hvcore import Rng, pack_rows, random_bits
 
 
@@ -38,7 +39,7 @@ class Dataset:
 class SyntheticSpec:
     """Parameters of the built-in generators."""
 
-    kind: str = "records"
+    kind: Literal["records", "languages", "hv_blobs"] = "records"
     samples: int = 600
     classes: int = 4
     features: int = 9
@@ -49,8 +50,7 @@ class SyntheticSpec:
     blob_max_flip_fraction: float = 1 / 16
 
     def __post_init__(self):
-        if self.kind not in ("records", "languages", "hv_blobs"):
-            raise ConfigError(f"unknown synthetic kind: {self.kind!r}")
+        check_choices(self)
         counts = (self.samples, self.classes, self.features, self.languages,
                   self.text_length, self.blob_points)
         if min(counts) < 1:
@@ -65,6 +65,9 @@ def _numbered_lines(path):
             yield from enumerate(f, 1)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from None
+
+
+INGEST_KINDS = ("feature_csv", "text_corpus")
 
 
 def ingest(path, kind):
@@ -121,7 +124,7 @@ def ingest(path, kind):
         if not samples:
             raise EmptyDatasetError(f"no samples in {path}")
         return Dataset("text_corpus", samples, labels)
-    raise ParseError(f"unknown dataset kind: {kind!r}")
+    raise ConfigError(f"kind must be one of {INGEST_KINDS}, got {kind!r}")
 
 
 def make_record_blobs(spec, rng):

@@ -15,12 +15,14 @@ per-window n-gram definition, kept as the reference for tests and bench.
 
 import math
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .cost import charge_to
-from .errors import ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError
+from .errors import (ConfigError, DimensionError, GenerationError, SaturationError, TooManyLevelsError,
+                     check_choices)
 from .hvcore import (
     COUNT_MAX,
     DROP_WIDTHS,
@@ -46,27 +48,22 @@ GRAM_CHUNK_CELLS = 2**18
 class EncodingConfig:
     """Encoder selection and parameters."""
 
-    scheme: str = "record"
+    scheme: Literal["record", "ngram"] = "record"
     n: int = 3
     levels: int = 8
-    permute_mode: str = "shift"
-    drop_width: int = 8
+    permute_mode: Literal["shift", "drop"] = "shift"
+    drop_width: Literal[DROP_WIDTHS] = 8
     # Set from ExperimentConfig.dim; not a key of the [encoding] section.
     dim: int = field(default=2048, metadata={"set_by": "experiment.dim"})
 
     def __post_init__(self):
-        if self.scheme not in ("record", "ngram"):
-            raise ConfigError(f"unknown encoding scheme: {self.scheme!r}")
+        check_choices(self)
         if self.n < 1:
             raise ConfigError("n-gram width must be at least 1")
         if self.scheme == "ngram" and self.n < 2:
             raise ConfigError("ngram scheme requires n >= 2")
         if self.levels < 2:
             raise ConfigError("need at least 2 quantization levels")
-        if self.permute_mode not in ("shift", "drop"):
-            raise ConfigError(f"unknown permute mode: {self.permute_mode!r}")
-        if self.drop_width not in DROP_WIDTHS:
-            raise ConfigError(f"drop width must be one of {DROP_WIDTHS}, got {self.drop_width}")
         check_alignment(self.dim)
 
 

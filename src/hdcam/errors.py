@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of config choices."""
+
+from dataclasses import fields
+from typing import Literal, get_args, get_origin
 
 
 class HdcError(Exception):
@@ -47,6 +50,14 @@ class EmptyDatasetError(HdcError, ValueError):
 
 class ConfigError(HdcError, ValueError):
     """Invalid or inconsistent configuration value."""
+
+
+def check_choices(obj):
+    """Raise ConfigError unless each Literal field of dataclass obj holds one of its values."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if get_origin(f.type) is Literal and value not in get_args(f.type):
+            raise ConfigError(f"{f.name} must be one of {get_args(f.type)}, got {value!r}")
 
 
 class CalibrationWarning(UserWarning):

@@ -326,7 +326,7 @@ def run_transfer_curve(cfg):
     meta["max_deviation_uniform_a"] = dev_u
     meta["max_deviation_calibrated_a"] = dev_c
     meta["deviation_improvement"] = dev_u / dev_c if dev_c > 0 else float("inf")
-    rows = [(h, c, pid) for pid in ("uniform", "calibrated") for h, c in enumerate(curves[pid].tolist())]
+    rows = [(h, c, pid) for pid, curve in curves.items() for h, c in enumerate(curve.tolist())]
     return Run(meta, ("hamming", "current_amperes", "profile_id"), rows)
 
 

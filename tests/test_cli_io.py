@@ -99,12 +99,6 @@ class TestIngest:
             ingest(p, "text_corpus")
         assert err.value.line == 1
 
-    def test_unknown_kind(self, tmp_path):
-        p = tmp_path / "d.csv"
-        p.write_text("1,2,a\n")
-        with pytest.raises(ParseError):
-            ingest(p, "parquet")
-
 
 def _purity_reference(assignments, labels):
     """purity through np.unique, as it was computed before the bincount table."""

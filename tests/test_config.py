@@ -1,25 +1,29 @@
+import argparse
 import re
 from dataclasses import fields
 from pathlib import Path
+from typing import Literal, get_args, get_origin
 
 import pytest
 
 from hdcam.cam import AnalogParams, VoltageProfile
-from hdcam.cli import main, verb_flags
+from hdcam.cli import build_parser, main, verb_flags
 from hdcam.config import (
     CASTS,
     VERBS,
     ExperimentConfig,
     load_cost_table,
     load_experiment_config,
+    _cast_type,
     _keys,
     _sections,
     save_profile,
     verb_keys,
 )
-from hdcam.datasets import SyntheticSpec
+from hdcam.datasets import INGEST_KINDS, SyntheticSpec
 from hdcam.encoder import EncodingConfig
 from hdcam.errors import ConfigError
+from hdcam.experiments import SCHEME_KINDS, synthesize_dataset
 from hdcam.learner import ClusterSpec
 from hdcam.lta import SensingSpec
 
@@ -56,6 +60,12 @@ def _reader(section):
     return "cluster" if section == "cluster" else "classify"
 
 
+# `section.key` -> the values of each Literal key.
+LITERAL_KEYS = {f"{section}.{f.name}": get_args(f.type)
+                for section, obj in _sections(ExperimentConfig()).items()
+                for f in _keys(obj) if get_origin(f.type) is Literal}
+
+
 class TestExperimentLoader:
     def test_unknown_section(self, tmp_path):
         with pytest.raises(ConfigError, match=r"unknown section \[experimnet\]"):
@@ -86,12 +96,13 @@ class TestExperimentLoader:
         ("analog", "r_segment", "nan"),
         ("sensing", "floor", "inf"),
         ("cluster", "k", ""),
+        ("encoding", "drop_width", "abc"),  # a Literal key casts by its values' type
     ])
     def test_bad_cast_names_key_and_value(self, tmp_path, section, key, raw):
         p = _ini(tmp_path, f"[{section}]\n{key} = {raw}\n")
         with pytest.raises(ConfigError) as err:
             load_experiment_config(p, _reader(section))
-        assert f"[{section}] {key} = {raw!r}" in str(err.value)
+        assert f"[{section}] {key} = {raw!r}: expected " in str(err.value)
 
     @pytest.mark.parametrize("section, key, raw", [
         ("analog", "gamma", "-1"),
@@ -101,6 +112,11 @@ class TestExperimentLoader:
         ("synthetic", "samples", "0"),
         ("cluster", "k", "1"),
         ("encoding", "scheme", "bogus"),
+        ("experiment", "mode", "ternary"),
+        ("experiment", "backend", "digital"),
+        ("experiment", "profile", "linear"),
+        ("encoding", "permute_mode", "rotate"),
+        ("encoding", "drop_width", "4"),
     ])
     def test_invalid_value_is_config_error(self, tmp_path, section, key, raw):
         with pytest.raises(ConfigError, match=rf"^\[{section}\] "):
@@ -150,9 +166,9 @@ class TestExperimentLoader:
         assert settable == {"classify": 38, "cluster": 39, "dim-sweep": 37,
                             "transfer-curve": 6, "calibrate": 6, "cost-report": 3}
         assert "--dim" not in verb_flags("dim-sweep") and "--dims" in verb_flags("dim-sweep")
-        # every cast is the annotation of some key
+        # every cast is the cast type of some key
         sections = _sections(ExperimentConfig()).values()
-        assert set(CASTS) <= {f.type for obj in sections for f in _keys(obj)}
+        assert set(CASTS) <= {_cast_type(f) for obj in sections for f in _keys(obj)}
 
     def test_readme_config_block_loads(self, tmp_path):
         block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
@@ -172,6 +188,41 @@ class TestExperimentLoader:
                 lines.setdefault(key.split(".")[0], []).append(readers[key][1] + "\n")
             text = "".join(f"[{section}]\n" + "".join(body) for section, body in lines.items())
             load_experiment_config(_ini(tmp_path, text, f"{verb}.ini"), verb)
+
+    def test_readme_choice_comments_match_the_literals(self):
+        block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+        documented = {}  # section.key -> the values its `; a | b` comment lists
+        for line in block.splitlines():
+            if header := re.match(r"\[(\w+)\]", line):
+                section = header.group(1)
+            elif choice := re.match(r"^(\w+) = \S+ +; (.+ \| .+)$", line):
+                values = choice.group(2).replace("(cluster only)", "").split("|")
+                documented[f"{section}.{choice.group(1)}"] = [v.strip() for v in values]
+        assert documented == {key: [str(v) for v in values] for key, values in LITERAL_KEYS.items()}
+
+
+class TestChoiceTables:
+    """Each table keyed by a closed choice covers exactly its values."""
+
+    def test_scheme_kinds(self):
+        assert set(SCHEME_KINDS) == set(LITERAL_KEYS["encoding.scheme"])
+        assert sorted(SCHEME_KINDS.values()) == sorted(INGEST_KINDS)
+
+    @pytest.mark.parametrize("kind", LITERAL_KEYS["synthetic.kind"])
+    def test_every_synthetic_kind_synthesizes(self, kind):
+        # A kind without its own branch would fall through to make_hv_blobs.
+        made = {"records": "feature_csv", "languages": "text_corpus", "hv_blobs": "synthetic_blobs"}
+        spec = SyntheticSpec(kind=kind, samples=8, classes=2, languages=2, text_length=8,
+                             blob_points=3)
+        dataset = synthesize_dataset(ExperimentConfig(dim=128, synthetic=spec))
+        assert dataset.kind == made[kind] and dataset.n > 0
+
+    def test_flag_choices_are_the_literals(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        flags = {a.option_strings[0]: a.choices for a in sub.choices["classify"]._actions if a.choices}
+        assert flags == {"--kind": INGEST_KINDS,
+                         **{f"--{name}": LITERAL_KEYS[f"experiment.{name}"]
+                            for name in ("mode", "backend", "profile")}}
 
 
 # Every field of the section dataclasses, settable or not.

@@ -180,6 +180,15 @@ class TestIngestRejects:
         with pytest.raises(ParseError):
             ingest(p, "text_corpus")
 
+    def test_unknown_kind(self, tmp_path):
+        # A config error, not a ParseError: no file line is involved. --kind's
+        # choices keep the CLI from reaching it.
+        p = tmp_path / "d.csv"
+        p.write_text("1,2,a\n")
+        with pytest.raises(ConfigError, match=r"^kind must be one of \('feature_csv', 'text_corpus'\), "
+                                              r"got 'parquet'$"):
+            ingest(p, "parquet")
+
 
 class TestSplitRejects:
     @pytest.mark.parametrize("n, fraction", [(1, 0.2), (2, 0.8), (10, 0.99)])
